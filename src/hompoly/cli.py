@@ -4,7 +4,8 @@ Every command reads polytope text files (the format in
 :mod:`hompoly.polyio`), writes its result to ``--output`` or stdout,
 and is deterministic: the same inputs and flags produce byte-identical
 output.  ``--jobs`` distributes independent rows or graphs over
-processes and only changes wall time, never content or order.
+processes, never more than there are rows or graphs or CPUs, and only
+changes wall time, never content or order.
 ``--check`` turns on assertion mode, which re-verifies the documented
 invariants along the way and aborts naming the violated property.
 
@@ -15,6 +16,7 @@ a failed identity check), 2 on command-line usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +38,9 @@ from .hom import HomPolytope, build_hom, enumerate_vertex_maps, hom_identity_che
 from .polyio import ParseError, read_polytope, write_hrep, write_labels, write_vrep
 from .polytope import Polytope, contains_point, polytope_dim
 from .regular import (
+    CLUSTER_CONVENTION,
     DEFAULT_EPSILONS,
+    DISTANCE_CONVENTION,
     CountRow,
     TableDiagnostics,
     closed_form_counts,
@@ -226,6 +230,15 @@ def _cmd_classify(config: RunConfig) -> Emission:
     return [(config.output, "\n".join(lines) + "\n")]
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Processes to start for ``tasks`` independent tasks under ``--jobs``.
+
+    Never more than the tasks, the requested jobs or the CPUs, and at
+    least one, so ``--jobs`` cannot start an unbounded number of workers.
+    """
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def _table_worker(
     spec: tuple[int, int, int, tuple[Fraction, ...]]
 ) -> tuple[CountRow, TableDiagnostics]:
@@ -239,15 +252,16 @@ def _cmd_table(config: RunConfig) -> Emission:
         for m in range(config.m_range[0], config.m_range[1] + 1)
         for n in range(config.n_range[0], config.n_range[1] + 1)
     ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = worker_count(config.jobs, len(specs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_table_worker, specs))
     else:
         results = [_table_worker(spec) for spec in specs]
     eps_text = ",".join(str(e) for e in config.eps)
     lines = [
         f"# digits={config.digits} eps={eps_text} "
-        "distance=euclidean clusters=connected-components",
+        f"distance={DISTANCE_CONVENTION} clusters={CLUSTER_CONVENTION}",
         "m\tn\trank0\trank1\trank2\ttotal\tprovenance",
     ]
     for row, diag in results:
@@ -279,8 +293,9 @@ def _graph_worker(edges: tuple[tuple[int, int], ...]) -> Certificate:
 
 def _cmd_graphs(config: RunConfig) -> Emission:
     graphs = enumerate_graphs()
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = worker_count(config.jobs, len(graphs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             certificates = list(
                 pool.map(_graph_worker, [g.edges for g in graphs])
             )

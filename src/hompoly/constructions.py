@@ -17,7 +17,6 @@ layers depend on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -25,14 +24,6 @@ import mpmath
 from .errors import GeometryError
 from .linalg import Vector, vec_dot, vec_sub, zero_vector
 from .polytope import Inequality, Polytope, barycenter
-
-
-@dataclass(frozen=True)
-class RegularPolygonSpec:
-    """Number of sides and decimal rounding precision for a regular polygon."""
-
-    n: int
-    digits: int = 6
 
 
 def simplex(n: int) -> Polytope:
@@ -158,10 +149,6 @@ def regular_ngon(n: int, digits: int = 6) -> Polytope:
                 "increase digits"
             )
     return Polytope.from_vertices(points)
-
-
-def from_regular_polygon_spec(spec: RegularPolygonSpec) -> Polytope:
-    return regular_ngon(spec.n, spec.digits)
 
 
 def join(p: Polytope, q: Polytope) -> Polytope:

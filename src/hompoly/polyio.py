@@ -5,7 +5,9 @@ A polytope file starts with a header line, either ``V <ambient_dim>
 ``<count>`` data lines.  A V-file line holds the coordinates of one
 point; an H-file line holds a normal vector followed by one offset,
 meaning ``normal . x <= offset``.  Scalars are exact rationals in any
-form :class:`~fractions.Fraction` accepts ("2", "-1/3", "0.25").
+form :class:`~fractions.Fraction` accepts ("2", "-1/3", "0.25"), up to
+:data:`MAX_SCALAR_LENGTH` characters and with a decimal exponent of at
+most :data:`MAX_DECIMAL_EXPONENT` in absolute value.
 Lines whose first non-blank character is ``#`` and blank lines are
 ignored everywhere.
 
@@ -26,6 +28,12 @@ from .hom import FacetLabel
 from .polytope import Inequality, Polytope
 
 _TOKEN = re.compile(r"\S+")
+
+# Bounds on one scalar token, checked before Fraction sees it: an
+# exponent such as "1e999999999" would otherwise be expanded into a
+# billion-digit integer.
+MAX_SCALAR_LENGTH = 1000
+MAX_DECIMAL_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -53,6 +61,26 @@ def _tokens(line: str) -> list[tuple[int, str]]:
 
 
 def _scalar(token: str, line: int, column: int) -> Fraction:
+    if len(token) > MAX_SCALAR_LENGTH:
+        raise ParseError(
+            f"number of {len(token)} characters exceeds the limit of"
+            f" {MAX_SCALAR_LENGTH}",
+            line,
+            column,
+        )
+    mark = max(token.rfind("e"), token.rfind("E"))
+    if mark >= 0:
+        try:
+            exponent = int(token[mark + 1 :])
+        except ValueError:
+            exponent = 0  # not a decimal exponent; Fraction rejects the token
+        if abs(exponent) > MAX_DECIMAL_EXPONENT:
+            raise ParseError(
+                f"exponent in {token[:40]!r} exceeds the limit of"
+                f" {MAX_DECIMAL_EXPONENT}",
+                line,
+                column,
+            )
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .classify import map_rank
 from .constructions import regular_ngon
@@ -132,6 +133,12 @@ def closed_form_counts(m: int, n: int) -> CountRow:
     )
 
 
+# Projection weights of the clustering sweep, cycled over the coordinates;
+# spread apart so that points sharing their leading coordinates still
+# get distinct keys.
+_SWEEP_WEIGHTS = (1, 3, 7, 13, 19, 29)
+
+
 def _squared_distance(a: Vector, b: Vector) -> Fraction:
     return sum(((x - y) ** 2 for x, y in zip(a, b)), Fraction(0))
 
@@ -145,14 +152,33 @@ def cluster_vertices(
     squared, strict.  ``pairwise_ok`` reports whether every component is
     also pairwise below epsilon (a chain of close points can span more
     than epsilon end to end without breaking the component).
+
+    Candidate pairs come from a sweep over the exact projection
+    ``k(p) = w . p`` with fixed integer weights ``w``: points are sorted
+    by ``k`` and each is compared only with its successors until
+    ``k(q) - k(p) >= B |epsilon|``, where ``B = isqrt(w . w) + 1``
+    exceeds ``|w|``.  The sweep drops no close pair: by Cauchy-Schwarz
+    ``|k(q) - k(p)| <= |w| |q - p|``, so every skipped pair is at least
+    epsilon apart.  The weights cover only the coordinates every point
+    has, the ones the distance always sums over.
     """
     eps = Fraction(epsilon)
     eps2 = eps * eps
     pts = tuple(tuple(Fraction(e) for e in p) for p in points)
     count = len(pts)
+    dim = min((len(p) for p in pts), default=0)
+    weights = tuple(
+        _SWEEP_WEIGHTS[i % len(_SWEEP_WEIGHTS)] for i in range(dim)
+    )
+    reach = (isqrt(sum(w * w for w in weights)) + 1) * abs(eps)
+    keys = [sum((w * x for w, x in zip(weights, p)), Fraction(0)) for p in pts]
+    order = sorted(range(count), key=keys.__getitem__)
     neighbors: list[list[int]] = [[] for _ in range(count)]
-    for i in range(count):
-        for j in range(i + 1, count):
+    for a, i in enumerate(order):
+        for b in range(a + 1, count):
+            j = order[b]
+            if keys[j] - keys[i] >= reach:
+                break
             if _squared_distance(pts[i], pts[j]) < eps2:
                 neighbors[i].append(j)
                 neighbors[j].append(i)

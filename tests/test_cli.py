@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from hompoly.cli import RunConfig, main
+import hompoly.polyio
+from hompoly.cli import RunConfig, main, worker_count
 from hompoly.constructions import cube, regular_ngon
 from hompoly.hom import build_hom
 from hompoly.polyio import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_SCALAR_LENGTH,
     ParseError,
     read_labels,
     read_polytope,
@@ -80,6 +83,41 @@ def test_parse_errors_carry_line_and_column(text, line, column, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "token, fragment",
+    [
+        ("1e999999999", "exponent"),
+        ("-2.5E-999999999", "exponent"),
+        (f"1e{MAX_DECIMAL_EXPONENT + 1}", "exponent"),
+        ("1" * (MAX_SCALAR_LENGTH + 1), "characters"),
+    ],
+)
+def test_oversized_scalars_are_refused_before_fraction(token, fragment, monkeypatch):
+    seen = []
+
+    def guarded_fraction(value):
+        seen.append(value)
+        if value == token:
+            raise AssertionError("hostile token reached Fraction")
+        return Fraction(value)
+
+    monkeypatch.setattr(hompoly.polyio, "Fraction", guarded_fraction)
+    with pytest.raises(ParseError) as info:
+        read_polytope(f"V 2 1\n0 {token}\n")
+    assert (info.value.line, info.value.column) == (2, 3)
+    assert fragment in str(info.value)
+    assert seen == ["0"]
+
+
+def test_scalars_within_the_bounds_parse():
+    limit = MAX_DECIMAL_EXPONENT
+    p = read_polytope(f"V 1 2\n1e{limit}\n-25E-{limit}\n")
+    assert sorted(p.vertices) == [
+        (Fraction(-25, 10**limit),),
+        (Fraction(10**limit),),
+    ]
+
+
 def test_label_sidecar_roundtrip():
     h = build_hom(regular_ngon(3), regular_ngon(3))
     text = write_labels(h.labels)
@@ -125,6 +163,16 @@ def test_validate_rejects_bad_flags():
         RunConfig("identity-check", kind="simplex_power").validate()
     with pytest.raises(ValueError, match="needs --m and --n"):
         RunConfig("identity-check", kind="cube_cross_swap", n=2).validate()
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert worker_count(1, 16) == 1
+    assert worker_count(8, 16) == 2
+    assert worker_count(8, 1) == 1
+    assert worker_count(10**9, 10**9) == 2
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert worker_count(8, 16) == 1
 
 
 # -- commands ------------------------------------------------------------

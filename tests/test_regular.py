@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hompoly.regular import (
+    ClusterPartition,
     PartitionMismatchError,
     closed_form_counts,
     cluster_vertices,
@@ -107,6 +110,71 @@ def test_epsilon_above_diameter_gives_one_cluster():
 def test_comparison_is_strict():
     part = cluster_vertices(((0,), (1,)), Fraction(1))
     assert part.clusters == ((0,), (1,))
+
+
+def _all_pairs_partition(points, epsilon):
+    """Reference clustering: every pair compared, components by search."""
+    eps = Fraction(epsilon)
+    pts = [tuple(Fraction(e) for e in p) for p in points]
+
+    def close(i, j):
+        return sum((x - y) ** 2 for x, y in zip(pts[i], pts[j])) < eps * eps
+
+    label = list(range(len(pts)))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if close(i, j) and label[i] != label[j]:
+                old, new = label[j], label[i]
+                label = [new if lab == old else lab for lab in label]
+    groups: dict[int, list[int]] = {}
+    for i, lab in enumerate(label):
+        groups.setdefault(lab, []).append(i)
+    clusters = tuple(sorted(tuple(g) for g in groups.values()))
+    pairwise_ok = all(
+        close(i, j) for c in clusters for a, i in enumerate(c) for j in c[a + 1 :]
+    )
+    return ClusterPartition(eps, clusters, pairwise_ok)
+
+
+@st.composite
+def _point_sets(draw):
+    """Small rational point sets plus duplicates, chains and boundary pairs."""
+    eps = draw(st.sampled_from([Fraction(k, 2) for k in (1, 2, 3, 0, -2)]))
+    dim = draw(st.integers(0, 4))
+    coord = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+    points = draw(st.lists(st.tuples(*[coord] * dim), max_size=10))
+    extras = []
+    for p in points[:4]:
+        kind = draw(st.sampled_from(["duplicate", "chain", "at_eps", "late", "none"]))
+        axis = draw(st.integers(0, dim - 1)) if dim else 0
+        if kind == "duplicate":
+            extras.append(p)
+        elif kind == "chain" and dim:
+            extras += [
+                p[:axis] + (p[axis] + k * eps / 2,) + p[axis + 1 :] for k in (1, 2, 3)
+            ]
+        elif kind == "at_eps" and dim >= 2:
+            extras.append((p[0] + 3 * eps / 5, p[1] + 4 * eps / 5) + p[2:])
+        elif kind == "at_eps" and dim:
+            extras.append(p[:axis] + (p[axis] - eps,) + p[axis + 1 :])
+        elif kind == "late" and dim:
+            delta = draw(st.sampled_from([eps / 3, eps, 2 * eps]))
+            extras.append(p[:-1] + (p[-1] + delta,))
+    return draw(st.permutations(points + extras)), eps
+
+
+# Fixed cases: no points, zero-dimensional points, neighbours exactly epsilon
+# apart in the later coordinate, and a close pair along (1, 3), the direction
+# in which the first two sweep weights spread the keys furthest.
+@settings(max_examples=400, deadline=None)
+@given(_point_sets())
+@example(((), Fraction(1, 2)))
+@example((((), (), ()), Fraction(1, 2)))
+@example((((0, 0), (0, 1), (0, 2), (5, 0)), Fraction(1)))
+@example((((0, 0), (Fraction(31, 100), Fraction(93, 100))), Fraction(1)))
+def test_sweep_matches_all_pairs_reference(case):
+    points, eps = case
+    assert cluster_vertices(tuple(points), eps) == _all_pairs_partition(points, eps)
 
 
 # -- divisibility -------------------------------------------------------
