@@ -30,7 +30,9 @@ from .linalg import (
     integer_direction,
     mat_rank,
     nullspace_basis,
+    rref,
     solve_affine_hull,
+    vec_add,
     vec_sub,
 )
 from .polytope import (
@@ -200,38 +202,24 @@ def _fiber_is_contained_in_face(
             continue
         verts = tuple(p.vertices[v] for v in sorted(e_face.vertices))
         base, dirs = solve_affine_hull(verts)
-        # solve f(base + D z) = w restricted to the face's chart
-        rhs = vec_sub(w, f.apply(base))
-        if not dirs:
-            if any(e != 0 for e in rhs):
-                continue
-            candidate = base
-        else:
-            cols = tuple(
-                vec_sub(f.apply(tuple(b + d for b, d in zip(base, direction))),
-                        f.apply(base))
-                for direction in dirs
-            )
-            system: Matrix = tuple(
-                tuple(cols[j][i] for j in range(len(dirs)))
-                for i in range(len(rhs))
-            )
-            if mat_rank(system) < len(dirs):
-                # the preimage meets this chart in a positive-dimensional
-                # set or not at all; extreme points are found on subfaces
-                continue
-            augmented = tuple(
-                row + (rhs[i],) for i, row in enumerate(system)
-            )
-            if mat_rank(augmented) > mat_rank(system):
-                continue
-            solution = _solve_unique(system, rhs, len(dirs))
-            candidate = base
-            for z, direction in zip(solution, dirs):
-                if z:
-                    candidate = tuple(
-                        c + z * d for c, d in zip(candidate, direction)
-                    )
+        # solve f(base + D z) = w on the face's chart by one reduction of
+        # [L D | w - f(base)]: a unique solution needs a pivot in every
+        # direction column and none in the last; otherwise the preimage
+        # meets this chart in a positive-dimensional set (its extreme
+        # points are found on subfaces) or not at all
+        origin = f.apply(base)
+        cols = tuple(vec_sub(f.apply(vec_add(base, d)), origin) for d in dirs)
+        rhs = vec_sub(w, origin)
+        rows, pivots = rref(
+            tuple(col[i] for col in cols) + (rhs[i],) for i in range(len(rhs))
+        )
+        if pivots != list(range(len(dirs))):
+            continue
+        candidate = base
+        for row, direction in zip(rows, dirs):
+            z = row[-1]
+            if z:
+                candidate = tuple(c + z * d for c, d in zip(candidate, direction))
         # any point of P in the preimage of w is a fiber point; one
         # outside the target face disproves containment
         if contains_point(p, candidate).kind == "outside":
@@ -239,30 +227,6 @@ def _fiber_is_contained_in_face(
         if not _point_in_face(p, face, candidate):
             return False
     return True
-
-
-def _solve_unique(system: Matrix, rhs: Vector, unknowns: int) -> Vector:
-    """Unique solution of a consistent full-column-rank system."""
-    rows = [list(r) + [rhs[i]] for i, r in enumerate(system)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(unknowns):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-    out = [Fraction(0)] * unknowns
-    for row_i, col in pivots:
-        out[col] = rows[row_i][unknowns]
-    return tuple(out)
 
 
 def is_face_collapse(f: AffineMap, p: Polytope) -> bool:

@@ -26,10 +26,17 @@ answer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InfeasibleError, UnboundedError
-from .linalg import Matrix, Vector, mat_inverse, nullspace_basis, solve_affine_hull
+from .linalg import (
+    Vector,
+    _echelon,
+    integer_direction,
+    mat_inverse,
+    nullspace_basis,
+    solve_affine_hull,
+)
 
 IntRow = tuple[int, ...]
 
@@ -58,34 +65,15 @@ def _dot(a: IntRow, b: IntRow) -> int:
 
 def _greedy_row_basis(rows: list[IntRow], dim: int) -> list[int]:
     """Indices of the first ``dim`` linearly independent rows, in input order."""
-    picked: list[int] = []
-    reduced: list[tuple[int, list[Fraction]]] = []
-    for k, r in enumerate(rows):
-        work = [Fraction(e) for e in r]
-        for pc, rr in reduced:
-            if work[pc] != 0:
-                factor = work[pc] / rr[pc]
-                for c in range(pc, dim):
-                    work[c] -= factor * rr[c]
-        pc = next((c for c, e in enumerate(work) if e != 0), None)
-        if pc is None:
-            continue
-        picked.append(k)
-        reduced.append((pc, work))
-        reduced.sort(key=lambda item: item[0])
-        if len(picked) == dim:
-            return picked
-    # rank deficient: assemble an orthogonal witness from the free directions
-    raise ConeDegenerateError(_lineality_witness(rows))
+    picked, _ = _echelon(rows, stop=dim)
+    if len(picked) < dim:
+        raise ConeDegenerateError(_lineality_witness(rows))
+    return picked
 
 
 def _lineality_witness(rows: list[IntRow]) -> tuple[int, ...]:
-    basis = nullspace_basis(tuple(tuple(Fraction(e) for e in r) for r in rows))
-    v = basis[0]
-    mult = lcm(*(e.denominator for e in v))
-    ints = [int(e * mult) for e in v]
-    g = gcd(*ints)
-    return tuple(e // g for e in ints)
+    """Primitive integer vector orthogonal to every row of a rank-deficient set."""
+    return integer_direction(nullspace_basis(tuple(rows))[0])
 
 
 def _initial_generators(rows: list[IntRow], picked: list[int]) -> list[IntRow]:
@@ -95,14 +83,8 @@ def _initial_generators(rows: list[IntRow], picked: list[int]) -> list[IntRow]:
     M^{-1}: generator j is tight on every picked row but j and strictly
     positive on row j, which is exactly a simplicial ray configuration.
     """
-    m: Matrix = tuple(tuple(Fraction(e) for e in rows[i]) for i in picked)
-    inv = mat_inverse(m)
-    gens: list[IntRow] = []
-    for j in range(len(picked)):
-        col = [inv[i][j] for i in range(len(picked))]
-        mult = lcm(*(e.denominator for e in col))
-        gens.append(_reduce([int(e * mult) for e in col]))
-    return gens
+    inv = mat_inverse(tuple(rows[i] for i in picked))
+    return [integer_direction(col) for col in zip(*inv)]
 
 
 def extreme_rays(rows: list[IntRow]) -> list[tuple[IntRow, int]]:
@@ -183,13 +165,10 @@ def _homogenize(normals: list[Vector], offsets: list[Fraction]) -> list[IntRow]:
     """Rows ``(b, -a)`` of the homogenization cone, primitive integer."""
     rows: list[IntRow] = []
     for a, b in zip(normals, offsets):
-        entries = [b] + [-e for e in a]
-        mult = lcm(*(x.denominator for x in entries))
-        ints = [int(x * mult) for x in entries]
-        g = gcd(*ints)
-        if g == 0:
+        entries = (b, *(-e for e in a))
+        if not any(entries):
             raise ValueError("inequality with zero normal and zero offset")
-        rows.append(tuple(e // g for e in ints))
+        rows.append(integer_direction(entries))
     return rows
 
 

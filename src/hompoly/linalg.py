@@ -7,35 +7,40 @@ tuples and matrices are tuples of row tuples: immutable, hashable, and
 cheap to compare, which is what the geometric layers need for use as
 dict keys and set members.
 
-Pivoting is deterministic everywhere: the first usable (nonzero) entry
-wins, scanning rows top to bottom and columns left to right.  That makes
-every derived object (affine-hull bases, kernel bases, chart choices)
-reproducible run to run, which the table and CLI layers rely on for
-byte-identical output.
+Every rank, kernel, affine hull, inverse and solve goes through one
+fraction-free elimination, :func:`_echelon`, in the integer-preserving
+spirit of Bareiss: each row is scaled to integers, reduced against the
+rows kept so far by cross-multiplication, and divided by the gcd of its
+entries, so no ``Fraction`` is built until :func:`rref` normalizes its
+pivots.  :func:`mat_det` is the one exception; it runs Bareiss itself.
+
+The elimination chooses greedily in input order: a row is kept exactly
+when it is independent of the rows kept before it.  Every derived
+object is therefore fixed by the input alone (the kept rows are the
+lexicographically first basis, and the reduced row echelon form, the
+inverse and the solutions are unique), never by a pivoting choice, which
+the table and CLI layers rely on for byte-identical output.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterable, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
-def scal(x: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or string like ``"2/3"`` to a Fraction."""
-    return Fraction(x)
-
-
 def vec(*entries: int | str | Fraction) -> Vector:
-    """Build a vector, coercing each entry with :func:`scal`."""
+    """Build a vector of Fractions from ints, Fractions or strings like ``"2/3"``."""
     return tuple(Fraction(e) for e in entries)
 
 
 def mat(*rows) -> Matrix:
-    """Build a matrix from row iterables, coercing entries with :func:`scal`."""
+    """Build a matrix from row iterables, coercing entries as :func:`vec` does."""
     return tuple(tuple(Fraction(e) for e in row) for row in rows)
 
 
@@ -45,10 +50,6 @@ def vec_add(a: Vector, b: Vector) -> Vector:
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction | int, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
 
 
 def vec_dot(a: Vector, b: Vector) -> Fraction:
@@ -64,10 +65,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(vec_dot(row, col) for col in cols) for row in a)
 
 
-def mat_transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m, strict=True))
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
@@ -79,41 +76,82 @@ def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
-def mat_rank(m: Matrix) -> int:
-    """Rank by fraction-free-ish Gaussian elimination on a working copy."""
-    if not m or not m[0]:
-        return 0
-    work = [list(row) for row in m]
-    rows, cols = len(work), len(work[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next(
-            (r for r in range(rank, rows) if work[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        for r in range(rank + 1, rows):
-            if work[r][col] == 0:
-                continue
-            factor = work[r][col] * inv
-            for c in range(col, cols):
-                work[r][c] -= factor * work[rank][c]
-        rank += 1
-        if rank == rows:
+def _integer_row(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    mult = lcm(*(e.denominator for e in row))
+    return [e.numerator * (mult // e.denominator) for e in row], mult
+
+
+def _cancel(x: list[int], y: list[int], col: int) -> list[int]:
+    """``b*x - a*y`` for ``a = x[col]``, ``b = y[col]``, divided by its gcd."""
+    a, b = x[col], y[col]
+    x = [b * xi - a * yi for xi, yi in zip(x, y)]
+    g = gcd(*x)
+    return [e // g for e in x] if g > 1 else x
+
+
+def _echelon(
+    rows: Iterable[Sequence[Fraction | int]], stop: int | None = None
+) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """Fraction-free row echelon form, choosing rows greedily in input order.
+
+    Each row is scaled to integers and reduced against the rows kept so
+    far; it is kept when anything nonzero remains.  Elimination ends
+    after ``stop`` kept rows (pass the column count or the wanted rank
+    to skip rows that can no longer be independent).  Returns the input
+    indices of the kept rows, ascending, and the kept rows reduced to
+    primitive integer vectors as ``(pivot column, row)`` pairs sorted by
+    pivot.  A reduced row is zero left of its pivot and in the pivot
+    columns of the rows kept before it.
+    """
+    kept: list[int] = []
+    reduced: list[tuple[int, list[int]]] = []
+    for index, row in enumerate(rows):
+        if len(kept) == stop:
             break
-    return rank
+        x, _ = _integer_row(row)
+        for pc, y in reduced:
+            if x[pc]:
+                x = _cancel(x, y, pc)
+        pc = next((c for c, e in enumerate(x) if e), None)
+        if pc is None:
+            continue
+        kept.append(index)
+        insort(reduced, (pc, x))
+    return kept, reduced
 
 
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], Fraction]:
+def rref(m: Iterable[Sequence[Fraction | int]]) -> tuple[list[Vector], list[int]]:
+    """Nonzero rows of the reduced row echelon form, and their pivot columns.
+
+    Back-substitution on :func:`_echelon`'s rows, bottom up, then each
+    row is divided by its pivot entry.
+    """
+    _, reduced = _echelon(m)
+    pivots = [pc for pc, _ in reduced]
+    rows = [x for _, x in reduced]
+    for i in reversed(range(len(rows))):
+        for pc, y in zip(pivots[i + 1 :], rows[i + 1 :]):
+            if rows[i][pc]:
+                rows[i] = _cancel(rows[i], y, pc)
+    return [
+        tuple(Fraction(e, x[pc]) for e in x) for pc, x in zip(pivots, rows)
+    ], pivots
+
+
+def mat_rank(m: Matrix) -> int:
+    """Rank: the number of rows the elimination keeps."""
+    return len(_echelon(m, stop=len(m[0]) if m else 0)[0])
+
+
+def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
     """Scale each row to integers; return rows and the product of scales."""
     rows: list[list[int]] = []
-    scale = Fraction(1)
+    scale = 1
     for row in m:
-        mult = lcm(*(e.denominator for e in row)) if row else 1
+        ints, mult = _integer_row(row)
         scale *= mult
-        rows.append([int(e * mult) for e in row])
+        rows.append(ints)
     return rows, scale
 
 
@@ -144,7 +182,7 @@ def mat_det(m: Matrix) -> Fraction:
                 work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
             work[i][k] = 0
         prev = work[k][k]
-    return Fraction(sign * work[n - 1][n - 1]) / scale
+    return Fraction(sign * work[n - 1][n - 1], scale)
 
 
 def solve_affine_hull(points: tuple[Vector, ...]) -> tuple[Vector, tuple[Vector, ...]]:
@@ -159,47 +197,9 @@ def solve_affine_hull(points: tuple[Vector, ...]) -> tuple[Vector, tuple[Vector,
     if not points:
         raise ValueError("affine hull of an empty point set is undefined")
     base = points[0]
-    basis: list[Vector] = []
-    reduced: list[tuple[int, list[Fraction]]] = []  # (pivot column, reduced row)
-    for p in points[1:]:
-        row = list(vec_sub(p, base))
-        for pc, rr in reduced:
-            if row[pc] != 0:
-                factor = row[pc] / rr[pc]
-                for c in range(pc, len(row)):
-                    row[c] -= factor * rr[c]
-        pc = next((c for c, e in enumerate(row) if e != 0), None)
-        if pc is None:
-            continue
-        basis.append(vec_sub(p, base))
-        reduced.append((pc, row))
-        reduced.sort(key=lambda item: item[0])
-    return base, tuple(basis)
-
-
-def _rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    work = [list(row) for row in m]
-    rows = len(work)
-    cols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [e * inv for e in work[r]]
-        for i in range(rows):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    return work, pivots
+    diffs = [vec_sub(p, base) for p in points[1:]]
+    kept, _ = _echelon(diffs, stop=len(base))
+    return base, tuple(diffs[k] for k in kept)
 
 
 def nullspace_basis(m: Matrix) -> tuple[Vector, ...]:
@@ -209,60 +209,37 @@ def nullspace_basis(m: Matrix) -> tuple[Vector, ...]:
     coordinate set to 1, so the basis is canonical for a given input.
     An empty tuple means the matrix has full column rank.
     """
-    if not m or not m[0]:
-        cols = len(m[0]) if m else 0
-        return tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for i in range(cols))
-            for j in range(cols)
-        )
-    work, pivots = _rref(m)
-    cols = len(m[0])
-    free = [c for c in range(cols) if c not in pivots]
+    cols = len(m[0]) if m else 0
+    rows, pivots = rref(m)
     basis = []
-    for f in free:
+    for f in range(cols):
+        if f in pivots:
+            continue
         v = [Fraction(0)] * cols
         v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][f]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[f]
         basis.append(tuple(v))
     return tuple(basis)
 
 
+def _solve_columns(m: Matrix, right: Matrix) -> list[Vector]:
+    """Rows of ``m^-1 @ right`` for square ``m``, from one reduction of ``[m | right]``."""
+    n = len(m)
+    rows, pivots = rref([row + extra for row, extra in zip(m, right, strict=True)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rows]
+
+
 def solve_square(m: Matrix, rhs: Vector) -> Vector:
     """Unique solution of ``m @ x == rhs`` for invertible square ``m``."""
-    n = len(m)
-    work = [list(row) + [rhs[i]] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [e * inv for e in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return tuple(work[r][n] for r in range(n))
+    return tuple(row[0] for row in _solve_columns(m, tuple((b,) for b in rhs)))
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Inverse of a square invertible matrix by Gauss-Jordan elimination."""
-    n = len(m)
-    work = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [e * inv for e in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(work[r][n:]) for r in range(n))
+    """Inverse of a square invertible matrix: ``[m | I]`` reduced to ``[I | m^-1]``."""
+    return tuple(_solve_columns(m, identity_matrix(len(m))))
 
 
 def integer_direction(v: Vector) -> tuple[int, ...]:
@@ -273,8 +250,7 @@ def integer_direction(v: Vector) -> tuple[int, ...]:
     """
     if all(e == 0 for e in v):
         raise ValueError("zero vector has no direction")
-    mult = lcm(*(e.denominator for e in v))
-    ints = [int(e * mult) for e in v]
+    ints, _ = _integer_row(v)
     g = gcd(*ints)
     return tuple(e // g for e in ints)
 
@@ -287,8 +263,7 @@ def canonical_inequality(normal: Vector, offset: Fraction) -> tuple[Vector, Frac
     """
     if all(e == 0 for e in normal):
         raise ValueError("inequality has a zero normal")
-    mult = lcm(*(e.denominator for e in normal))
-    ints = [int(e * mult) for e in normal]
+    ints, mult = _integer_row(normal)
     g = gcd(*ints)
     factor = Fraction(mult, g)
     return tuple(Fraction(e // g) for e in ints), offset * factor

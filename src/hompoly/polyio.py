@@ -88,7 +88,8 @@ def _scalar(token: str, line: int, column: int) -> Fraction:
 
 
 def _positive_int(token: str, what: str, line: int, column: int) -> int:
-    if not token.isdigit() or int(token) == 0:
+    # isdecimal, not isdigit: "²" is a digit that int() rejects
+    if not token.isdecimal() or int(token) == 0:
         raise ParseError(f"expected a positive {what}, got {token!r}", line, column)
     return int(token)
 
@@ -192,7 +193,7 @@ def read_labels(text: str) -> tuple[FacetLabel, ...]:
             )
         values = []
         for column, token in tokens:
-            if not token.isdigit():
+            if not token.isdecimal():
                 raise ParseError(
                     f"expected a nonnegative index, got {token!r}", number, column
                 )

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .linalg import (
     Vector,
+    _echelon,
     canonical_inequality,
     mat_inverse,
     mat_rank,
@@ -112,32 +113,13 @@ class AffineChart:
         # pick self.dim independent coordinate rows of the direction
         # matrix (directions as columns) and invert that square block,
         # so projection is one matrix-vector product plus a lift check
-        cols = directions
-        picked: list[int] = []
-        reduced: list[tuple[int, list[Fraction]]] = []
-        for r in range(self.ambient_dim):
-            row = [cols[j][r] for j in range(self.dim)]
-            work = list(row)
-            for pc, rr in reduced:
-                if work[pc] != 0:
-                    factor = work[pc] / rr[pc]
-                    for c in range(pc, self.dim):
-                        work[c] -= factor * rr[c]
-            pc = next((c for c, e in enumerate(work) if e != 0), None)
-            if pc is None:
-                continue
-            picked.append(r)
-            reduced.append((pc, work))
-            reduced.sort(key=lambda item: item[0])
-            if len(picked) == self.dim:
-                break
+        coordinate_rows = tuple(zip(*directions))
+        picked, _ = _echelon(coordinate_rows, stop=self.dim)
         if len(picked) < self.dim:
             raise ValueError("chart directions are linearly dependent")
         self._rows = tuple(picked)
-        block = tuple(
-            tuple(cols[j][r] for j in range(self.dim)) for r in picked
-        )
-        self._inverse = mat_inverse(block) if self.dim else ()
+        block = tuple(coordinate_rows[r] for r in picked)
+        self._inverse = mat_inverse(block)
 
     def project(self, x: Vector) -> Vector:
         diff = vec_sub(x, self.base)
@@ -409,7 +391,7 @@ class Polytope:
                 if p in extreme:
                     continue
                 active = [facets[j][0].normal for j in range(len(facets)) if point_masks[i] >> j & 1]
-                if len(active) >= self.ambient_dim and _rank_of(active) == self.ambient_dim:
+                if len(active) >= self.ambient_dim and mat_rank(tuple(active)) == self.ambient_dim:
                     extreme[p] = i
             ordered = sorted(extreme)
             index_of = {extreme[p]: v for v, p in enumerate(ordered)}
@@ -558,10 +540,6 @@ class Polytope:
         if self._inequalities is not None:
             parts.append(f"n_inequalities={len(self._inequalities)}")
         return "Polytope(" + ", ".join(parts) + ")"
-
-
-def _rank_of(vectors: list[Vector]) -> int:
-    return mat_rank(tuple(vectors))
 
 
 def polytope_dim(p: Polytope) -> int:

@@ -68,6 +68,7 @@ def test_fraction_and_decimal_scalars_parse_exactly():
         ("W 2 1\n0 0\n", 1, 1, "expected a header"),
         ("V 0 1\n\n", 1, 3, "ambient dimension"),
         ("V 2 0\n", 1, 5, "row count"),
+        ("V \u00b2 1\n0 0\n", 1, 3, "ambient dimension"),
         ("V 2 2\n1 1\n", 1, 5, "promised 2 rows"),
         ("V 2 1\n1 x\n", 2, 3, "rational number"),
         ("V 2 1\n1 2 3\n", 2, 5, "expected 2 entries"),
@@ -131,6 +132,9 @@ def test_label_sidecar_rejects_gaps_and_junk():
         read_labels("1 0 0\n")
     with pytest.raises(ParseError, match="nonnegative index"):
         read_labels("0 0 -1\n")
+    with pytest.raises(ParseError, match="nonnegative index") as info:
+        read_labels("0 0 \u00b2\n")
+    assert (info.value.line, info.value.column) == (1, 5)
     with pytest.raises(ParseError, match="3 indices"):
         read_labels("0 0\n")
     with pytest.raises(ParseError, match="empty label file"):

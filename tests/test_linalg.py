@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +16,11 @@ from hompoly.linalg import (
     mat_rank,
     mat_vec,
     nullspace_basis,
+    rref,
     solve_affine_hull,
     solve_square,
     vec,
+    vec_sub,
 )
 
 small_fractions = st.fractions(
@@ -163,3 +166,107 @@ def test_canonical_inequality_keeps_direction():
     # a point satisfying the original must satisfy the canonical form
     assert Fraction(2, 3) * 1 + Fraction(4, 3) * 1 <= 2
     assert 1 * 1 + 2 * 1 <= 3
+
+
+# -- sympy as an independent oracle ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+# half the entries zero, so leading zeros and pivots out of row order are common
+sparse_fractions = st.one_of(st.just(Fraction(0)), small_fractions)
+
+
+@st.composite
+def rational_matrices(draw, square=False, min_rows=0):
+    """Small rational matrices, tall, wide, square or empty, whose rows
+    are drawn fresh or as zero rows, duplicates or multiples of earlier
+    rows, so rank deficiency is common."""
+    n_rows = draw(st.integers(min_value=min_rows, max_value=5))
+    n_cols = n_rows if square else draw(st.integers(min_value=0, max_value=5))
+    rows: list[tuple[Fraction, ...]] = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "duplicate", "multiple")))
+        if kind == "zero":
+            rows.append((Fraction(0),) * n_cols)
+        elif kind != "fresh" and rows:
+            earlier = draw(st.sampled_from(rows))
+            factor = draw(small_fractions) if kind == "multiple" else 1
+            rows.append(tuple(factor * e for e in earlier))
+        else:
+            rows.append(tuple(draw(st.lists(sparse_fractions, min_size=n_cols, max_size=n_cols))))
+    return tuple(rows)
+
+
+def _to_sympy(sympy, m):
+    cols = len(m[0]) if m else 0
+    flat = [sympy.Rational(e.numerator, e.denominator) for row in m for e in row]
+    return sympy.Matrix(len(m), cols, flat)
+
+
+def _from_sympy(entries):
+    return tuple(Fraction(int(e.p), int(e.q)) for e in entries)
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_rank_matches_sympy(sympy, m):
+    assert mat_rank(m) == _to_sympy(sympy, m).rank()
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_sympy(sympy, m):
+    expected, expected_pivots = _to_sympy(sympy, m).rref()
+    rows, pivots = rref(m)
+    assert pivots == list(expected_pivots)
+    assert rows == [_from_sympy(expected.row(i)) for i in range(len(pivots))]
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_nullspace_matches_sympy(sympy, m):
+    s = _to_sympy(sympy, m)
+    basis = nullspace_basis(m)
+    assert basis == tuple(_from_sympy(v) for v in s.nullspace())
+    # one vector per free column, ascending, free coordinate 1 and the
+    # other free coordinates 0
+    _, pivots = s.rref()
+    free = [c for c in range(s.cols) if c not in pivots]
+    assert len(basis) == len(free)
+    for v, f in zip(basis, free):
+        assert [v[c] for c in free] == [int(c == f) for c in free]
+
+
+@given(rational_matrices(square=True), st.data())
+@settings(max_examples=100, deadline=None)
+def test_inverse_and_solve_match_sympy(sympy, m, data):
+    s = _to_sympy(sympy, m)
+    rhs = tuple(data.draw(st.lists(small_fractions, min_size=len(m), max_size=len(m))))
+    if s.rank() < len(m):
+        with pytest.raises(ValueError, match="singular"):
+            mat_inverse(m)
+        with pytest.raises(ValueError, match="singular"):
+            solve_square(m, rhs)
+        return
+    inverse = s.inv()
+    assert mat_inverse(m) == tuple(_from_sympy(inverse.row(i)) for i in range(len(m)))
+    expected = inverse * _to_sympy(sympy, tuple((b,) for b in rhs)) if m else ()
+    assert solve_square(m, rhs) == (_from_sympy(expected) if m else ())
+
+
+@given(rational_matrices(min_rows=1))
+@settings(max_examples=100, deadline=None)
+def test_affine_hull_keeps_exactly_the_rank_raising_differences(sympy, points):
+    base, basis = solve_affine_hull(points)
+    assert base == points[0]
+    kept: list[tuple[Fraction, ...]] = []
+    for p in points[1:]:
+        d = vec_sub(p, base)
+        before = _to_sympy(sympy, tuple(kept)).rank()
+        if _to_sympy(sympy, tuple(kept) + (d,)).rank() > before:
+            kept.append(d)
+    assert basis == tuple(kept)
