@@ -31,7 +31,7 @@ from math import gcd
 from .errors import InfeasibleError, UnboundedError
 from .linalg import (
     Vector,
-    _echelon,
+    independent_rows,
     integer_direction,
     mat_inverse,
     nullspace_basis,
@@ -65,7 +65,7 @@ def _dot(a: IntRow, b: IntRow) -> int:
 
 def _greedy_row_basis(rows: list[IntRow], dim: int) -> list[int]:
     """Indices of the first ``dim`` linearly independent rows, in input order."""
-    picked, _ = _echelon(rows, stop=dim)
+    picked = independent_rows(rows)
     if len(picked) < dim:
         raise ConeDegenerateError(_lineality_witness(rows))
     return picked

@@ -82,33 +82,35 @@ def _integer_row(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
     return [e.numerator * (mult // e.denominator) for e in row], mult
 
 
-def _cancel(x: list[int], y: list[int], col: int) -> list[int]:
-    """``b*x - a*y`` for ``a = x[col]``, ``b = y[col]``, divided by its gcd."""
-    a, b = x[col], y[col]
-    x = [b * xi - a * yi for xi, yi in zip(x, y)]
+def _primitive(x: list[int]) -> list[int]:
+    """``x`` divided by the gcd of its entries (zero stays zero)."""
     g = gcd(*x)
     return [e // g for e in x] if g > 1 else x
 
 
+def _cancel(x: list[int], y: list[int], col: int) -> list[int]:
+    """``b*x - a*y`` for ``a = x[col]``, ``b = y[col]``, made primitive."""
+    a, b = x[col], y[col]
+    return _primitive([b * xi - a * yi for xi, yi in zip(x, y)])
+
+
 def _echelon(
-    rows: Iterable[Sequence[Fraction | int]], stop: int | None = None
+    rows: Iterable[Sequence[Fraction | int]],
 ) -> tuple[list[int], list[tuple[int, list[int]]]]:
     """Fraction-free row echelon form, choosing rows greedily in input order.
 
     Each row is scaled to integers and reduced against the rows kept so
     far; it is kept when anything nonzero remains.  Elimination ends
-    after ``stop`` kept rows (pass the column count or the wanted rank
-    to skip rows that can no longer be independent).  Returns the input
-    indices of the kept rows, ascending, and the kept rows reduced to
-    primitive integer vectors as ``(pivot column, row)`` pairs sorted by
-    pivot.  A reduced row is zero left of its pivot and in the pivot
-    columns of the rows kept before it.
+    once every column has a pivot, since later rows can only reduce to
+    zero.  Returns the input indices of the kept rows, ascending, and
+    the kept rows reduced to primitive integer vectors as
+    ``(pivot column, row)`` pairs sorted by pivot.  A reduced row is
+    zero left of its pivot and in the pivot columns of the rows kept
+    before it.
     """
     kept: list[int] = []
     reduced: list[tuple[int, list[int]]] = []
     for index, row in enumerate(rows):
-        if len(kept) == stop:
-            break
         x, _ = _integer_row(row)
         for pc, y in reduced:
             if x[pc]:
@@ -117,8 +119,18 @@ def _echelon(
         if pc is None:
             continue
         kept.append(index)
-        insort(reduced, (pc, x))
+        insort(reduced, (pc, _primitive(x)))
+        if len(kept) == len(x):
+            break
     return kept, reduced
+
+
+def independent_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[int]:
+    """Input indices of the lexicographically first basis of the row space.
+
+    Row ``i`` is listed exactly when it is independent of rows ``0..i-1``.
+    """
+    return _echelon(rows)[0]
 
 
 def rref(m: Iterable[Sequence[Fraction | int]]) -> tuple[list[Vector], list[int]]:
@@ -141,7 +153,7 @@ def rref(m: Iterable[Sequence[Fraction | int]]) -> tuple[list[Vector], list[int]
 
 def mat_rank(m: Matrix) -> int:
     """Rank: the number of rows the elimination keeps."""
-    return len(_echelon(m, stop=len(m[0]) if m else 0)[0])
+    return len(independent_rows(m))
 
 
 def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
@@ -198,8 +210,7 @@ def solve_affine_hull(points: tuple[Vector, ...]) -> tuple[Vector, tuple[Vector,
         raise ValueError("affine hull of an empty point set is undefined")
     base = points[0]
     diffs = [vec_sub(p, base) for p in points[1:]]
-    kept, _ = _echelon(diffs, stop=len(base))
-    return base, tuple(diffs[k] for k in kept)
+    return base, tuple(diffs[k] for k in independent_rows(diffs))
 
 
 def nullspace_basis(m: Matrix) -> tuple[Vector, ...]:
@@ -250,9 +261,7 @@ def integer_direction(v: Vector) -> tuple[int, ...]:
     """
     if all(e == 0 for e in v):
         raise ValueError("zero vector has no direction")
-    ints, _ = _integer_row(v)
-    g = gcd(*ints)
-    return tuple(e // g for e in ints)
+    return tuple(_primitive(_integer_row(v)[0]))
 
 
 def canonical_inequality(normal: Vector, offset: Fraction) -> tuple[Vector, Fraction]:

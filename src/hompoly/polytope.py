@@ -36,8 +36,8 @@ from .errors import (
 )
 from .linalg import (
     Vector,
-    _echelon,
     canonical_inequality,
+    independent_rows,
     mat_inverse,
     mat_rank,
     solve_affine_hull,
@@ -114,7 +114,7 @@ class AffineChart:
         # matrix (directions as columns) and invert that square block,
         # so projection is one matrix-vector product plus a lift check
         coordinate_rows = tuple(zip(*directions))
-        picked, _ = _echelon(coordinate_rows, stop=self.dim)
+        picked = independent_rows(coordinate_rows)
         if len(picked) < self.dim:
             raise ValueError("chart directions are linearly dependent")
         self._rows = tuple(picked)

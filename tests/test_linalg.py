@@ -1,13 +1,16 @@
 """Unit tests for the exact rational linear algebra layer."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hompoly.linalg import (
+    _echelon,
     canonical_inequality,
+    independent_rows,
     integer_direction,
     mat,
     mat_det,
@@ -215,6 +218,34 @@ def _from_sympy(entries):
 @settings(max_examples=100, deadline=None)
 def test_rank_matches_sympy(sympy, m):
     assert mat_rank(m) == _to_sympy(sympy, m).rank()
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_echelon_rows_are_primitive_integer_echelon_rows(sympy, m):
+    kept, reduced = _echelon(m)
+    assert len(kept) == len(reduced) == _to_sympy(sympy, m).rank()
+    pivots = [pc for pc, _ in reduced]
+    assert pivots == sorted(set(pivots))
+    for pc, x in reduced:
+        assert all(type(e) is int for e in x)
+        assert gcd(*x) == 1
+        assert x[pc] != 0 and not any(x[:pc])
+    # the reduced rows span the same space as the input
+    if reduced:
+        both = tuple(tuple(Fraction(e) for e in x) for _, x in reduced) + m
+        assert _to_sympy(sympy, both).rank() == len(reduced)
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_independent_rows_keep_exactly_the_rank_raising_rows(sympy, m):
+    expected = [
+        i
+        for i in range(len(m))
+        if _to_sympy(sympy, m[: i + 1]).rank() > _to_sympy(sympy, m[:i]).rank()
+    ]
+    assert independent_rows(m) == expected
 
 
 @given(rational_matrices())
