@@ -160,10 +160,6 @@ def is_deflation(
     )
 
 
-def _kernel_basis(f: AffineMap) -> tuple[Vector, ...]:
-    return nullspace_basis(f.linear)
-
-
 def _face_directions(p: Polytope, face: Face) -> tuple[Vector, ...]:
     verts = sorted(face.vertices)
     pts = tuple(p.vertices[v] for v in verts)
@@ -177,13 +173,6 @@ def _subspace_contains(basis: tuple[Vector, ...], vectors: tuple[Vector, ...]) -
     if not basis:
         return all(all(e == 0 for e in v) for v in vectors)
     return mat_rank(basis + vectors) == mat_rank(basis)
-
-
-def _point_in_face(p: Polytope, face: Face, x: Vector) -> bool:
-    hit = contains_point(p, x)
-    if hit.kind == "outside":
-        return False
-    return face.facets <= hit.active
 
 
 def _fiber_is_contained_in_face(
@@ -222,9 +211,8 @@ def _fiber_is_contained_in_face(
                 candidate = tuple(c + z * d for c, d in zip(candidate, direction))
         # any point of P in the preimage of w is a fiber point; one
         # outside the target face disproves containment
-        if contains_point(p, candidate).kind == "outside":
-            continue
-        if not _point_in_face(p, face, candidate):
+        hit = contains_point(p, candidate)
+        if hit.kind != "outside" and not face.facets <= hit.active:
             return False
     return True
 
@@ -240,7 +228,7 @@ def is_face_collapse(f: AffineMap, p: Polytope) -> bool:
     failing the full-fiber condition (maximality, scanned over the face
     lattice).  A bijective f has an empty family and returns False.
     """
-    kernel = _kernel_basis(f)
+    kernel = nullspace_basis(f.linear)
     kernel_dim = len(kernel)
     if kernel_dim == 0:
         return False

@@ -63,7 +63,6 @@ def cube(n: int) -> Polytope:
         vertices=vertices,
         inequalities=tuple(inequalities),
         facet_masks=tuple(masks),
-        hrep_irredundant=True,
     )
 
 
@@ -92,7 +91,6 @@ def cross_polytope(n: int) -> Polytope:
         vertices=tuple(vertices),
         inequalities=tuple(inequalities),
         facet_masks=tuple(masks),
-        hrep_irredundant=True,
     )
 
 
@@ -196,7 +194,6 @@ def product(p: Polytope, q: Polytope) -> Polytope:
         vertices=vertices,
         inequalities=tuple(inequalities),
         facet_masks=tuple(masks),
-        hrep_irredundant=True,
     )
 
 
@@ -244,7 +241,6 @@ def dual(p: Polytope) -> Polytope:
         vertices=vertices,
         inequalities=inequalities,
         facet_masks=p.vertex_masks,
-        hrep_irredundant=True,
     )
 
 

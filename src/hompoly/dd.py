@@ -35,7 +35,6 @@ from .linalg import (
     integer_direction,
     mat_inverse,
     nullspace_basis,
-    solve_affine_hull,
 )
 
 IntRow = tuple[int, ...]
@@ -264,22 +263,3 @@ def enumerate_vertices(
         direction = [gp[0] * b - gn[0] * a for a, b in zip(gp, gn)]
         raise UnboundedError(tuple(Fraction(e) for e in direction[1:]))
     return vertices
-
-
-def facet_defining_mask_filter(
-    vertex_masks: list[int], n_rows: int, points: list[Vector], hull_dim: int
-) -> list[bool]:
-    """Which inequality rows are facet-defining for the resulting polytope.
-
-    Row j defines a facet exactly when the vertices tight on it span an
-    affine subspace of dimension ``hull_dim - 1``.
-    """
-    flags: list[bool] = []
-    for j in range(n_rows):
-        active = [points[i] for i, m in enumerate(vertex_masks) if m >> j & 1]
-        if not active:
-            flags.append(False)
-            continue
-        _, basis = solve_affine_hull(tuple(active))
-        flags.append(len(basis) == hull_dim - 1)
-    return flags

@@ -7,7 +7,8 @@ point; an H-file line holds a normal vector followed by one offset,
 meaning ``normal . x <= offset``.  Scalars are exact rationals in any
 form :class:`~fractions.Fraction` accepts ("2", "-1/3", "0.25"), up to
 :data:`MAX_SCALAR_LENGTH` characters and with a decimal exponent of at
-most :data:`MAX_DECIMAL_EXPONENT` in absolute value.
+most :data:`MAX_DECIMAL_EXPONENT` in absolute value; header counts and
+label indices are decimal integers of at most the same length.
 Lines whose first non-blank character is ``#`` and blank lines are
 ignored everywhere.
 
@@ -29,9 +30,10 @@ from .polytope import Inequality, Polytope
 
 _TOKEN = re.compile(r"\S+")
 
-# Bounds on one scalar token, checked before Fraction sees it: an
-# exponent such as "1e999999999" would otherwise be expanded into a
-# billion-digit integer.
+# Bounds on one number token, checked before Fraction or int sees it:
+# an exponent such as "1e999999999" would otherwise be expanded into a
+# billion-digit integer, and int() refuses strings of over 4300 digits
+# without saying where they are.
 MAX_SCALAR_LENGTH = 1000
 MAX_DECIMAL_EXPONENT = 1000
 
@@ -60,7 +62,7 @@ def _tokens(line: str) -> list[tuple[int, str]]:
     return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(line)]
 
 
-def _scalar(token: str, line: int, column: int) -> Fraction:
+def _refuse_long(token: str, line: int, column: int) -> None:
     if len(token) > MAX_SCALAR_LENGTH:
         raise ParseError(
             f"number of {len(token)} characters exceeds the limit of"
@@ -68,6 +70,10 @@ def _scalar(token: str, line: int, column: int) -> Fraction:
             line,
             column,
         )
+
+
+def _scalar(token: str, line: int, column: int) -> Fraction:
+    _refuse_long(token, line, column)
     mark = max(token.rfind("e"), token.rfind("E"))
     if mark >= 0:
         try:
@@ -87,11 +93,21 @@ def _scalar(token: str, line: int, column: int) -> Fraction:
         raise ParseError(f"expected a rational number, got {token!r}", line, column)
 
 
-def _positive_int(token: str, what: str, line: int, column: int) -> int:
+def _index(token: str, expected: str, line: int, column: int) -> int:
+    """A nonnegative decimal integer token, refused before ``int`` sees it."""
+    _refuse_long(token, line, column)
     # isdecimal, not isdigit: "²" is a digit that int() rejects
-    if not token.isdecimal() or int(token) == 0:
-        raise ParseError(f"expected a positive {what}, got {token!r}", line, column)
+    if not token.isdecimal():
+        raise ParseError(f"expected {expected}, got {token!r}", line, column)
     return int(token)
+
+
+def _positive_int(token: str, what: str, line: int, column: int) -> int:
+    expected = f"a positive {what}"
+    value = _index(token, expected, line, column)
+    if value == 0:
+        raise ParseError(f"expected {expected}, got {token!r}", line, column)
+    return value
 
 
 def _row(
@@ -191,13 +207,10 @@ def read_labels(text: str) -> tuple[FacetLabel, ...]:
                 number,
                 column,
             )
-        values = []
-        for column, token in tokens:
-            if not token.isdecimal():
-                raise ParseError(
-                    f"expected a nonnegative index, got {token!r}", number, column
-                )
-            values.append(int(token))
+        values = [
+            _index(token, "a nonnegative index", number, column)
+            for column, token in tokens
+        ]
         if values[0] != len(labels):
             raise ParseError(
                 f"inequality indices must run 0,1,2,...; got {values[0]} "

@@ -1,21 +1,21 @@
 """Bounded rational polytopes with exact dual representations.
 
-A :class:`Polytope` carries a vertex description, an inequality
-description, or both, and completes the missing side on first use via
-the double description engine.  Vertex/facet incidence is recorded as
-bitmasks (facet mask bit v set means vertex v lies on that facet), which
-is the form the face lattice, simplicity tests, and the map
-classification layers consume.
+A :class:`Polytope` is given one side, its vertices or its inequalities,
+and completes the other side on first use via the double description
+engine.  Vertex/facet incidence is recorded as bitmasks (facet mask bit
+v set means vertex v lies on that facet), which is the form the face
+lattice, simplicity tests, and the map classification layers consume.
 
-Representations are stored as given.  The constructors that accept
-unchecked input (:meth:`Polytope.from_points`,
-:meth:`Polytope.from_inequalities` without ``assume_irredundant``)
-normalize on first completion: redundant points are dropped and
-non-facet-defining or duplicate inequalities are filtered out, keeping
-the original order of what survives.  The trusted constructors
-(:meth:`Polytope.from_vertices`, ``assume_irredundant=True``) keep the
-caller's data verbatim, which matters when inequality order encodes
-labels.
+The given side is either checked or unchecked.  Checked input
+(:meth:`Polytope.from_vertices`, :meth:`Polytope.from_inequalities`
+with ``assume_irredundant``) is already irredundant and is kept
+verbatim, which matters when inequality order encodes labels.
+Unchecked input (:meth:`Polytope.from_points`,
+:meth:`Polytope.from_inequalities` without ``assume_irredundant``) is
+normalized by the same completion step: points that are not extreme
+and duplicates are dropped and the vertices sorted; rows that do not
+define a facet, or repeat one, are dropped and the rest keep their
+order.  Both filters read the incidences the completion computes anyway.
 
 Conversions require full-dimensional input.  Lower-dimensional point
 sets must go through :func:`chart_project` first; the error says so.
@@ -256,11 +256,78 @@ def hrep_to_vrep(h: HRep) -> VRep:
     return VRep(h.ambient_dim, tuple(p for p, _ in found))
 
 
+def _transpose(masks: Iterable[int], width: int) -> tuple[int, ...]:
+    """Transpose an incidence matrix given as bitmask rows of ``width`` bits."""
+    out = [0] * width
+    for j, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= 1 << j
+            mask ^= low
+    return tuple(out)
+
+
+def _facet_rows(
+    inequalities: tuple[Inequality, ...], masks: tuple[int, ...], n_vertices: int
+) -> list[int]:
+    """Indices of the facet-defining rows, the first of each canonical class.
+
+    ``masks[j]`` is the vertex set of row j.  Every facet of a
+    full-dimensional polytope is among the rows of any inequality
+    description of it, and the facets are its maximal proper faces, so a
+    row defines a facet exactly when its vertex set is nonempty, proper
+    and not strictly inside another row's.
+    """
+    full = (1 << n_vertices) - 1
+    distinct = set(masks)
+    maximal = {
+        m for m in distinct
+        if m and m != full and not any(m != o and m & o == m for o in distinct)
+    }
+    seen: set[tuple[Vector, Fraction]] = set()
+    keep = []
+    for j, iq in enumerate(inequalities):
+        if masks[j] in maximal:
+            key = canonical_inequality(iq.normal, iq.offset)
+            if key not in seen:
+                seen.add(key)
+                keep.append(j)
+    return keep
+
+
+def _extreme_points(
+    points: tuple[Vector, ...],
+    point_masks: tuple[int, ...],
+    facets: tuple[Inequality, ...],
+) -> list[int]:
+    """First index of each distinct extreme point.
+
+    A point is extreme exactly when the normals of the facets through it
+    have full rank.
+    """
+    d = len(points[0])
+    first: dict[Vector, int] = {}
+    for i, p in enumerate(points):
+        first.setdefault(p, i)
+    out = []
+    for i in first.values():
+        active = tuple(
+            iq.normal for j, iq in enumerate(facets) if point_masks[i] >> j & 1
+        )
+        if len(active) >= d and mat_rank(active) == d:
+            out.append(i)
+    return out
+
+
 class Polytope:
     """A bounded convex polytope over the rationals.
 
-    Instances are immutable in intent: nothing mutates geometry after
-    construction, missing data is only filled in and cached.  Use the
+    One side is given: the vertices or the inequalities, each either
+    checked (already irredundant, kept verbatim) or unchecked (to be
+    normalized).  A single completion step fills in the other side and
+    the facet masks, normalizing unchecked input on the way, and every
+    accessor that needs something not yet known runs it.  Instances are
+    immutable in intent: completion only fills in and caches.  Use the
     ``from_*`` constructors; the bare initializer is for internal
     assembly where all invariants are already established.
     """
@@ -272,19 +339,17 @@ class Polytope:
         vertices: tuple[Vector, ...] | None = None,
         inequalities: tuple[Inequality, ...] | None = None,
         facet_masks: tuple[int, ...] | None = None,
-        hrep_irredundant: bool = False,
+        checked: bool = True,
         interior_point: Vector | None = None,
         chart: AffineChart | None = None,
-        raw_points: tuple[Vector, ...] | None = None,
     ):
         self.ambient_dim = ambient_dim
         self.chart = chart
         self._vertices = vertices
         self._inequalities = inequalities
         self._facet_masks = facet_masks
-        self._hrep_irredundant = hrep_irredundant
+        self._checked = checked
         self._interior_point = interior_point
-        self._raw_points = raw_points
         self._dim: int | None = None
         self._vertex_masks: tuple[int, ...] | None = None
         self._faces: tuple[Face, ...] | None = None
@@ -313,7 +378,7 @@ class Polytope:
         pts = tuple(tuple(Fraction(e) for e in p) for p in points)
         if not pts:
             raise GeometryError("a polytope needs at least one point")
-        return cls(len(pts[0]), raw_points=pts, chart=chart)
+        return cls(len(pts[0]), vertices=pts, checked=False, chart=chart)
 
     @classmethod
     def from_inequalities(
@@ -331,107 +396,55 @@ class Polytope:
         on this); otherwise non-facet-defining and duplicate rows are
         dropped on first completion, keeping original order.
         """
-        ineqs = tuple(inequalities)
         return cls(
             ambient_dim,
-            inequalities=ineqs,
-            hrep_irredundant=assume_irredundant,
+            inequalities=tuple(inequalities),
+            checked=assume_irredundant,
             interior_point=interior_point,
         )
 
     # -- completion ---------------------------------------------------
 
-    def _complete_from_hrep(self) -> None:
-        assert self._inequalities is not None
-        found = _vertices_of_system(self._inequalities, self.ambient_dim)
-        points = tuple(p for p, _ in found)
-        masks = [m for _, m in found]
-        keep = list(range(len(self._inequalities)))
-        if not self._hrep_irredundant:
-            flags = dd.facet_defining_mask_filter(
-                masks, len(self._inequalities), list(points), self.ambient_dim
-            )
-            seen: set[tuple[Vector, Fraction]] = set()
-            keep = []
-            for j, iq in enumerate(self._inequalities):
-                if not flags[j]:
-                    continue
-                key_n, key_o = canonical_inequality(iq.normal, iq.offset)
-                if (key_n, key_o) in seen:
-                    continue
-                seen.add((key_n, key_o))
-                keep.append(j)
-            self._inequalities = tuple(self._inequalities[j] for j in keep)
-            self._hrep_irredundant = True
-        facet_masks = []
-        for pos, j in enumerate(keep):
-            fm = 0
-            for v, m in enumerate(masks):
-                if m >> j & 1:
-                    fm |= 1 << v
-            facet_masks.append(fm)
-        self._vertices = points
-        self._facet_masks = tuple(facet_masks)
-
-    def _complete_from_points(self) -> None:
-        source = self._vertices if self._vertices is not None else self._raw_points
-        assert source is not None
-        facets = _facets_of_hull(source, self.ambient_dim)
+    def _complete(self) -> None:
+        """Fill in the missing side and the facet masks; normalize unchecked input."""
         if self._vertices is None:
-            # raw points: keep only extreme ones, deduplicated, sorted
-            assert self._raw_points is not None
-            n = len(source)
-            point_masks = [0] * n
-            for j, (_, mask) in enumerate(facets):
-                for i in range(n):
-                    if mask >> i & 1:
-                        point_masks[i] |= 1 << j
-            extreme: dict[Vector, int] = {}
-            for i, p in enumerate(source):
-                if p in extreme:
-                    continue
-                active = [facets[j][0].normal for j in range(len(facets)) if point_masks[i] >> j & 1]
-                if len(active) >= self.ambient_dim and mat_rank(tuple(active)) == self.ambient_dim:
-                    extreme[p] = i
-            ordered = sorted(extreme)
-            index_of = {extreme[p]: v for v, p in enumerate(ordered)}
-            remapped = []
-            for _, mask in facets:
-                fm = 0
-                for i in range(n):
-                    if mask >> i & 1 and source[i] in extreme:
-                        fm |= 1 << index_of[extreme[source[i]]]
-                remapped.append(fm)
-            self._vertices = tuple(ordered)
-            self._facet_masks = tuple(remapped)
+            assert self._inequalities is not None
+            found = _vertices_of_system(self._inequalities, self.ambient_dim)
+            self._vertices = tuple(p for p, _ in found)
+            masks = _transpose((m for _, m in found), len(self._inequalities))
+            if not self._checked:
+                keep = _facet_rows(self._inequalities, masks, len(found))
+                self._inequalities = tuple(self._inequalities[j] for j in keep)
+                masks = tuple(masks[j] for j in keep)
         else:
-            self._facet_masks = tuple(mask for _, mask in facets)
-        self._inequalities = tuple(iq for iq, _ in facets)
-        self._hrep_irredundant = True
+            points = self._vertices
+            facets = _facets_of_hull(points, self.ambient_dim)
+            self._inequalities = tuple(iq for iq, _ in facets)
+            masks = tuple(m for _, m in facets)
+            if not self._checked:
+                point_masks = _transpose(masks, len(points))
+                kept = sorted(
+                    _extreme_points(points, point_masks, self._inequalities),
+                    key=points.__getitem__,
+                )
+                self._vertices = tuple(points[i] for i in kept)
+                masks = _transpose((point_masks[i] for i in kept), len(masks))
+        self._facet_masks = masks
+        self._checked = True
 
     # -- core accessors -----------------------------------------------
 
     @property
     def vertices(self) -> tuple[Vector, ...]:
-        if self._vertices is None:
-            if self._inequalities is not None:
-                self._complete_from_hrep()
-            else:
-                self._complete_from_points()
+        if self._vertices is None or not self._checked:
+            self._complete()
         assert self._vertices is not None
         return self._vertices
 
     @property
     def inequalities(self) -> tuple[Inequality, ...]:
-        if self._inequalities is None or (
-            not self._hrep_irredundant and self._facet_masks is None
-        ):
-            if self._inequalities is None:
-                _ = self.vertices
-                if self._inequalities is None:
-                    self._complete_from_points()
-            else:
-                self._complete_from_hrep()
+        if self._inequalities is None or not self._checked:
+            self._complete()
         assert self._inequalities is not None
         return self._inequalities
 
@@ -439,9 +452,7 @@ class Polytope:
     def facet_masks(self) -> tuple[int, ...]:
         """Per-facet vertex incidence bitmasks (bit v = vertex v on facet)."""
         if self._facet_masks is None:
-            _ = self.vertices
-            if self._facet_masks is None:
-                self._complete_from_points()
+            self._complete()
         assert self._facet_masks is not None
         return self._facet_masks
 
@@ -449,14 +460,7 @@ class Polytope:
     def vertex_masks(self) -> tuple[int, ...]:
         """Per-vertex facet incidence bitmasks (bit j = facet j at vertex)."""
         if self._vertex_masks is None:
-            fm = self.facet_masks
-            n = len(self.vertices)
-            vm = [0] * n
-            for j, mask in enumerate(fm):
-                for v in range(n):
-                    if mask >> v & 1:
-                        vm[v] |= 1 << j
-            self._vertex_masks = tuple(vm)
+            self._vertex_masks = _transpose(self.facet_masks, len(self.vertices))
         return self._vertex_masks
 
     @property
@@ -470,9 +474,8 @@ class Polytope:
         """
         if self._dim is None:
             if self._vertices is not None:
+                # unchecked points span the same affine hull as their vertices
                 self._dim = _affine_rank(self._vertices)
-            elif self._raw_points is not None:
-                self._dim = _affine_rank(self._raw_points)
             elif (
                 self._interior_point is not None
                 and self._inequalities is not None
@@ -535,9 +538,10 @@ class Polytope:
 
     def __repr__(self) -> str:
         parts = [f"ambient_dim={self.ambient_dim}"]
-        if self._vertices is not None:
+        # unchecked input may still hold redundant points or rows
+        if self._checked and self._vertices is not None:
             parts.append(f"n_vertices={len(self._vertices)}")
-        if self._inequalities is not None:
+        if self._checked and self._inequalities is not None:
             parts.append(f"n_inequalities={len(self._inequalities)}")
         return "Polytope(" + ", ".join(parts) + ")"
 

@@ -1,8 +1,10 @@
 """Unit tests for the text formats and the command-line surface."""
 
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +71,10 @@ def test_fraction_and_decimal_scalars_parse_exactly():
         ("V 0 1\n\n", 1, 3, "ambient dimension"),
         ("V 2 0\n", 1, 5, "row count"),
         ("V \u00b2 1\n0 0\n", 1, 3, "ambient dimension"),
+        pytest.param(
+            "V 2 " + "9" * 5000 + "\n0 0\n", 1, 5, "exceeds the limit of 1000",
+            id="5000-digit row count",
+        ),
         ("V 2 2\n1 1\n", 1, 5, "promised 2 rows"),
         ("V 2 1\n1 x\n", 2, 3, "rational number"),
         ("V 2 1\n1 2 3\n", 2, 5, "expected 2 entries"),
@@ -134,6 +140,9 @@ def test_label_sidecar_rejects_gaps_and_junk():
         read_labels("0 0 -1\n")
     with pytest.raises(ParseError, match="nonnegative index") as info:
         read_labels("0 0 \u00b2\n")
+    assert (info.value.line, info.value.column) == (1, 5)
+    with pytest.raises(ParseError, match="exceeds the limit of 1000") as info:
+        read_labels("0 0 " + "9" * 5000 + "\n")
     assert (info.value.line, info.value.column) == (1, 5)
     with pytest.raises(ParseError, match="3 indices"):
         read_labels("0 0\n")
@@ -313,10 +322,14 @@ def test_cli_errors_are_structured(tmp_path, capsys):
 
 
 def test_module_is_runnable():
+    # the child finds hompoly where this process did, installed or not
+    src = str(Path(hompoly.polyio.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "hompoly.cli", "construct", "regular_ngon", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout == "V 2 4\n1 0\n0 1\n-1 0\n0 -1\n"

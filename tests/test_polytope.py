@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hompoly.errors import (
@@ -12,7 +12,8 @@ from hompoly.errors import (
     OutsideHullError,
     UnboundedError,
 )
-from hompoly.linalg import vec
+from hompoly import dd
+from hompoly.linalg import solve_affine_hull, vec
 from hompoly.polytope import (
     HRep,
     Inequality,
@@ -257,3 +258,150 @@ def test_hull_contains_all_input_points(raw):
         assert contains_point(p, x).kind != "outside"
     for v in p.vertices:
         assert contains_point(p, v).kind == "boundary"
+
+
+# -- completion: the facet filter, laziness and the four routes ----------
+
+
+def _reference_facet_rows(rows, vertices, d):
+    """Rows a complete description keeps, by the affine-hull rule.
+
+    A row is kept when the vertices tight on it span a hull of dimension
+    d - 1 and no earlier kept row has the same canonical form.
+    """
+    kept, seen = [], set()
+    for iq in rows:
+        tight = tuple(v for v in vertices if iq.tight(v))
+        if not tight or len(solve_affine_hull(tight)[1]) != d - 1:
+            continue
+        key = iq.canonical()
+        if key not in seen:
+            seen.add(key)
+            kept.append(iq)
+    return tuple(kept)
+
+
+small = st.integers(min_value=-3, max_value=3)
+positive = st.fractions(min_value=Fraction(1, 4), max_value=4)
+
+
+@st.composite
+def redundant_systems(draw):
+    """A full-dimensional polytope's facets padded with redundant rows.
+
+    Padding: positive multiples of facets, facets with relaxed offsets,
+    and positive combinations of facets, which support the intersection
+    of their facets (a lower face, or nothing); all shuffled together.
+    """
+    d = draw(st.sampled_from((1, 2, 3)))
+    points = draw(
+        st.lists(st.tuples(*[small] * d), min_size=d + 1, max_size=d + 5)
+    )
+    pts = tuple(vec(*p) for p in points)
+    assume(len(solve_affine_hull(pts)[1]) == d)
+    hull = Polytope.from_points(pts)
+    facets = list(hull.inequalities)
+    pick = st.sampled_from(facets)
+    extra = []
+    for _ in range(draw(st.integers(0, 3))):
+        iq = draw(pick)
+        c = draw(positive)
+        extra.append(Inequality(tuple(c * e for e in iq.normal), c * iq.offset))
+    for _ in range(draw(st.integers(0, 3))):
+        iq = draw(pick)
+        extra.append(Inequality(iq.normal, iq.offset + draw(positive)))
+    for _ in range(draw(st.integers(0, 4))):
+        parts = draw(st.lists(pick, min_size=2, max_size=3))
+        weights = [draw(positive) for _ in parts]
+        normal = tuple(
+            sum((w * iq.normal[i] for w, iq in zip(weights, parts)), Fraction(0))
+            for i in range(d)
+        )
+        offset = sum((w * iq.offset for w, iq in zip(weights, parts)), Fraction(0))
+        extra.append(Inequality(normal, offset))
+    rows = draw(st.permutations(facets + extra))
+    return rows, hull.vertices, d
+
+
+@given(redundant_systems())
+@settings(max_examples=150, deadline=None)
+def test_redundant_rows_filtered_like_the_affine_hull_rule(system):
+    rows, vertices, d = system
+    p = Polytope.from_inequalities(rows, d)
+    assert p.inequalities == _reference_facet_rows(rows, vertices, d)
+    assert set(p.vertices) == set(vertices)
+
+
+@pytest.fixture
+def dd_calls(monkeypatch):
+    calls = []
+    real = dd.enumerate_vertices
+
+    def counted(normals, offsets):
+        calls.append(len(normals))
+        return real(normals, offsets)
+
+    monkeypatch.setattr(dd, "enumerate_vertices", counted)
+    return calls
+
+
+PENTAGON = (vec(0, 0), vec(2, 0), vec(3, 2), vec(1, 3), vec(-1, 1))
+PENTAGON_FACETS = (
+    ineq((0, -1), 0),
+    ineq((2, -1), 4),
+    ineq((1, 2), 7),
+    ineq((-1, 1), 2),
+    ineq((-1, -1), 0),
+)
+PENTAGON_EXTRA_POINTS = (vec(1, 1), vec(1, 0), vec(2, 0))  # interior, edge, repeat
+PENTAGON_EXTRA_ROWS = (
+    ineq((0, -2), 0),  # scaled facet
+    ineq((1, 2), 9),  # relaxed facet
+    ineq((1, 1), 5),  # supports the vertex (3, 2) only
+    ineq((-2, 0), 2),  # supports the vertex (-1, 1) only
+)
+
+
+def pentagon_routes():
+    return {
+        "vertices": Polytope.from_vertices(PENTAGON),
+        "points": Polytope.from_points(PENTAGON_EXTRA_POINTS + PENTAGON),
+        "redundant": Polytope.from_inequalities(
+            PENTAGON_EXTRA_ROWS[:2] + PENTAGON_FACETS + PENTAGON_EXTRA_ROWS[2:], 2
+        ),
+        "irredundant": Polytope.from_inequalities(
+            PENTAGON_FACETS, 2, assume_irredundant=True
+        ),
+    }
+
+
+def test_reading_the_given_side_runs_no_enumeration(dd_calls):
+    p = Polytope.from_vertices(PENTAGON)
+    assert p.vertices == PENTAGON
+    assert p.dim == 2
+    assert Polytope.from_points(PENTAGON_EXTRA_POINTS + PENTAGON).dim == 2
+    q = Polytope.from_inequalities(PENTAGON_FACETS, 2, assume_irredundant=True)
+    assert q.inequalities == PENTAGON_FACETS
+    assert dd_calls == []
+
+
+@pytest.mark.parametrize("route", ["vertices", "points", "redundant", "irredundant"])
+def test_completion_enumerates_once(route, dd_calls):
+    p = pentagon_routes()[route]
+    _ = p.vertices, p.inequalities, p.facet_masks, p.vertex_masks, p.dim
+    _ = p.vertices, p.inequalities, p.facet_masks
+    assert len(dd_calls) == 1
+
+
+def test_four_routes_give_one_polygon():
+    facets = {iq.canonical() for iq in PENTAGON_FACETS}
+    for route, p in pentagon_routes().items():
+        assert set(p.vertices) == set(PENTAGON), route
+        assert len(p.vertices) == len(PENTAGON), route
+        assert {iq.canonical() for iq in p.inequalities} == facets, route
+        assert len(p.inequalities) == len(PENTAGON_FACETS), route
+        for j, iq in enumerate(p.inequalities):
+            for v, x in enumerate(p.vertices):
+                on = bool(p.facet_masks[j] >> v & 1)
+                assert on == iq.tight(x), route
+                assert on == bool(p.vertex_masks[v] >> j & 1), route
