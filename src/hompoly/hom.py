@@ -108,8 +108,16 @@ def build_hom(p: Polytope, q: Polytope) -> HomPolytope:
     Both arguments must be full-dimensional in their ambient spaces
     (project lower-dimensional input onto a chart first); otherwise the
     space of maps is degenerate in these coordinates and none of the
-    facet structure survives.
+    facet structure survives.  A hom dimension above ``_HOM_DIM_LIMIT``
+    is refused with a ``ValueError`` before anything is enumerated.
     """
+    dp, dq = p.ambient_dim, q.ambient_dim
+    hom_dim = dp * dq + dq
+    _guard_hom_dim(
+        hom_dim,
+        f"hom of a {dp}-dimensional source into a {dq}-dimensional target",
+        _HOM_DIM_LIMIT,
+    )
     if p.dim < p.ambient_dim:
         raise GeometryError(
             "source polytope is not full-dimensional; project it onto a "
@@ -120,8 +128,6 @@ def build_hom(p: Polytope, q: Polytope) -> HomPolytope:
             "target polytope is not full-dimensional; project it onto a "
             "chart of its affine hull first"
         )
-    dp, dq = p.ambient_dim, q.ambient_dim
-    hom_dim = dp * dq + dq
     inequalities: list[Inequality] = []
     labels: list[FacetLabel] = []
     for v_index, v in enumerate(p.vertices):
@@ -201,14 +207,19 @@ class IdentityCheckReport:
         return self.lhs_f_vector == self.rhs_f_vector
 
 
+# Largest hom dimension build_hom accepts, and the tighter one the
+# identity checks accept, since they enumerate every face of both sides.
+_HOM_DIM_LIMIT = 12
 _IDENTITY_DIM_LIMIT = 8
 
 
-def _guard_hom_dim(dim: int, description: str) -> None:
-    if dim > _IDENTITY_DIM_LIMIT:
+def _guard_hom_dim(
+    dim: int, description: str, limit: int = _IDENTITY_DIM_LIMIT
+) -> None:
+    if dim > limit:
         raise ValueError(
             f"{description} lives in hom dimension {dim}, above the "
-            f"enumeration limit of {_IDENTITY_DIM_LIMIT}; refusing"
+            f"enumeration limit of {limit}; refusing"
         )
 
 

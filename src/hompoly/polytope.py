@@ -581,39 +581,45 @@ def is_simple_vertex(p: Polytope, vertex: int | Vector) -> bool:
 
 
 def _face_lattice(p: Polytope) -> tuple[Face, ...]:
-    """All faces by intersection closure of facet vertex sets.
+    """All faces, graded top-down from the vertex-facet incidences alone.
 
-    Every face is an intersection of facets with the whole polytope, so
-    closing the full vertex set under intersection with facet masks
-    enumerates exactly the nonempty faces; the empty face is appended
-    explicitly with dimension -1 and every facet incident.
+    The facets of a face G of dimension k >= 1 are exactly the
+    inclusion-maximal sets among the nonempty intersections of G with
+    the facets of P other than G itself (Kaibel and Pfetsch, "Computing
+    the face lattice of a polytope from its vertex-facet incidences",
+    Comput. Geom. 23, 2002).  Starting from the full vertex set at level
+    ``p.dim``, each level is the union of the facets of the level above,
+    down to the vertices at level 0; the empty face is added with
+    dimension -1 and every facet incident.  No arithmetic is done on
+    coordinates, so the grading holds over any ordered field.
     """
     masks = p.facet_masks
     n = len(p.vertices)
-    full = (1 << n) - 1
-    n_facets = len(masks)
-    seen: set[int] = {full}
-    frontier = [full]
-    while frontier:
-        nxt = []
-        for face in frontier:
-            for fm in masks:
+    faces = [Face(-1, frozenset(), frozenset(range(len(masks))))]
+    level = {(1 << n) - 1}
+    for dim in range(p.dim, -1, -1):
+        below: set[int] = set()
+        for face in level:
+            incident = []
+            candidates = set()
+            for j, fm in enumerate(masks):
                 sub = face & fm
-                if sub and sub not in seen:
-                    seen.add(sub)
-                    nxt.append(sub)
-        frontier = nxt
-    faces: list[Face] = []
-    for mask in seen:
-        verts = [v for v in range(n) if mask >> v & 1]
-        dim = _affine_rank(p.vertices[v] for v in verts)
-        incident = frozenset(
-            j for j in range(n_facets) if masks[j] & mask == mask
-        )
-        faces.append(Face(dim, frozenset(verts), incident))
-    faces.append(
-        Face(-1, frozenset(), frozenset(range(n_facets)))
-    )
+                if sub == face:
+                    incident.append(j)
+                elif sub:
+                    candidates.add(sub)
+            verts = frozenset(v for v in range(n) if face >> v & 1)
+            faces.append(Face(dim, verts, frozenset(incident)))
+            if dim == 0:
+                continue
+            # largest first, so a candidate need only be tested against
+            # the kept sets, which are the facets of this face so far
+            kept: list[int] = []
+            for sub in sorted(candidates, key=int.bit_count, reverse=True):
+                if all(sub & big != sub for big in kept):
+                    kept.append(sub)
+            below.update(kept)
+        level = below
     faces.sort(key=lambda f: (f.dim, sorted(f.vertices)))
     return tuple(faces)
 

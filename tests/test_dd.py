@@ -1,0 +1,177 @@
+"""Double description vertex enumeration against independent oracles.
+
+Each system is built from a random point set.  Its rows are every
+hyperplane through d affinely independent points that has all points on
+one side, found by brute force, so they describe the hull of the points
+without the engine's help.  The expected vertices come from the
+acceptance suite's phase-1 simplex (a point is a vertex when no convex
+combination of the others reaches it), and each returned activity bit
+is checked against exact tightness.  Padding rows make the systems
+degenerate; dropping, lifting and contradicting rows make them
+unbounded, infeasible or lower-dimensional.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hompoly import dd
+from hompoly.errors import InfeasibleError, UnboundedError
+from hompoly.linalg import nullspace_basis, solve_affine_hull, vec_dot, vec_sub
+from test_acceptance import oracle_extreme_points
+
+small = st.integers(min_value=-3, max_value=3)
+positive = st.fractions(min_value=Fraction(1, 4), max_value=4)
+
+
+def supporting_rows(points):
+    """Rows (normal, offset) of the hyperplanes through d affinely
+    independent points with every point on the ``<=`` side."""
+    d = len(points[0])
+    if d == 0:
+        return []
+    rows = []
+    for subset in itertools.combinations(points, d):
+        diffs = tuple(vec_sub(p, subset[0]) for p in subset[1:])
+        kernel = nullspace_basis(diffs) if diffs else ((Fraction(1),),)
+        if len(kernel) != 1:
+            continue
+        normal = kernel[0]
+        offset = vec_dot(normal, subset[0])
+        values = [vec_dot(normal, p) for p in points]
+        if all(v <= offset for v in values):
+            rows.append((normal, offset))
+        elif all(v >= offset for v in values):
+            rows.append((tuple(-e for e in normal), -offset))
+    return rows
+
+
+@st.composite
+def hulls(draw, dims=(1, 2, 3, 4)):
+    """Distinct points spanning R^d and the supporting rows of their hull."""
+    d = draw(st.sampled_from(dims))
+    raw = draw(
+        st.lists(st.tuples(*[small] * d), min_size=d + 1, max_size=d + 3, unique=True)
+    )
+    points = [tuple(Fraction(e) for e in p) for p in raw]
+    assume(len(solve_affine_hull(tuple(points))[1]) == d)
+    return points, supporting_rows(points)
+
+
+def enumerate_rows(rows):
+    return dd.enumerate_vertices([n for n, _ in rows], [b for _, b in rows])
+
+
+def assert_vertices(rows, found, expected):
+    vertices = [x for x, _ in found]
+    assert len(set(vertices)) == len(vertices)
+    assert set(vertices) == expected
+    for x, mask in found:
+        assert 0 <= mask < 1 << len(rows)
+        for i, (normal, offset) in enumerate(rows):
+            assert bool(mask >> i & 1) == (vec_dot(normal, x) == offset)
+
+
+def assert_recession_direction(rows, direction):
+    assert any(direction)
+    assert all(vec_dot(normal, direction) <= 0 for normal, _ in rows)
+
+
+@given(hulls(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_degenerate_systems_give_the_oracle_vertices(hull, data):
+    points, rows = hull
+    draw = data.draw
+    pick = st.sampled_from(rows)
+    extra = []
+    for _ in range(draw(st.integers(0, 3))):
+        normal, offset = draw(pick)
+        c = draw(st.sampled_from((Fraction(1), draw(positive))))
+        extra.append((tuple(c * e for e in normal), c * offset))
+    # a fan of positive combinations of the rows through one point: every
+    # one of them passes through that point and is valid on the hull
+    apex = draw(st.sampled_from(points))
+    through = [r for r in rows if vec_dot(r[0], apex) == r[1]]
+    if len(through) >= 2:
+        for _ in range(draw(st.integers(0, 4))):
+            parts = draw(st.lists(st.sampled_from(through), min_size=2, max_size=3))
+            weights = [draw(positive) for _ in parts]
+            d = len(apex)
+            normal = tuple(
+                sum((w * n[i] for w, (n, _) in zip(weights, parts)), Fraction(0))
+                for i in range(d)
+            )
+            if any(normal):
+                offset = sum((w * b for w, (_, b) in zip(weights, parts)), Fraction(0))
+                extra.append((normal, offset))
+    system = draw(st.permutations(rows + extra))
+    assert_vertices(system, enumerate_rows(system), oracle_extreme_points(points))
+
+
+@given(hulls(dims=(0, 1, 2)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lower_dimensional_systems_give_their_vertex_set(hull, data):
+    """The hull in R^k, lifted onto the graph x -> (x, A x + c) in R^(k+e)."""
+    points, rows = hull
+    k = len(points[0])
+    e = data.draw(st.integers(1, 2))
+    a = data.draw(st.lists(st.tuples(*[small] * k), min_size=e, max_size=e))
+    c = data.draw(st.tuples(*[small] * e))
+    zeros = (Fraction(0),) * e
+
+    def lift(x):
+        return x + tuple(vec_dot(row, x) + ci for row, ci in zip(a, c))
+
+    system = [(n + zeros, b) for n, b in rows]
+    for j in range(e):
+        unit = tuple(Fraction(int(i == j)) for i in range(e))
+        equation = tuple(Fraction(-t) for t in a[j]) + unit
+        system.append((equation, Fraction(c[j])))
+        system.append((tuple(-t for t in equation), Fraction(-c[j])))
+    system = data.draw(st.permutations(system))
+    expected = {lift(x) for x in oracle_extreme_points(points)}
+    assert_vertices(system, enumerate_rows(system), expected)
+
+
+@given(hulls(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_unbounded_systems_raise(hull, data):
+    points, rows = hull
+    d = len(points[0])
+    zero = (Fraction(0),)
+    # a prism over the hull: a free coordinate is a line of directions
+    prism = [(n + zero, b) for n, b in rows]
+    # a half-prism: the rows bound the first coordinate of every ray of the
+    # homogenized cone from below, so the only way out is a direction ray
+    half_prism = prism + [((Fraction(0),) * d + (Fraction(-1),), Fraction(0))]
+    # the rows a random direction does not climb
+    u = data.draw(st.tuples(*[small] * d).filter(any))
+    wedge = [(n, b) for n, b in rows if vec_dot(n, u) <= 0]
+    for system in (prism, half_prism, wedge):
+        if not system:
+            continue
+        system = data.draw(st.permutations(system))
+        with pytest.raises(UnboundedError) as err:
+            enumerate_rows(system)
+        assert_recession_direction(system, err.value.direction)
+
+
+@given(hulls(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_infeasible_systems_raise(hull, data):
+    points, rows = hull
+    d = len(points[0])
+    u = data.draw(st.tuples(*[small] * d).filter(any))
+    # below the lowest point in direction u, so below the whole hull
+    lowest = min(vec_dot(u, p) for p in points)
+    cut = (tuple(Fraction(t) for t in u), lowest - data.draw(positive))
+    system = rows + [cut]
+    if data.draw(st.booleans()):
+        # the same contradiction on a prism, whose rows do not span
+        system = [(n + (Fraction(0),), b) for n, b in system]
+    system = data.draw(st.permutations(system))
+    with pytest.raises(InfeasibleError):
+        enumerate_rows(system)

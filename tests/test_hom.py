@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hompoly import dd, hom
 from hompoly.constructions import cross_polytope, cube, regular_ngon, simplex
 from hompoly.errors import GeometryError
 from hompoly.hom import (
@@ -81,6 +82,22 @@ def test_hom_requires_full_dimensional_input():
         build_hom(flat, cube(2))
     with pytest.raises(GeometryError):
         build_hom(cube(2), flat)
+
+
+def test_oversized_hom_is_refused_before_enumeration(monkeypatch):
+    def enumerate_vertices(normals, offsets):
+        raise AssertionError("vertex enumeration ran")
+
+    monkeypatch.setattr(dd, "enumerate_vertices", enumerate_vertices)
+    message = f"hom dimension 42, above the enumeration limit of {hom._HOM_DIM_LIMIT}"
+    with pytest.raises(ValueError, match=message):
+        build_hom(cube(6), cube(6))
+    # reading this target's dimension or interior point would enumerate it
+    unread = Polytope.from_inequalities(cube(6).inequalities, 6)
+    with pytest.raises(ValueError, match=message):
+        build_hom(cube(6), unread)
+    # the largest map spaces built elsewhere still pass
+    assert build_hom(cube(3), cube(3)).dim == 12
 
 
 def test_hom_from_point_source():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hompoly.polytope as polytope_module
+from hompoly.constructions import cross_polytope, cube, product, simplex
 from hompoly.errors import (
     InfeasibleError,
     LowerDimensionalError,
@@ -13,6 +15,7 @@ from hompoly.errors import (
     UnboundedError,
 )
 from hompoly import dd
+from hompoly.hom import build_hom
 from hompoly.linalg import solve_affine_hull, vec
 from hompoly.polytope import (
     HRep,
@@ -405,3 +408,99 @@ def test_four_routes_give_one_polygon():
                 on = bool(p.facet_masks[j] >> v & 1)
                 assert on == iq.tight(x), route
                 assert on == bool(p.vertex_masks[v] >> j & 1), route
+
+
+# -- the face lattice, graded from incidences ------------------------------
+
+
+def _reference_faces(p):
+    """Faces by intersection closure, each graded by its exact affine hull.
+
+    Every nonempty face is the whole polytope or an intersection of
+    facets, so closing the full vertex set under intersection with the
+    facet masks finds them all; the empty face is added with every
+    facet incident.  Sorted by (dim, sorted vertices).
+    """
+    masks = p.facet_masks
+    n = len(p.vertices)
+    seen = {(1 << n) - 1}
+    frontier = list(seen)
+    while frontier:
+        found = {face & fm for face in frontier for fm in masks} - seen - {0}
+        seen |= found
+        frontier = list(found)
+    faces = [(-1, frozenset(), frozenset(range(len(masks))))]
+    for mask in seen:
+        verts = frozenset(v for v in range(n) if mask >> v & 1)
+        dim = len(solve_affine_hull(tuple(p.vertices[v] for v in sorted(verts)))[1])
+        incident = frozenset(j for j, fm in enumerate(masks) if fm & mask == mask)
+        faces.append((dim, verts, incident))
+    faces.sort(key=lambda f: (f[0], sorted(f[1])))
+    return faces
+
+
+def _face_triples(p):
+    return [(f.dim, f.vertices, f.facets) for f in p.faces]
+
+
+@st.composite
+def full_dimensional_point_sets(draw):
+    d = draw(st.sampled_from((1, 2, 3, 4)))
+    points = draw(
+        st.lists(st.tuples(*[small] * d), min_size=d + 1, max_size=d + 4)
+    )
+    pts = tuple(vec(*p) for p in points)
+    assume(len(solve_affine_hull(pts)[1]) == d)
+    return pts
+
+
+@given(full_dimensional_point_sets())
+@settings(max_examples=120, deadline=None)
+def test_faces_match_closure_graded_by_affine_hull(pts):
+    p = Polytope.from_points(pts)
+    assert _face_triples(p) == _reference_faces(p)
+
+
+NON_SIMPLE = {
+    "octahedron": lambda: cross_polytope(3),
+    "4-cross-polytope": lambda: cross_polytope(4),
+    "octahedron x segment": lambda: product(cross_polytope(3), simplex(1)),
+    "hom(square, segment)": lambda: build_hom(cube(2), simplex(1)).polytope,
+    "hom(square, square)": lambda: build_hom(cube(2), cube(2)).polytope,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SIMPLE))
+def test_non_simple_faces_match_closure_graded_by_affine_hull(name):
+    p = NON_SIMPLE[name]()
+    assert not all(is_simple_vertex(p, v) for v in range(p.n_vertices))
+    assert _face_triples(p) == _reference_faces(p)
+
+
+@pytest.mark.parametrize("name", sorted(NON_SIMPLE))
+def test_faces_need_no_linear_algebra_once_complete(name, monkeypatch):
+    calls = []
+
+    def counted(routine):
+        def wrapper(*args):
+            calls.append(routine.__name__)
+            return routine(*args)
+        return wrapper
+
+    for routine in ("solve_affine_hull", "mat_rank"):
+        monkeypatch.setattr(
+            polytope_module, routine, counted(getattr(polytope_module, routine))
+        )
+    p = NON_SIMPLE[name]()
+    _ = p.vertices, p.inequalities, p.facet_masks, p.dim
+    before = len(calls)
+    _ = p.faces
+    assert len(calls) == before
+
+
+def test_point_in_ambient_dimension_zero_has_two_faces():
+    p = Polytope.from_vertices([()])
+    assert _face_triples(p) == [
+        (-1, frozenset(), frozenset()),
+        (0, frozenset({0}), frozenset()),
+    ]
