@@ -3,18 +3,25 @@
 Everything here works on exact data.  Surjectivity is decided by mutual
 containment of vertex sets in inequality descriptions, factorization
 goes through an exact chart of the image's affine hull, and the
-face-collapse test runs the finite scan over the source's face lattice.
+face-collapse test reads the vertex images and the source's face
+lattice.
 
-The collapse test rests on one identity worth recording: for a face G
-of the source with all its directions inside ker L and K = ker L,
+The collapse test rests on two identities.  First, the directions of a
+face G of the source lie in K = ker L exactly when f is constant on G's
+vertices, since those directions are spanned by vertex differences.
+Second, the fiber of f over a vertex w of f(P) is a face of P whose
+vertices are exactly the vertices sent to w: a functional c exposing w
+on f(P) makes that fiber the face where c . f is maximal on P.  So the
+fibers over image vertices are full fibers by construction, and only a
+face outside that family needs the finite fiber scan, which rests on
 
-    (G + K) intersected with P  =  the full fiber of f over f(G).
+    (G + K) intersected with P  =  the full fiber of f over f(G)
 
-Both inclusions are elementary (translating by K does not move the
-image; any point with the same image differs by a kernel vector), so
-the set-theoretic condition "(G + K) cap P = G" is exactly "G is the
-whole fiber over its image point", and fibers can be checked finitely
-by scanning the faces of P for their extreme points.
+for a face G whose directions lie in K.  Both inclusions are elementary
+(translating by K does not move the image; any point with the same
+image differs by a kernel vector), so "(G + K) cap P = G" is exactly "G
+is the whole fiber over its image point", and fibers can be checked
+finitely by scanning the faces of P for their extreme points.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .linalg import (
     Vector,
     integer_direction,
     mat_rank,
-    nullspace_basis,
     rref,
     solve_affine_hull,
     vec_add,
@@ -40,7 +46,6 @@ from .polytope import (
     Polytope,
     chart_project,
     contains_point,
-    is_simple_vertex,
 )
 
 
@@ -160,21 +165,6 @@ def is_deflation(
     )
 
 
-def _face_directions(p: Polytope, face: Face) -> tuple[Vector, ...]:
-    verts = sorted(face.vertices)
-    pts = tuple(p.vertices[v] for v in verts)
-    _, basis = solve_affine_hull(pts)
-    return basis
-
-
-def _subspace_contains(basis: tuple[Vector, ...], vectors: tuple[Vector, ...]) -> bool:
-    if not vectors:
-        return True
-    if not basis:
-        return all(all(e == 0 for e in v) for v in vectors)
-    return mat_rank(basis + vectors) == mat_rank(basis)
-
-
 def _fiber_is_contained_in_face(
     f: AffineMap, p: Polytope, w: Vector, face: Face
 ) -> bool:
@@ -220,73 +210,64 @@ def _fiber_is_contained_in_face(
 def is_face_collapse(f: AffineMap, p: Polytope) -> bool:
     """Whether f collapses a canonical family of faces of p.
 
-    Builds the candidate family: the positive-dimensional fibers over
-    vertices of the image.  True when the family is nonempty, the face
-    directions together span exactly ker(linear part), each member is
-    the full fiber over its image vertex, and no further positive-
+    The candidate family is the positive-dimensional fibers over the
+    vertices of the image.  True when the family is nonempty, its
+    directions span exactly ker(linear part), and no further positive-
     dimensional face of p could be added without changing the kernel or
     failing the full-fiber condition (maximality, scanned over the face
     lattice).  A bijective f has an empty family and returns False.
+
+    Two identities keep the test on vertex images and the face lattice.
+    The directions of a face G lie in the kernel exactly when f is
+    constant on G's vertices.  The fiber over a vertex w of f(P) is the
+    face where c . f is maximal on P, for any functional c exposing w,
+    so its vertices are exactly those sent to w and every family member
+    is a full fiber by construction.
     """
-    kernel = nullspace_basis(f.linear)
-    kernel_dim = len(kernel)
+    kernel_dim = f.source_dim - map_rank(f)
     if kernel_dim == 0:
         return False
+    images = tuple(f.apply(v) for v in p.vertices)
+    fibers: dict[Vector, frozenset[int]] = {}
+    for i, y in enumerate(images):
+        fibers[y] = fibers.get(y, frozenset()) | {i}
+    face_of = {face.vertices: face for face in p.faces}
     image = image_polytope(f, p)
     chart = image.chart
     assert chart is not None
-    image_vertices = tuple(chart.lift(w) for w in image.vertices)
 
     # canonical family: fibers over image vertices with positive dimension
-    family: list[tuple[Face, Vector]] = []
-    family_members: set[frozenset[int]] = set()
-    all_directions: list[Vector] = []
-    for w in image_vertices:
-        fiber_vertex_set = frozenset(
-            i for i, v in enumerate(p.vertices) if f.apply(v) == w
-        )
-        if not fiber_vertex_set:
-            raise RuntimeError("image vertex with no source vertex above it")
-        match = next(
-            (face for face in p.faces if face.vertices == fiber_vertex_set),
-            None,
-        )
+    family: list[Face] = []
+    for w in image.vertices:
+        match = face_of.get(fibers.get(chart.lift(w), frozenset()))
         if match is None:
             raise RuntimeError(
                 "fiber of an image vertex is not a face of the source"
             )
         if match.dim > 0:
-            family.append((match, w))
-            family_members.add(fiber_vertex_set)
-            all_directions.extend(_face_directions(p, match))
+            family.append(match)
     if not family:
         return False
 
     # condition: the collapsed directions span the kernel exactly
-    if mat_rank(tuple(all_directions)) != kernel_dim:
+    differences = tuple(
+        vec_sub(p.vertices[i], p.vertices[min(face.vertices)])
+        for face in family
+        for i in face.vertices
+    )
+    if mat_rank(differences) != kernel_dim:
         return False
 
-    # full-fiber condition for each member (holds by construction once
-    # the directions lie in the kernel, but verified finitely anyway)
-    for face, w in family:
-        if not _subspace_contains(kernel, _face_directions(p, face)):
-            return False
-        if not _fiber_is_contained_in_face(f, p, w, face):
-            return False
-
     # maximality: no positive-dimensional face outside the family can be
-    # added while keeping the kernel and the full-fiber condition
+    # added while keeping the kernel and the full-fiber condition; such a
+    # face has f constant on its vertices and no other vertex sharing
+    # their image, which is one fiber-set comparison
+    members = {face.vertices for face in family}
     for face in p.faces:
-        if face.dim < 1 or face.vertices in family_members:
+        if face.dim < 1 or face.vertices in members:
             continue
-        dirs = _face_directions(p, face)
-        if not _subspace_contains(kernel, dirs):
-            continue
-        w = f.apply(p.vertices[min(face.vertices)])
-        fiber_vertex_set = frozenset(
-            i for i, v in enumerate(p.vertices) if f.apply(v) == w
-        )
-        if fiber_vertex_set != face.vertices:
+        w = images[min(face.vertices)]
+        if fibers[w] != face.vertices:
             continue
         if _fiber_is_contained_in_face(f, p, w, face):
             return False
@@ -300,7 +281,6 @@ class MapClassification:
     vertex_index: int
     map: AffineMap
     rank: int
-    is_vertex: bool
     simple: bool
     active_labels: int
     surjective_onto_target: bool
@@ -339,18 +319,20 @@ def classify_all(
     """Classify every vertex of the hom-polytope.
 
     Returns per-vertex records in the polytope's vertex order plus a
-    summary with counts by rank and the number of simple vertices.
+    summary with counts by rank and the number of simple vertices.  Each
+    record's map is a vertex of ``h.polytope`` by construction, so no
+    vertex test is repeated here.
     """
     p, q = h.source, h.target
     records: list[MapClassification] = []
     rank_counts: dict[int, int] = {}
     simple_count = 0
+    masks = h.polytope.vertex_masks
     for index, point in enumerate(h.polytope.vertices):
         f = AffineMap.from_point(point, p.ambient_dim, q.ambient_dim)
         rank = map_rank(f)
-        vertexness = is_vertex_map(f, h)
-        simple = is_simple_vertex(h.polytope, index)
-        active = len(h.polytope.vertex_facet_indices(index))
+        active = masks[index].bit_count()
+        simple = active == h.polytope.dim
         surjective = surjective_onto(f, p, q)
         locations = image_vertex_locations(f, p, q)
         deflation = is_deflation(f, p, q, h) if surjective else False
@@ -360,7 +342,6 @@ def classify_all(
                 vertex_index=index,
                 map=f,
                 rank=rank,
-                is_vertex=vertexness,
                 simple=simple,
                 active_labels=active,
                 surjective_onto_target=surjective,

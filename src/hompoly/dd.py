@@ -15,12 +15,12 @@ integers absorb without ceremony.
 
 Activity of rays against already-processed rows is tracked in bitmasks
 (bit i set means row i is tight), so the adjacency pre-filter is a
-popcount and the exact adjacency test is a subset check.  Masks of
-freshly combined rays are recomputed from scratch against all processed
-rows rather than intersected from the parents: on degenerate inputs a
-new ray can be tight on rows neither parent is tight on, and the later
-incidence consumers (face lattices, simplicity tests) need the honest
-answer.
+popcount and the exact adjacency test is a subset check.  The mask of a
+freshly combined ray is the intersection of its parents' masks plus
+the new row: the ray is a positive combination of two rays that are
+nonnegative on every processed row, so it is tight on such a row
+exactly when both parents are.  The masks are therefore exact, as the
+later incidence consumers (face lattices, simplicity tests) require.
 """
 
 from __future__ import annotations
@@ -99,12 +99,11 @@ def extreme_rays(rows: list[IntRow]) -> list[tuple[IntRow, int]]:
     dim = len(rows[0])
     picked = _greedy_row_basis(rows, dim)
     picked_set = set(picked)
-    processed: list[int] = list(picked)
 
     rays: list[tuple[IntRow, int]] = []
     for g in _initial_generators(rows, picked):
         mask = 0
-        for i in processed:
+        for i in picked:
             if _dot(rows[i], g) == 0:
                 mask |= 1 << i
         rays.append((g, mask))
@@ -121,7 +120,6 @@ def extreme_rays(rows: list[IntRow]) -> list[tuple[IntRow, int]]:
                 (g, m | (1 << k)) if vals[i] == 0 else (g, m)
                 for i, (g, m) in enumerate(rays)
             ]
-            processed.append(k)
             continue
         if not pos and len(neg) == len(rays):
             # every ray strictly violates the row: the cone collapses to {0}
@@ -144,11 +142,7 @@ def extreme_rays(rows: list[IntRow]) -> list[tuple[IntRow, int]]:
                 if not adjacent:
                     continue
                 combo = _reduce([vp * b - vals[iq] * a for a, b in zip(gp, gq)])
-                mask = 1 << k
-                for i in processed:
-                    if _dot(rows[i], combo) == 0:
-                        mask |= 1 << i
-                new_rays.append((combo, mask))
+                new_rays.append((combo, common | (1 << k)))
 
         kept = [
             (g, m | (1 << k)) if vals[i] == 0 else (g, m)
@@ -156,7 +150,6 @@ def extreme_rays(rows: list[IntRow]) -> list[tuple[IntRow, int]]:
             if vals[i] >= 0
         ]
         rays = kept + new_rays
-        processed.append(k)
     return rays
 
 

@@ -498,7 +498,7 @@ def test_criterion_09_factorization_property_suite():
         p, q = regular_ngon(m), regular_ngon(n)
         h = build_hom(p, q)
         records, summary = classify_all(h)
-        assert all(r.is_vertex for r in records)
+        assert all(is_vertex_map(r.map, h) for r in records)
 
         for record in records:
             f = record.map

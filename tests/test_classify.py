@@ -3,8 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hompoly import classify
 from hompoly.classify import (
+    _fiber_is_contained_in_face,
     classify_all,
     image_polytope,
     image_vertex_locations,
@@ -23,7 +27,7 @@ from hompoly.constructions import (
 )
 from hompoly.errors import GeometryError
 from hompoly.hom import AffineMap, build_hom, is_vertex_map
-from hompoly.linalg import mat_rank
+from hompoly.linalg import mat_rank, nullspace_basis, solve_affine_hull
 from hompoly.polytope import Polytope, is_simple_vertex
 
 
@@ -235,6 +239,149 @@ def test_deflations_are_face_collapses_on_cube_pairs():
             assert is_face_collapse(f, p)
 
 
+# -- face collapse against the affine-hull reference ---------------------
+
+
+def _face_directions(p, face):
+    pts = tuple(p.vertices[v] for v in sorted(face.vertices))
+    return solve_affine_hull(pts)[1]
+
+
+def _subspace_contains(basis, vectors):
+    if not vectors:
+        return True
+    if not basis:
+        return all(all(e == 0 for e in v) for v in vectors)
+    return mat_rank(basis + vectors) == mat_rank(basis)
+
+
+def reference_is_face_collapse(f, p):
+    """Face collapse decided with one exact affine hull per face.
+
+    Kernel containment of each face is tested on the face's chart, and
+    every family member is re-checked as a full fiber.
+    """
+    kernel = nullspace_basis(f.linear)
+    if not kernel:
+        return False
+    image = image_polytope(f, p)
+    image_vertices = tuple(image.chart.lift(w) for w in image.vertices)
+    family, members, directions = [], set(), []
+    for w in image_vertices:
+        fiber = frozenset(i for i, v in enumerate(p.vertices) if f.apply(v) == w)
+        match = next(face for face in p.faces if face.vertices == fiber)
+        if match.dim > 0:
+            family.append((match, w))
+            members.add(fiber)
+            directions.extend(_face_directions(p, match))
+    if not family:
+        return False
+    if mat_rank(tuple(directions)) != len(kernel):
+        return False
+    for face, w in family:
+        if not _subspace_contains(kernel, _face_directions(p, face)):
+            return False
+        if not _fiber_is_contained_in_face(f, p, w, face):
+            return False
+    for face in p.faces:
+        if face.dim < 1 or face.vertices in members:
+            continue
+        if not _subspace_contains(kernel, _face_directions(p, face)):
+            continue
+        w = f.apply(p.vertices[min(face.vertices)])
+        fiber = frozenset(i for i, v in enumerate(p.vertices) if f.apply(v) == w)
+        if fiber != face.vertices:
+            continue
+        if _fiber_is_contained_in_face(f, p, w, face):
+            return False
+    return True
+
+
+@st.composite
+def polytopes_and_maps(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    e = draw(st.sampled_from((1, 2, 3)))
+    coordinate = st.integers(-2, 2)
+    points = draw(
+        st.lists(st.tuples(*[coordinate] * d), min_size=d + 1, max_size=d + 4)
+    )
+    assume(len(solve_affine_hull(points)[1]) == d)
+    entry = st.integers(-1, 1)
+    linear = draw(st.tuples(*[st.tuples(*[entry] * d)] * e))
+    translation = draw(st.tuples(*[entry] * e))
+    f = AffineMap(
+        tuple(tuple(Fraction(x) for x in row) for row in linear),
+        tuple(Fraction(x) for x in translation),
+    )
+    return Polytope.from_points(points), f
+
+
+@given(polytopes_and_maps())
+@settings(max_examples=150, deadline=None)
+def test_face_collapse_matches_affine_hull_reference(case):
+    p, f = case
+    assert is_face_collapse(f, p) == reference_is_face_collapse(f, p)
+
+
+def test_face_collapse_reaches_the_maximality_scan(monkeypatch):
+    # f(x) = y: the fibers over the image's two vertices span the kernel,
+    # and an edge outside the family is a fiber vertex set whose fiber
+    # test fails, so the answer stays True only through the scan
+    p = Polytope.from_points(
+        (
+            (2, -1, 2),
+            (1, -1, 2),
+            (-2, 1, 2),
+            (0, 1, -2),
+            (0, -1, -1),
+            (-2, 0, -2),
+            (-2, 0, 0),
+        )
+    )
+    f = AffineMap(
+        ((Fraction(0), Fraction(1), Fraction(0)),), (Fraction(0),)
+    )
+    answers = []
+
+    def recording(*args):
+        answers.append(_fiber_is_contained_in_face(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(classify, "_fiber_is_contained_in_face", recording)
+    assert is_face_collapse(f, p)
+    assert False in answers
+    assert reference_is_face_collapse(f, p)
+
+
+def _integer_hexagon() -> Polytope:
+    return Polytope.from_points(
+        ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
+    )
+
+
+HOM_PAIRS = {
+    "hexagon to hexagon": lambda: (_integer_hexagon(), _integer_hexagon()),
+    "cube3 to cube2": lambda: (cube(3), cube(2)),
+    "cross3 to simplex2": lambda: (cross_polytope(3), simplex(2)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(HOM_PAIRS))
+def test_fibers_over_image_vertices_are_full_fiber_faces(pair):
+    p, q = HOM_PAIRS[pair]()
+    faces = {face.vertices: face for face in p.faces}
+    for point in build_hom(p, q).polytope.vertices:
+        f = AffineMap.from_point(point, p.ambient_dim, q.ambient_dim)
+        image = image_polytope(f, p)
+        for w in (image.chart.lift(u) for u in image.vertices):
+            fiber = frozenset(
+                i for i, v in enumerate(p.vertices) if f.apply(v) == w
+            )
+            assert fiber in faces
+            assert _fiber_is_contained_in_face(f, p, w, faces[fiber])
+            assert {f.apply(p.vertices[i]) for i in fiber} == {w}
+
+
 # -- full classification -----------------------------------------------
 
 
@@ -244,7 +391,7 @@ def test_segment_to_triangle_classification_counts():
     assert summary.total == 9
     assert summary.rank_count(0) == 3
     assert summary.rank_count(1) == 6
-    assert all(r.is_vertex for r in records)
+    assert all(is_vertex_map(r.map, h) for r in records)
 
 
 def test_square_to_square_classification_counts():
@@ -252,7 +399,7 @@ def test_square_to_square_classification_counts():
     h = build_hom(p, p)
     records, summary = classify_all(h)
     assert summary.table_row() == (4, 24, 8, 36)
-    assert all(r.is_vertex for r in records)
+    assert all(is_vertex_map(r.map, h) for r in records)
     assert sum(1 for r in records if r.is_deflation) == 0
 
 
