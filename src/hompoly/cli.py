@@ -3,9 +3,9 @@
 Every command reads polytope text files (the format in
 :mod:`hompoly.polyio`), writes its result to ``--output`` or stdout,
 and is deterministic: the same inputs and flags produce byte-identical
-output.  ``--jobs`` distributes independent rows or graphs over
-processes, never more than there are rows or graphs or CPUs, and only
-changes wall time, never content or order.
+output.  ``--jobs`` distributes independent table rows over processes,
+never more than there are rows or CPUs, and only changes wall time,
+never content or order.
 ``--check`` turns on assertion mode, which re-verifies the documented
 invariants along the way and aborts naming the violated property.
 
@@ -25,8 +25,6 @@ from pathlib import Path
 
 from .classify import classify_all
 from .coincidence import (
-    Certificate,
-    CoincidenceGraph,
     canonical_encoding,
     certify_nonvanishing,
     enumerate_graphs,
@@ -287,22 +285,10 @@ def _cmd_table(config: RunConfig) -> Emission:
     return [(config.output, "\n".join(lines) + "\n")]
 
 
-def _graph_worker(edges: tuple[tuple[int, int], ...]) -> Certificate:
-    return certify_nonvanishing(CoincidenceGraph(edges))
-
-
 def _cmd_graphs(config: RunConfig) -> Emission:
-    graphs = enumerate_graphs()
-    workers = worker_count(config.jobs, len(graphs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            certificates = list(
-                pool.map(_graph_worker, [g.edges for g in graphs])
-            )
-    else:
-        certificates = [certify_nonvanishing(g) for g in graphs]
     lines = ["# graph\tstatus\tcertificate\tdeterminant"]
-    for g, cert in zip(graphs, certificates):
+    for g in enumerate_graphs():
+        cert = certify_nonvanishing(g)
         status = reject_reason(g)
         if config.check and status != "accepted":
             raise InvariantViolation(
@@ -435,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("graphs", help="coincidence graphs with nonvanishing certificates")
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
 
     p = sub.add_parser("identity-check", help="compare f-vectors across a hom identity")
@@ -465,8 +450,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             eps=args.eps,
             jobs=args.jobs,
         )
-    elif args.command == "graphs":
-        fields.update(jobs=args.jobs)
     elif args.command == "identity-check":
         fields.update(
             kind=args.kind,

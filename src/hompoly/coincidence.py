@@ -7,6 +7,12 @@ node of degree three or more on either side, no 4-cycle, no 6-cycle)
 precisely when the graph is a vertex-disjoint union of paths; there are
 exactly 31 such graphs up to isomorphism keeping the parts apart.
 
+The cycle rules are read off the connected components, not searched
+for.  Once the degree rules pass, every node has degree at most two, so
+each component is a path or a cycle, a cycle exactly when it has as
+many edges as nodes, and any cycle is a whole component.  That decides
+rules 3 and 4 exactly; seven edges leave no room for a longer cycle.
+
 For each surviving graph the seven equations assemble into a 7 by 7
 generic matrix whose determinant must not vanish identically.  A single
 exact nonzero evaluation at a rational point certifies that, so the
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 
 from .linalg import Matrix, mat_det
 
@@ -135,33 +141,11 @@ def path_multiset(g: CoincidenceGraph) -> tuple[PathType, ...]:
     """
     if reject_reason(g) != "accepted":
         raise ValueError("graph is not a disjoint union of paths")
-    adjacency: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for a, b in g.edges:
-        adjacency.setdefault(("A", a), []).append(("B", b))
-        adjacency.setdefault(("B", b), []).append(("A", a))
-    seen: set[tuple[str, int]] = set()
-    types: list[PathType] = []
-    for node in sorted(adjacency):
-        if node in seen or len(adjacency[node]) != 1:
-            continue
-        # walk from one endpoint to the other
-        walk = [node]
-        seen.add(node)
-        current = node
-        while True:
-            nxt = next(
-                (nb for nb in adjacency[current] if nb not in seen), None
-            )
-            if nxt is None:
-                break
-            walk.append(nxt)
-            seen.add(nxt)
-            current = nxt
-        length = len(walk) - 1
-        flavor = walk[0][0] if length % 2 == 0 else None
-        types.append((length, flavor))
-    if len(seen) != len(adjacency):
-        raise ValueError("graph is not a disjoint union of paths")
+    # an even path has one node more in the part holding both endpoints
+    types = [
+        (edges, None if edges % 2 else ("A" if a_count > b_count else "B"))
+        for a_count, b_count, edges in _components(g)
+    ]
     return tuple(sorted(types, key=lambda t: (-t[0], _FLAVOR_RANK[t[1]])))
 
 
@@ -189,29 +173,31 @@ def enumerate_graphs() -> list[CoincidenceGraph]:
 # -- rejection rules ----------------------------------------------------
 
 
-def _has_cycle(g: CoincidenceGraph, half: int) -> bool:
-    """Whether the graph contains a cycle of length 2*half, exhaustively."""
-    a_nodes = g.a_nodes
-    b_nodes = g.b_nodes
-    edge_set = set(g.edges)
-    for a_sel in combinations(a_nodes, half):
-        for b_sel in combinations(b_nodes, half):
-            # a cycle alternates a_sel and b_sel in some order; fix the
-            # first a-node, try all arrangements of the rest
-            for a_perm in permutations(a_sel[1:]):
-                cycle_a = (a_sel[0],) + a_perm
-                for b_perm in permutations(b_sel):
-                    ok = True
-                    for k in range(half):
-                        if (cycle_a[k], b_perm[k]) not in edge_set:
-                            ok = False
-                            break
-                        if (cycle_a[(k + 1) % half], b_perm[k]) not in edge_set:
-                            ok = False
-                            break
-                    if ok:
-                        return True
-    return False
+def _components(g: CoincidenceGraph) -> list[tuple[int, int, int]]:
+    """A-node, B-node and edge counts of each connected component."""
+    adjacency: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for a, b in g.edges:
+        adjacency.setdefault(("A", a), []).append(("B", b))
+        adjacency.setdefault(("B", b), []).append(("A", a))
+    seen: set[tuple[str, int]] = set()
+    out = []
+    for start in adjacency:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        counts = {"A": 0, "B": 0}
+        degree_sum = 0
+        while stack:
+            node = stack.pop()
+            counts[node[0]] += 1
+            degree_sum += len(adjacency[node])
+            for neighbor in adjacency[node]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    stack.append(neighbor)
+        out.append((counts["A"], counts["B"], degree_sum // 2))
+    return out
 
 
 def reject_reason(g: CoincidenceGraph) -> str:
@@ -220,6 +206,10 @@ def reject_reason(g: CoincidenceGraph) -> str:
     Rules in order: an A-node of degree three or more (1), a B-node of
     degree three or more (2), a 4-cycle (3), a 6-cycle (4).  Graphs
     passing all four are exactly the disjoint unions of paths.
+
+    Rules 3 and 4 fire on a component with as many edges as nodes and
+    four or six edges: with every degree at most two, those components
+    are exactly the cycles.
     """
     a_degree: dict[int, int] = {}
     b_degree: dict[int, int] = {}
@@ -230,9 +220,14 @@ def reject_reason(g: CoincidenceGraph) -> str:
         return "rejected(rule 1)"
     if any(d > 2 for d in b_degree.values()):
         return "rejected(rule 2)"
-    if _has_cycle(g, 2):
+    cycle_lengths = {
+        edges
+        for a_count, b_count, edges in _components(g)
+        if edges == a_count + b_count
+    }
+    if 4 in cycle_lengths:
         return "rejected(rule 3)"
-    if _has_cycle(g, 3):
+    if 6 in cycle_lengths:
         return "rejected(rule 4)"
     return "accepted"
 
@@ -348,6 +343,9 @@ class Certificate:
 
 MAX_CERTIFICATE_ATTEMPTS = 32
 
+# seven edges touch at most seven nodes per part, two variables each
+_MAX_VARIABLES = 28
+
 
 def _first_primes(count: int) -> list[int]:
     found: list[int] = []
@@ -357,6 +355,9 @@ def _first_primes(count: int) -> list[int]:
             found.append(candidate)
         candidate += 1
     return found
+
+
+_CERTIFICATE_PRIMES = _first_primes(_MAX_VARIABLES + MAX_CERTIFICATE_ATTEMPTS)
 
 
 def evaluate_matrix(
@@ -380,10 +381,9 @@ def certify_nonvanishing(g: CoincidenceGraph) -> Certificate:
     """
     matrix = build_generic_matrix(g)
     nvars = len(matrix.variables)
-    primes = _first_primes(nvars + MAX_CERTIFICATE_ATTEMPTS)
     for attempt in range(MAX_CERTIFICATE_ATTEMPTS):
         point = tuple(
-            Fraction(primes[v + attempt]) for v in range(nvars)
+            Fraction(_CERTIFICATE_PRIMES[v + attempt]) for v in range(nvars)
         )
         value = mat_det(evaluate_matrix(matrix, point))
         if value != 0:

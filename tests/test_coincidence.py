@@ -1,8 +1,11 @@
 """Coincidence graphs: enumeration, rejection rules, determinants."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hompoly.coincidence import (
     Certificate,
@@ -94,6 +97,15 @@ def test_shared_vertex_and_shared_facet_graph_is_included():
     }
 
 
+def test_even_path_flavor_names_the_part_of_its_endpoints():
+    # two facets through one vertex: both endpoints of the path are A-nodes
+    shared_b = graph((0, 0), (1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5))
+    assert canonical_encoding(shared_b) == "2A+1+1+1+1+1"
+    # one facet through two vertices: both endpoints are B-nodes
+    shared_a = graph((0, 0), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+    assert canonical_encoding(shared_a) == "2B+1+1+1+1+1"
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         CoincidenceGraph(((0, 0), (1, 1)))
@@ -134,10 +146,95 @@ def test_disjoint_edges_accepted():
     assert reject_reason(SEVEN_DISJOINT) == "accepted"
 
 
+def test_four_cycle_beside_a_path_hits_rule_3():
+    g = graph((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 2), (3, 3))
+    assert reject_reason(g) == "rejected(rule 3)"
+
+
 def test_path_multiset_rejects_cycles():
     g = graph((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3), (4, 4))
     with pytest.raises(ValueError):
         path_multiset(g)
+
+
+def test_path_multiset_rejects_six_cycles():
+    g = graph((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2), (3, 3))
+    with pytest.raises(ValueError):
+        path_multiset(g)
+
+
+def reference_has_cycle(g, half):
+    """Whether the graph contains a cycle of length 2*half, exhaustively."""
+    edge_set = set(g.edges)
+    for a_sel in combinations(g.a_nodes, half):
+        for b_sel in combinations(g.b_nodes, half):
+            for a_perm in permutations(a_sel[1:]):
+                cycle_a = (a_sel[0],) + a_perm
+                for b_perm in permutations(b_sel):
+                    if all(
+                        (cycle_a[k], b_perm[k]) in edge_set
+                        and (cycle_a[(k + 1) % half], b_perm[k]) in edge_set
+                        for k in range(half)
+                    ):
+                        return True
+    return False
+
+
+def reference_reject_reason(g):
+    """The four rules with the cycles found by trying every arrangement."""
+    for side in (0, 1):
+        nodes = [edge[side] for edge in g.edges]
+        if any(nodes.count(node) > 2 for node in nodes):
+            return f"rejected(rule {side + 1})"
+    if reference_has_cycle(g, 2):
+        return "rejected(rule 3)"
+    if reference_has_cycle(g, 3):
+        return "rejected(rule 4)"
+    return "accepted"
+
+
+@st.composite
+def seven_edge_graphs(draw):
+    """Seven distinct edges on up to seven nodes per side.
+
+    Half the draws take any seven pairs.  The other half join paths and
+    4- and 6-cycles on fresh nodes, so no degree exceeds two and the
+    cycle rules decide; node labels and edge order are then shuffled.
+    """
+    nodes = range(7)
+    if draw(st.booleans()):
+        pairs = [(a, b) for a in nodes for b in nodes]
+        return CoincidenceGraph(tuple(draw(st.permutations(pairs))[:7]))
+    edges = []
+    fresh = [0, 0]  # next unused node in part A and in part B
+    remaining = 7
+    while remaining:
+        length = draw(st.integers(1, remaining))
+        closed = length in (4, 6) and draw(st.booleans())
+        side = draw(st.integers(0, 1))
+        walk = []
+        for _ in range(length if closed else length + 1):
+            walk.append((side, fresh[side]))
+            fresh[side] += 1
+            side = 1 - side
+        if closed:
+            walk.append(walk[0])
+        for (side, n1), (_, n2) in zip(walk, walk[1:]):
+            edges.append((n1, n2) if side == 0 else (n2, n1))
+        remaining -= length
+    a_labels = draw(st.permutations(nodes))
+    b_labels = draw(st.permutations(nodes))
+    edges = [(a_labels[a], b_labels[b]) for a, b in edges]
+    return CoincidenceGraph(tuple(draw(st.permutations(edges))))
+
+
+@given(seven_edge_graphs())
+@settings(max_examples=300, deadline=None)
+def test_reject_reason_matches_exhaustive_reference(g):
+    reason = reject_reason(g)
+    assert reason == reference_reject_reason(g)
+    if reason == "accepted":
+        assert canonical_encoding(g) in EXPECTED_ENCODINGS
 
 
 # -- generic matrix -----------------------------------------------------
