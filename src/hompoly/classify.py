@@ -1,10 +1,12 @@
 """Classification of vertex maps: rank, factorization, collapse structure.
 
-Everything here works on exact data.  Surjectivity is decided by mutual
-containment of vertex sets in inequality descriptions, factorization
-goes through an exact chart of the image's affine hull, and the
-face-collapse test reads the vertex images and the source's face
-lattice.
+Everything here works on exact data.  Image locations, surjectivity
+and deflation are read off the facets of Q tight at each f(v), which cut
+out the smallest face of Q containing f(v); for a vertex of the
+hom-polytope they are its tight (vertex, facet) pairs, so
+``classify_all`` needs no arithmetic for them.  Factorization goes
+through an exact chart of the image's affine hull, and the face-collapse
+test reads the vertex images and the source's face lattice.
 
 The collapse test rests on two identities.  First, the directions of a
 face G of the source lie in K = ker L exactly when f is constant on G's
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GeometryError, OutsideHullError
+from .errors import GeometryError
 from .hom import AffineMap, HomPolytope, is_vertex_map
 from .linalg import (
     Matrix,
@@ -61,7 +63,10 @@ def image_polytope(f: AffineMap, p: Polytope) -> Polytope:
     to the target space.  A rank-zero map yields the zero-dimensional
     polytope whose chart basepoint is the image point.
     """
-    images = tuple(f.apply(v) for v in p.vertices)
+    return _hull(tuple(f.apply(v) for v in p.vertices))
+
+
+def _hull(images: tuple[Vector, ...]) -> Polytope:
     projected, chart = chart_project(images)
     return Polytope.from_points(projected, chart=chart)
 
@@ -97,26 +102,43 @@ def surj_inj_factorize(f: AffineMap, p: Polytope) -> tuple[AffineMap, AffineMap]
     return f_surj, f_inj
 
 
+def _tight_masks(f: AffineMap, p: Polytope, q: Polytope) -> list[int] | None:
+    """Per vertex v of p, the bitmask of q's facets tight at f(v); None if outside q."""
+    masks = []
+    for v in p.vertices:
+        hit = contains_point(q, f.apply(v))
+        if hit.kind == "outside":
+            return None
+        masks.append(sum(1 << j for j in hit.active))
+    return masks
+
+
+def _locate(masks: list[int], q: Polytope) -> tuple[tuple[str, ...], set[int]]:
+    """Image locations and the vertices of q hit, from tight-facet masks.
+
+    The vertices of q tight on every facet of a mask span the smallest
+    face of q containing the point, which holds it in its relative
+    interior: one such vertex is the point itself.
+    """
+    locations, hit = [], set()
+    for mask in masks:
+        face = [u for u, m in enumerate(q.vertex_masks) if mask & m == mask]
+        if len(face) == 1:
+            hit.add(face[0])
+        locations.append(
+            "vertex" if len(face) == 1 else "boundary" if mask else "interior"
+        )
+    return tuple(locations), hit
+
+
 def surjective_onto(f: AffineMap, p: Polytope, q: Polytope) -> bool:
-    """Whether f(P) equals Q, by exact mutual containment of vertex sets."""
-    if map_rank(f) != q.dim:
-        return False
-    image = image_polytope(f, p)
-    if image.dim != q.dim:
-        return False
-    chart = image.chart
-    assert chart is not None
-    for w in image.vertices:
-        if contains_point(q, chart.lift(w)).kind == "outside":
-            return False
-    for u in q.vertices:
-        try:
-            coords = chart.project(u)
-        except OutsideHullError:
-            return False
-        if contains_point(image, coords).kind == "outside":
-            return False
-    return True
+    """Whether f(P) equals Q: every f(v) lies in Q and hits every vertex of Q.
+
+    A vertex of Q inside f(P), a subset of Q, is extreme in f(P), so it is
+    the image of a vertex of P; no image hull is needed.
+    """
+    masks = _tight_masks(f, p, q)
+    return masks is not None and len(_locate(masks, q)[1]) == q.n_vertices
 
 
 def image_vertex_locations(
@@ -128,18 +150,10 @@ def image_vertex_locations(
     vertex of q, ``interior`` or ``boundary`` otherwise.  Points outside
     q mean f is not in the hom-polytope and raise.
     """
-    q_vertices = set(q.vertices)
-    out = []
-    for v in p.vertices:
-        y = f.apply(v)
-        if y in q_vertices:
-            out.append("vertex")
-            continue
-        hit = contains_point(q, y)
-        if hit.kind == "outside":
-            raise GeometryError("map does not send the source into the target")
-        out.append(hit.kind)
-    return tuple(out)
+    masks = _tight_masks(f, p, q)
+    if masks is None:
+        raise GeometryError("map does not send the source into the target")
+    return _locate(masks, q)[0]
 
 
 def is_deflation(
@@ -155,14 +169,13 @@ def is_deflation(
     """
     if map_rank(f) >= p.dim:
         return False
-    if not surjective_onto(f, p, q):
+    masks = _tight_masks(f, p, q)
+    if masks is None:
         return False
-    if not is_vertex_map(f, h):
+    locations, hit = _locate(masks, q)
+    if len(hit) < q.n_vertices or not is_vertex_map(f, h):
         return False
-    return all(
-        location != "boundary"
-        for location in image_vertex_locations(f, p, q)
-    )
+    return "boundary" not in locations
 
 
 def _fiber_is_contained_in_face(
@@ -224,7 +237,12 @@ def is_face_collapse(f: AffineMap, p: Polytope) -> bool:
     so its vertices are exactly those sent to w and every family member
     is a full fiber by construction.
     """
-    kernel_dim = f.source_dim - map_rank(f)
+    return _collapses(f, p, map_rank(f))
+
+
+def _collapses(f: AffineMap, p: Polytope, rank: int) -> bool:
+    """``is_face_collapse`` for a map whose rank is already known."""
+    kernel_dim = f.source_dim - rank
     if kernel_dim == 0:
         return False
     images = tuple(f.apply(v) for v in p.vertices)
@@ -232,7 +250,7 @@ def is_face_collapse(f: AffineMap, p: Polytope) -> bool:
     for i, y in enumerate(images):
         fibers[y] = fibers.get(y, frozenset()) | {i}
     face_of = {face.vertices: face for face in p.faces}
-    image = image_polytope(f, p)
+    image = _hull(images)
     chart = image.chart
     assert chart is not None
 
@@ -321,22 +339,29 @@ def classify_all(
     Returns per-vertex records in the polytope's vertex order plus a
     summary with counts by rank and the number of simple vertices.  Each
     record's map is a vertex of ``h.polytope`` by construction, so no
-    vertex test is repeated here.
+    vertex test is repeated here.  Hom facet (v, k) is tight at it
+    exactly when target facet k is tight at f(v), so image locations,
+    surjectivity and deflation are read off its facet mask.
     """
     p, q = h.source, h.target
     records: list[MapClassification] = []
     rank_counts: dict[int, int] = {}
     simple_count = 0
     masks = h.polytope.vertex_masks
+    pairs = [(label.vertex_index, 1 << label.facet_index) for label in h.labels]
     for index, point in enumerate(h.polytope.vertices):
         f = AffineMap.from_point(point, p.ambient_dim, q.ambient_dim)
         rank = map_rank(f)
         active = masks[index].bit_count()
         simple = active == h.polytope.dim
-        surjective = surjective_onto(f, p, q)
-        locations = image_vertex_locations(f, p, q)
-        deflation = is_deflation(f, p, q, h) if surjective else False
-        collapse = is_face_collapse(f, p)
+        tight = [0] * p.n_vertices
+        for j, (v, bit) in enumerate(pairs):
+            if masks[index] >> j & 1:
+                tight[v] |= bit
+        locations, hit = _locate(tight, q)
+        surjective = len(hit) == q.n_vertices
+        deflation = rank < p.dim and surjective and "boundary" not in locations
+        collapse = _collapses(f, p, rank)
         records.append(
             MapClassification(
                 vertex_index=index,

@@ -148,12 +148,24 @@ def _check_hom(h: HomPolytope) -> None:
             f"irredundancy pass kept {rebuilt.n_facets} of "
             f"{h.polytope.n_facets} inequalities",
         )
-    for f, _labels in enumerate_vertex_maps(h):
-        for v in h.source.vertices:
-            if contains_point(h.target, f.apply(v)).kind == "outside":
+    # classification reads the target facets tight at f(v) off the hom
+    # facets tight at f; certify that reading against exact evaluation
+    for f, labels in enumerate_vertex_maps(h):
+        for v_index, v in enumerate(h.source.vertices):
+            hit = contains_point(h.target, f.apply(v))
+            if hit.kind == "outside":
                 raise InvariantViolation(
                     "vertex-map-containment",
                     f"map {f.to_point()} sends {v} outside the target",
+                )
+            marked = {
+                label.facet_index for label in labels if label.vertex_index == v_index
+            }
+            if hit.active != marked:
+                raise InvariantViolation(
+                    "vertex-map-tight-pairs",
+                    f"map {f.to_point()} is tight at {v} on target facets "
+                    f"{sorted(hit.active)}, its hom facets mark {sorted(marked)}",
                 )
 
 

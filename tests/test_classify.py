@@ -1,5 +1,6 @@
 """Vertex-map classification: rank, factorization, deflation, collapse."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,10 +26,10 @@ from hompoly.constructions import (
     regular_ngon,
     simplex,
 )
-from hompoly.errors import GeometryError
+from hompoly.errors import GeometryError, OutsideHullError
 from hompoly.hom import AffineMap, build_hom, is_vertex_map
 from hompoly.linalg import mat_rank, nullspace_basis, solve_affine_hull
-from hompoly.polytope import Polytope, is_simple_vertex
+from hompoly.polytope import Polytope, contains_point, is_simple_vertex
 
 
 def drop_last_axis(source_dim: int, target_dim: int) -> AffineMap:
@@ -323,6 +324,52 @@ def test_face_collapse_matches_affine_hull_reference(case):
     assert is_face_collapse(f, p) == reference_is_face_collapse(f, p)
 
 
+# -- surjectivity against the image-hull reference ------------------------
+
+
+def reference_surjective_onto(f, p, q):
+    """Surjectivity by exact mutual containment of f(P) and Q.
+
+    f(P) is built as a hull on a chart of its affine hull; each of its
+    vertices must lie in Q and each vertex of Q in it.
+    """
+    if map_rank(f) != q.dim:
+        return False
+    image = image_polytope(f, p)
+    for w in image.vertices:
+        if contains_point(q, image.chart.lift(w)).kind == "outside":
+            return False
+    for u in q.vertices:
+        try:
+            coords = image.chart.project(u)
+        except OutsideHullError:
+            return False
+        if contains_point(image, coords).kind == "outside":
+            return False
+    return True
+
+
+@st.composite
+def maps_between_polytopes(draw):
+    p, f = draw(polytopes_and_maps())
+    images = [f.apply(v) for v in p.vertices]
+    e = f.target_dim
+    coordinate = st.integers(-2, 2)
+    extra = draw(st.lists(st.tuples(*[coordinate] * e), min_size=0, max_size=e + 3))
+    # the image itself, the image with extra points, or unrelated points
+    kind = draw(st.sampled_from(("image", "grown", "random")))
+    points = {"image": images, "grown": images + extra, "random": extra}[kind]
+    assume(len(points) > e and len(solve_affine_hull(points)[1]) == e)
+    return p, f, Polytope.from_points(points)
+
+
+@given(maps_between_polytopes())
+@settings(max_examples=150, deadline=None)
+def test_surjective_onto_matches_image_hull_reference(case):
+    p, f, q = case
+    assert surjective_onto(f, p, q) == reference_surjective_onto(f, p, q)
+
+
 def test_face_collapse_reaches_the_maximality_scan(monkeypatch):
     # f(x) = y: the fibers over the image's two vertices span the kernel,
     # and an edge outside the family is a fiber vertex set whose fiber
@@ -353,14 +400,20 @@ def test_face_collapse_reaches_the_maximality_scan(monkeypatch):
     assert reference_is_face_collapse(f, p)
 
 
-def _integer_hexagon() -> Polytope:
-    return Polytope.from_points(
-        ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
-    )
+# integer affine models of the regular k-gons
+INTEGER_POLYGONS = {
+    3: ((2, 0), (-1, 1), (-1, -1)),
+    4: ((2, 0), (0, 1), (-2, 0), (0, -1)),
+    6: ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)),
+}
+
+
+def _integer_polygon(k: int) -> Polytope:
+    return Polytope.from_points(INTEGER_POLYGONS[k])
 
 
 HOM_PAIRS = {
-    "hexagon to hexagon": lambda: (_integer_hexagon(), _integer_hexagon()),
+    "hexagon to hexagon": lambda: (_integer_polygon(6), _integer_polygon(6)),
     "cube3 to cube2": lambda: (cube(3), cube(2)),
     "cross3 to simplex2": lambda: (cross_polytope(3), simplex(2)),
 }
@@ -428,6 +481,128 @@ def test_identity_vertex_of_square_hom_is_not_simple():
     assert record.active_labels == 8
     assert record.surjective_onto_target
     assert not record.is_deflation
+
+
+# -- record fields against the public functions --------------------------
+
+
+def _pair(k: int, l: int):
+    return lambda: (_integer_polygon(k), _integer_polygon(l))
+
+
+# the benchmark's classify pairs and the two fixtures above
+RECORD_PAIRS = {
+    **{f"p{k} to p{l}": _pair(k, l) for k, l in (
+        (6, 6), (3, 4), (4, 6), (6, 4), (3, 6), (6, 3), (4, 4)
+    )},
+    "cube3 to cube2": lambda: (cube(3), cube(2)),
+    "cross3 to simplex2": lambda: (cross_polytope(3), simplex(2)),
+    "frustum to triangle": lambda: (frustum(), big_triangle()),
+    "wedge to triangle": lambda: (wedge(), big_triangle()),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RECORD_PAIRS))
+def classified(request):
+    p, q = RECORD_PAIRS[request.param]()
+    h = build_hom(p, q)
+    return request.param, h, classify_all(h)[0]
+
+
+def test_record_fields_match_the_public_functions(classified):
+    _, h, records = classified
+    p, q = h.source, h.target
+    for record in records:
+        f = record.map
+        assert record.image_vertex_locations == image_vertex_locations(f, p, q)
+        assert record.surjective_onto_target == surjective_onto(f, p, q)
+        assert record.is_deflation == is_deflation(f, p, q, h)
+
+
+def _tally(h, records):
+    locations = Counter(
+        kind for record in records for kind in record.image_vertex_locations
+    )
+    for index, record in enumerate(records):
+        assert record.vertex_index == index
+        assert record.map == h.map_at_vertex(index)
+    return {
+        "total": len(records),
+        "by_rank": dict(sorted(Counter(r.rank for r in records).items())),
+        "simple": sum(r.simple for r in records),
+        "active_labels": sum(r.active_labels for r in records),
+        "surjective": sum(r.surjective_onto_target for r in records),
+        "deflation": sum(r.is_deflation for r in records),
+        "collapse": sum(r.surj_factor_is_face_collapse for r in records),
+        "locations": dict(sorted(locations.items())),
+    }
+
+
+# tallies as the hull-based classification gave them; the CLI prints none
+# of these fields, so nothing else pins them
+RECORD_TALLIES = {
+    "cross3 to simplex2": {
+        "total": 27, "by_rank": {0: 3, 1: 24}, "simple": 0,
+        "active_labels": 324, "surjective": 0, "deflation": 0, "collapse": 27,
+        "locations": {"vertex": 162},
+    },
+    "cube3 to cube2": {
+        "total": 64, "by_rank": {0: 4, 1: 36, 2: 24}, "simple": 0,
+        "active_labels": 1024, "surjective": 24, "deflation": 24,
+        "collapse": 64, "locations": {"vertex": 512},
+    },
+    "frustum to triangle": {
+        "total": 81, "by_rank": {0: 3, 1: 42, 2: 36}, "simple": 0,
+        "active_labels": 828, "surjective": 18, "deflation": 0,
+        "collapse": 81, "locations": {"boundary": 144, "vertex": 342},
+    },
+    "p3 to p4": {
+        "total": 64, "by_rank": {0: 4, 1: 36, 2: 24}, "simple": 64,
+        "active_labels": 384, "surjective": 0, "deflation": 0, "collapse": 40,
+        "locations": {"vertex": 192},
+    },
+    "p3 to p6": {
+        "total": 216, "by_rank": {0: 6, 1: 90, 2: 120}, "simple": 216,
+        "active_labels": 1296, "surjective": 0, "deflation": 0,
+        "collapse": 96, "locations": {"vertex": 648},
+    },
+    "p4 to p4": {
+        "total": 36, "by_rank": {0: 4, 1: 24, 2: 8}, "simple": 0,
+        "active_labels": 288, "surjective": 8, "deflation": 0, "collapse": 28,
+        "locations": {"vertex": 144},
+    },
+    "p4 to p6": {
+        "total": 138, "by_rank": {0: 6, 1: 60, 2: 72}, "simple": 48,
+        "active_labels": 1008, "surjective": 0, "deflation": 0,
+        "collapse": 66, "locations": {"interior": 48, "vertex": 504},
+    },
+    "p6 to p3": {
+        "total": 33, "by_rank": {0: 3, 1: 18, 2: 12}, "simple": 12,
+        "active_labels": 288, "surjective": 0, "deflation": 0, "collapse": 21,
+        "locations": {"boundary": 108, "vertex": 90},
+    },
+    "p6 to p4": {
+        "total": 64, "by_rank": {0: 4, 1: 36, 2: 24}, "simple": 0,
+        "active_labels": 576, "surjective": 0, "deflation": 0, "collapse": 40,
+        "locations": {"boundary": 144, "interior": 24, "vertex": 216},
+    },
+    "p6 to p6": {
+        "total": 180, "by_rank": {0: 6, 1: 90, 2: 84}, "simple": 72,
+        "active_labels": 1440, "surjective": 12, "deflation": 0,
+        "collapse": 96,
+        "locations": {"boundary": 216, "interior": 252, "vertex": 612},
+    },
+    "wedge to triangle": {
+        "total": 81, "by_rank": {0: 3, 1: 42, 2: 36}, "simple": 18,
+        "active_labels": 738, "surjective": 24, "deflation": 6,
+        "collapse": 75, "locations": {"boundary": 72, "vertex": 333},
+    },
+}
+
+
+def test_record_tallies_are_pinned(classified):
+    pair, h, records = classified
+    assert _tally(h, records) == RECORD_TALLIES[pair]
 
 
 # -- rank-1 closed form ------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for the text formats and the command-line surface."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hompoly.polyio
-from hompoly.cli import RunConfig, main, worker_count
+from hompoly.cli import InvariantViolation, RunConfig, _check_hom, main, worker_count
 from hompoly.constructions import cube, regular_ngon
 from hompoly.hom import build_hom
 from hompoly.polyio import (
@@ -237,6 +238,31 @@ def test_classify_summary_bytes(tmp_path, capsys):
         "total\t27\n"
         "simple\t27\n"
     )
+
+
+def test_classify_check_certifies_tight_pairs(tmp_path, capsys):
+    # integer hexagon onto the integer square: images land on vertices,
+    # edges and the interior, so every location kind is certified
+    hexagon = tmp_path / "p6.v"
+    hexagon.write_text("V 2 6\n2 0\n1 1\n-1 1\n-2 0\n-1 -1\n1 -1\n")
+    square = tmp_path / "p4.v"
+    square.write_text("V 2 4\n2 0\n0 1\n-2 0\n0 -1\n")
+    argv = ["classify", str(hexagon), str(square)]
+    code, plain, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, checked, err = run_cli(argv + ["--check"], capsys)
+    assert code == 0
+    assert err == ""
+    assert checked == plain == "rank\tcount\n0\t4\n1\t36\n2\t24\ntotal\t64\nsimple\t0\n"
+
+
+def test_check_rejects_labels_that_misplace_tight_pairs():
+    h = build_hom(regular_ngon(3), regular_ngon(3))
+    _check_hom(h)
+    rotated = dataclasses.replace(h, labels=h.labels[1:] + h.labels[:1])
+    with pytest.raises(InvariantViolation) as caught:
+        _check_hom(rotated)
+    assert caught.value.property_name == "vertex-map-tight-pairs"
 
 
 def test_table_rows_and_determinism(capsys):
