@@ -24,6 +24,14 @@ for a face G whose directions lie in K.  Both inclusions are elementary
 image differs by a kernel vector), so "(G + K) cap P = G" is exactly "G
 is the whole fiber over its image point", and fibers can be checked
 finitely by scanning the faces of P for their extreme points.
+
+The verdict depends on f only through K.  Two vertices of P share an
+image exactly when they differ by a kernel vector, so the fiber vertex
+sets are the cosets of K meeting the vertex set; f(P) is affinely
+isomorphic to P/K, the projection of P along K, so the image vertices
+are the vertices of P/K; and ``_fiber_is_contained_in_face`` tests the
+fiber (x + K) cap P.  ``classify_all`` therefore runs the test once per
+kernel.
 """
 
 from __future__ import annotations
@@ -342,11 +350,20 @@ def classify_all(
     vertex test is repeated here.  Hom facet (v, k) is tight at it
     exactly when target facet k is tight at f(v), so image locations,
     surjectivity and deflation are read off its facet mask.
+
+    The face-collapse verdict depends only on the kernel K of the linear
+    part: fiber sets are cosets of K, the image vertices are the vertices
+    of P/K, and ``_fiber_is_contained_in_face`` tests (x + K) cap P.  So
+    it is decided once per kernel within this call, keyed by the RREF
+    rows of the linear part, the canonical basis of the row space whose
+    orthogonal complement is K.  A map of full rank has no kernel and is
+    never a face collapse.
     """
     p, q = h.source, h.target
     records: list[MapClassification] = []
     rank_counts: dict[int, int] = {}
     simple_count = 0
+    collapse_by_kernel: dict[tuple[Vector, ...], bool] = {}
     masks = h.polytope.vertex_masks
     pairs = [(label.vertex_index, 1 << label.facet_index) for label in h.labels]
     for index, point in enumerate(h.polytope.vertices):
@@ -361,7 +378,13 @@ def classify_all(
         locations, hit = _locate(tight, q)
         surjective = len(hit) == q.n_vertices
         deflation = rank < p.dim and surjective and "boundary" not in locations
-        collapse = _collapses(f, p, rank)
+        if rank == f.source_dim:
+            collapse = False
+        else:
+            row_space = tuple(rref(f.linear)[0])
+            if row_space not in collapse_by_kernel:
+                collapse_by_kernel[row_space] = _collapses(f, p, rank)
+            collapse = collapse_by_kernel[row_space]
         records.append(
             MapClassification(
                 vertex_index=index,

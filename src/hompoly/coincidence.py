@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import prod
 
-from .linalg import Matrix, mat_det
+from .linalg import mat_det
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
@@ -361,12 +362,19 @@ _CERTIFICATE_PRIMES = _first_primes(_MAX_VARIABLES + MAX_CERTIFICATE_ATTEMPTS)
 
 
 def evaluate_matrix(
-    matrix: GenericMatrix, point: tuple[Fraction, ...]
-) -> Matrix:
-    size = len(matrix.entries)
+    matrix: GenericMatrix, point: tuple[int | Fraction, ...]
+) -> tuple[tuple[int | Fraction, ...], ...]:
+    """The matrix evaluated at ``point``, summed from the stored terms.
+
+    Arithmetic is the point's own: the integer points certificates use
+    give an integer matrix, which ``mat_det`` takes as it is.
+    """
     return tuple(
-        tuple(poly_eval(matrix.entry(r, c), point) for c in range(size))
-        for r in range(size)
+        tuple(
+            sum(coeff * prod(point[v] for v in mono) for mono, coeff in entry)
+            for entry in row
+        )
+        for row in matrix.entries
     )
 
 
@@ -382,15 +390,13 @@ def certify_nonvanishing(g: CoincidenceGraph) -> Certificate:
     matrix = build_generic_matrix(g)
     nvars = len(matrix.variables)
     for attempt in range(MAX_CERTIFICATE_ATTEMPTS):
-        point = tuple(
-            Fraction(_CERTIFICATE_PRIMES[v + attempt]) for v in range(nvars)
-        )
-        value = mat_det(evaluate_matrix(matrix, point))
+        primes = tuple(_CERTIFICATE_PRIMES[attempt : attempt + nvars])
+        value = mat_det(evaluate_matrix(matrix, primes))
         if value != 0:
             return Certificate(
                 encoding=canonical_encoding(g),
                 variables=matrix.variables,
-                point=point,
+                point=tuple(map(Fraction, primes)),
                 det_value=value,
                 attempts=attempt,
             )

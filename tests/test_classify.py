@@ -28,7 +28,15 @@ from hompoly.constructions import (
 )
 from hompoly.errors import GeometryError, OutsideHullError
 from hompoly.hom import AffineMap, build_hom, is_vertex_map
-from hompoly.linalg import mat_rank, nullspace_basis, solve_affine_hull
+from hompoly.linalg import (
+    mat_mul,
+    mat_rank,
+    mat_vec,
+    nullspace_basis,
+    rref,
+    solve_affine_hull,
+    vec_add,
+)
 from hompoly.polytope import Polytope, contains_point, is_simple_vertex
 
 
@@ -324,6 +332,29 @@ def test_face_collapse_matches_affine_hull_reference(case):
     assert is_face_collapse(f, p) == reference_is_face_collapse(f, p)
 
 
+@st.composite
+def maps_and_kernel_twins(draw):
+    # g = B . f + t' for B of full column rank has the kernel of f; B may
+    # widen the target
+    p, f = draw(polytopes_and_maps())
+    e = f.target_dim
+    wide = draw(st.integers(e, e + 2))
+    entry = st.integers(-2, 2)
+    b = draw(st.tuples(*[st.tuples(*[entry] * e)] * wide))
+    b = tuple(tuple(Fraction(x) for x in row) for row in b)
+    assume(mat_rank(b) == e)
+    shift = tuple(Fraction(x) for x in draw(st.tuples(*[entry] * wide)))
+    g = AffineMap(mat_mul(b, f.linear), vec_add(mat_vec(b, f.translation), shift))
+    return p, f, g
+
+
+@given(maps_and_kernel_twins())
+@settings(max_examples=150, deadline=None)
+def test_face_collapse_depends_only_on_the_kernel(case):
+    p, f, g = case
+    assert is_face_collapse(f, p) == is_face_collapse(g, p)
+
+
 # -- surjectivity against the image-hull reference ------------------------
 
 
@@ -517,6 +548,34 @@ def test_record_fields_match_the_public_functions(classified):
         assert record.image_vertex_locations == image_vertex_locations(f, p, q)
         assert record.surjective_onto_target == surjective_onto(f, p, q)
         assert record.is_deflation == is_deflation(f, p, q, h)
+
+
+def test_record_collapse_matches_is_face_collapse(classified):
+    _, h, records = classified
+    for record in records:
+        assert record.surj_factor_is_face_collapse == is_face_collapse(
+            record.map, h.source
+        )
+
+
+def test_classify_all_tests_collapse_once_per_kernel(monkeypatch):
+    p = _integer_polygon(6)
+    h = build_hom(p, p)
+    collapses, calls = classify._collapses, []
+
+    def counting(f, source, rank):
+        assert rank < f.source_dim
+        calls.append(f)
+        return collapses(f, source, rank)
+
+    monkeypatch.setattr(classify, "_collapses", counting)
+    records, _ = classify_all(h)
+    row_spaces = {
+        tuple(rref(r.map.linear)[0])
+        for r in records
+        if r.rank < r.map.source_dim
+    }
+    assert len(calls) == len(row_spaces) == 4
 
 
 def _tally(h, records):
