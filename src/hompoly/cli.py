@@ -325,7 +325,8 @@ def _cmd_identity_check(config: RunConfig) -> Emission:
     target = None
     if config.target:
         name, _, size = config.target.partition(":")
-        if not size.isdigit():
+        # isdecimal, not isdigit: "²" is a digit that int() rejects
+        if not size.isdecimal():
             raise ValueError(
                 f"--target must look like kind:size, got {config.target!r}"
             )

@@ -2,11 +2,18 @@
 
 The engine is the double description method run on the homogenization
 cone: an inequality system ``a_i . x <= b_i`` in dimension d becomes the
-pointed cone ``{(x0, x) : b_i x0 - a_i . x >= 0}`` in dimension d + 1,
-whose extreme rays with positive first coordinate are exactly the
-vertices of the polytope.  Working on the cone keeps every intermediate
-object a ray, so the insertion step is a single positive combination and
-no special-casing for vertices versus directions is needed.
+cone ``{(x0, x) : x0 >= 0, b_i x0 - a_i . x >= 0}`` in dimension d + 1.
+As in cdd (Fukuda & Prodon, "Double description method revisited",
+1996), the row ``x0 >= 0`` makes the cone pointed whenever the normals
+span.  Its extreme rays with x0 > 0 are then exactly the vertices of
+the polytope, and those with x0 = 0 are its recession directions.
+Working on the cone keeps every intermediate object a ray, so the
+insertion step is a single positive combination.
+
+When the normals do not span, every inequality is constant along a
+common kernel direction w, so the solution set is either empty or a
+union of lines parallel to w.  Dropping one coordinate where w is
+nonzero keeps exactly that question, in one dimension fewer.
 
 All arithmetic is on integers: input rows are scaled to primitive
 integer form and every ray is kept as a primitive integer vector.
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import InfeasibleError, UnboundedError
 from .linalg import (
@@ -41,14 +49,7 @@ IntRow = tuple[int, ...]
 
 
 class ConeDegenerateError(Exception):
-    """The homogenized rows do not span: the cone has a lineality space.
-
-    ``witness`` is a nonzero integer vector orthogonal to every row.
-    """
-
-    def __init__(self, witness: tuple[int, ...]):
-        super().__init__("inequality rows do not span the homogenized space")
-        self.witness = witness
+    """The rows do not span: the cone has a lineality space."""
 
 
 def _reduce(entries: list[int]) -> IntRow:
@@ -59,20 +60,15 @@ def _reduce(entries: list[int]) -> IntRow:
 
 
 def _dot(a: IntRow, b: IntRow) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _greedy_row_basis(rows: list[IntRow], dim: int) -> list[int]:
     """Indices of the first ``dim`` linearly independent rows, in input order."""
     picked = independent_rows(rows)
     if len(picked) < dim:
-        raise ConeDegenerateError(_lineality_witness(rows))
+        raise ConeDegenerateError("inequality rows do not span")
     return picked
-
-
-def _lineality_witness(rows: list[IntRow]) -> tuple[int, ...]:
-    """Primitive integer vector orthogonal to every row of a rank-deficient set."""
-    return integer_direction(nullspace_basis(tuple(rows))[0])
 
 
 def _initial_generators(rows: list[IntRow], picked: list[int]) -> list[IntRow]:
@@ -90,12 +86,12 @@ def extreme_rays(rows: list[IntRow]) -> list[tuple[IntRow, int]]:
     """Extreme rays of ``{x : r . x >= 0 for every row r}`` with activity masks.
 
     The cone must be pointed (rows span), otherwise
-    :class:`ConeDegenerateError` is raised.  Each result is a primitive
-    integer ray together with a bitmask of the input rows it is tight on.
-    Rays are returned in an implementation order; callers sort.
+    :class:`ConeDegenerateError` is raised; :func:`enumerate_vertices`
+    appends the row ``x0 >= 0``, so its cone is pointed exactly when the
+    normals span.  Each result is a primitive integer ray together with
+    a bitmask of the input rows it is tight on.  Rays are returned in an
+    implementation order; callers sort.
     """
-    if not rows:
-        raise ValueError("no inequality rows given")
     dim = len(rows[0])
     picked = _greedy_row_basis(rows, dim)
     picked_set = set(picked)
@@ -164,33 +160,6 @@ def _homogenize(normals: list[Vector], offsets: list[Fraction]) -> list[IntRow]:
     return rows
 
 
-def _system_feasible(normals: list[Vector], offsets: list[Fraction]) -> bool:
-    """Exact feasibility of ``normals[i] . x <= offsets[i]``.
-
-    When the normals do not span, every inequality is constant along any
-    common kernel direction, so that coordinate can be eliminated
-    outright and the question recurses in one dimension fewer.  Once the
-    normals span, the homogenization cone is consulted directly.
-    """
-    d = len(normals[0]) if normals else 0
-    if d == 0 or not normals:
-        return all(b >= 0 for b in offsets)
-    kernel = nullspace_basis(tuple(normals))
-    if kernel:
-        w = kernel[0]
-        c = next(i for i, e in enumerate(w) if e != 0)
-        reduced = [n[:c] + n[c + 1:] for n in normals]
-        return _system_feasible(reduced, offsets)
-    rows = _homogenize(normals, offsets)
-    try:
-        rays = extreme_rays(rows)
-    except ConeDegenerateError:
-        # spanning normals force the witness to have a nonzero first
-        # coordinate, and then the point making every row tight is feasible
-        return True
-    return any(g[0] > 0 for g, _ in rays)
-
-
 def enumerate_vertices(
     normals: list[Vector], offsets: list[Fraction]
 ) -> list[tuple[Vector, int]]:
@@ -201,58 +170,36 @@ def enumerate_vertices(
     A lower-dimensional but nonempty solution set comes back as its
     vertex set; the caller decides whether that is acceptable.  Results
     are in the engine's order; mask bit i refers to input inequality i.
+
+    The extreme rays of the homogenization cone with the row ``x0 >= 0``
+    appended decide everything when the normals span.  Otherwise a
+    kernel vector w of the normals is a recession direction of any
+    solution, and the system with a coordinate where w is nonzero
+    dropped (solutions slide along w to that coordinate's zero) says
+    whether there is one.
     """
+    if not normals:
+        raise ValueError("no inequality rows given")
+    d = len(normals[0])
     rows = _homogenize(normals, offsets)
     try:
-        rays = extreme_rays(rows)
-    except ConeDegenerateError as exc:
-        w = exc.witness
-        if w[0] == 0:
-            # a direction on which every inequality is tight: anything
-            # feasible extends to full lines, so the set is unbounded
-            # unless it is empty
-            if not _system_feasible(normals, offsets):
-                raise InfeasibleError() from exc
-            raise UnboundedError(tuple(Fraction(e) for e in w[1:])) from exc
-        # every inequality passes through the point w[1:]/w0, so the
-        # feasible set is that point plus the recession cone of the
-        # normals; a nontrivial recession cone means unboundedness
-        point = tuple(Fraction(e, w[0]) for e in w[1:])
-        # homogenized rows are (b, -a), so r[1:] is already -a and the
-        # recession cone {d : a . d <= 0} reads {d : r[1:] . d >= 0}
-        rec_rows = [r[1:] for r in rows]
+        rays = extreme_rays(rows + [(1,) + (0,) * d])
+    except ConeDegenerateError:
+        w = nullspace_basis(tuple(normals))[0]
+        c = next(i for i, e in enumerate(w) if e != 0)
+        # an InfeasibleError of the reduced system propagates as ours
         try:
-            rec = extreme_rays(rec_rows)
-        except ConeDegenerateError as rec_exc:
-            raise UnboundedError(
-                tuple(Fraction(e) for e in rec_exc.witness)
-            ) from exc
-        if rec:
-            g = rec[0][0]
-            raise UnboundedError(tuple(Fraction(e) for e in g)) from exc
-        full = (1 << len(rows)) - 1
-        return [(point, full)]
+            enumerate_vertices([n[:c] + n[c + 1:] for n in normals], offsets)
+        except UnboundedError:
+            pass
+        raise UnboundedError(tuple(Fraction(e) for e in integer_direction(w)))
 
-    if not rays:
+    vertices = [
+        (tuple(Fraction(e, g[0]) for e in g[1:]), mask) for g, mask in rays if g[0]
+    ]
+    if not vertices:
         raise InfeasibleError("inequality system is infeasible")
-
-    vertices: list[tuple[Vector, int]] = []
-    has_positive = False
-    horizon: IntRow | None = None
-    for g, mask in rays:
-        if g[0] > 0:
-            has_positive = True
-            vertices.append((tuple(Fraction(e, g[0]) for e in g[1:]), mask))
-        elif g[0] == 0:
-            horizon = g
-    if horizon is not None and has_positive:
-        raise UnboundedError(tuple(Fraction(e) for e in horizon[1:]))
-    if not has_positive:
-        raise InfeasibleError("inequality system is infeasible")
-    if any(g[0] < 0 for g, _ in rays):
-        # opposite-sign rays combine to a feasible recession direction
-        gp = next(g for g, _ in rays if g[0] > 0)
-        gn = next(g for g, _ in rays if g[0] < 0)
-        direction = [gp[0] * b - gn[0] * a for a, b in zip(gp, gn)]
-        raise UnboundedError(tuple(Fraction(e) for e in direction[1:]))
+    for g, _ in rays:
+        if g[0] == 0:
+            raise UnboundedError(tuple(Fraction(e) for e in g[1:]))
     return vertices

@@ -208,7 +208,8 @@ def _facets_of_hull(
     Facet normals come out primitive integer via polarity around the
     point average, which is interior because the hull is required to be
     full-dimensional.  Mask bit i refers to input point i, so redundant
-    input points are handled and reported faithfully.
+    input points are handled and reported faithfully; a point equal to
+    the center gives the dual row ``0 . y <= 1``, which is never tight.
     """
     if ambient_dim == 0:
         return []
@@ -216,30 +217,13 @@ def _facets_of_hull(
     if rank < ambient_dim:
         raise LowerDimensionalError(rank, ambient_dim)
     center = barycenter(points)
-    dual_normals = [vec_sub(p, center) for p in points]
-    dual_offsets = [Fraction(1)] * len(points)
-    # a repeated input point yields a zero dual normal only if it equals
-    # the center, which cannot happen for a full-dimensional hull unless
-    # every point coincides, excluded by the rank check above; but an
-    # input point EQUAL to the center is possible and imposes nothing
-    rows: list[tuple[Vector, Fraction]] = []
-    row_origin: list[int] = []
-    for i, n in enumerate(dual_normals):
-        if all(e == 0 for e in n):
-            continue
-        rows.append((n, dual_offsets[i]))
-        row_origin.append(i)
     dual_vertices = dd.enumerate_vertices(
-        [r[0] for r in rows], [r[1] for r in rows]
+        [vec_sub(p, center) for p in points], [Fraction(1)] * len(points)
     )
-    results: list[tuple[Inequality, int]] = []
-    for y, mask in dual_vertices:
-        normal, offset = canonical_inequality(y, 1 + vec_dot(y, center))
-        full_mask = 0
-        for bit, origin in enumerate(row_origin):
-            if mask >> bit & 1:
-                full_mask |= 1 << origin
-        results.append((Inequality(normal, offset), full_mask))
+    results = [
+        (Inequality(*canonical_inequality(y, 1 + vec_dot(y, center))), mask)
+        for y, mask in dual_vertices
+    ]
     results.sort(key=lambda item: (item[0].normal, item[0].offset))
     return results
 

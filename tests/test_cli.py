@@ -324,6 +324,19 @@ def test_identity_checks_match(argv, capsys):
     assert out.startswith(f"kind: {argv[1]}\n")
 
 
+def test_identity_check_refuses_a_non_decimal_target_size(capsys):
+    # "²" passes str.isdigit but int() rejects it
+    code, out, err = run_cli(
+        ["identity-check", "simplex_power", "--n", "1", "--target", "regular_ngon:²"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(
+        "hompoly: ValueError: --target must look like kind:size, got 'regular_ngon:²'"
+    )
+
+
 def test_cli_errors_are_structured(tmp_path, capsys):
     code, _, err = run_cli(
         ["hom", "/does/not/exist.poly", "/same.poly", "-o", str(tmp_path / "x")],

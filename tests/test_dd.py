@@ -175,3 +175,41 @@ def test_infeasible_systems_raise(hull, data):
     system = data.draw(st.permutations(system))
     with pytest.raises(InfeasibleError):
         enumerate_rows(system)
+
+
+# -- rows with an all-zero normal: ``0 . x <= b`` is decided by b alone ------
+
+ZERO_2D = (Fraction(0), Fraction(0))
+SQUARE = [
+    ((Fraction(1), Fraction(0)), Fraction(1)),
+    ((Fraction(-1), Fraction(0)), Fraction(1)),
+    ((Fraction(0), Fraction(1)), Fraction(1)),
+    ((Fraction(0), Fraction(-1)), Fraction(1)),
+]
+
+
+def test_zero_normal_with_positive_offset_imposes_nothing():
+    system = SQUARE + [(ZERO_2D, Fraction(1))]
+    found = enumerate_rows(system)
+    corners = {(Fraction(x), Fraction(y)) for x in (-1, 1) for y in (-1, 1)}
+    assert_vertices(system, found, corners)
+    assert sorted(mask for _, mask in found) == [5, 6, 9, 10]
+
+
+def test_zero_normal_with_negative_offset_is_infeasible():
+    with pytest.raises(InfeasibleError):
+        enumerate_rows(SQUARE + [(ZERO_2D, Fraction(-1))])
+    with pytest.raises(InfeasibleError):
+        enumerate_rows([((Fraction(0),), Fraction(-1))])
+
+
+def test_lone_zero_normal_row_leaves_the_line_unbounded():
+    system = [((Fraction(0),), Fraction(1))]
+    with pytest.raises(UnboundedError) as err:
+        enumerate_rows(system)
+    assert_recession_direction(system, err.value.direction)
+
+
+def test_zero_normal_with_zero_offset_is_refused():
+    with pytest.raises(ValueError, match="zero normal and zero offset"):
+        enumerate_rows(SQUARE + [(ZERO_2D, Fraction(0))])

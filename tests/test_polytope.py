@@ -110,6 +110,14 @@ def test_redundant_points_dropped():
     assert p.vertices == (vec(0, 0), vec(0, 2), vec(2, 0))
 
 
+def test_point_at_the_center_is_on_no_facet():
+    # its dual row 0 . y <= 1 is never tight, so mask bit 4 stays clear
+    corners = (vec(-1, -1), vec(-1, 1), vec(1, -1), vec(1, 1))
+    facets = polytope_module._facets_of_hull(corners + (vec(0, 0),), 2)
+    assert facets == polytope_module._facets_of_hull(corners, 2)
+    assert [mask for _, mask in facets] == [0b0011, 0b0101, 0b1010, 0b1100]
+
+
 def test_canonicalize_vertices_sorts_and_filters():
     pts = (vec(1, 1), vec(0, 0), vec(2, 2), vec(0, 2), vec(2, 0))
     assert canonicalize_vertices(pts) == (
@@ -120,14 +128,25 @@ def test_canonicalize_vertices_sorts_and_filters():
     )
 
 
+def assert_recession_direction(inequalities, direction):
+    assert any(direction)
+    assert all(iq.value(direction) <= 0 for iq in inequalities)
+
+
 def test_unbounded_system_raises():
-    with pytest.raises(UnboundedError):
-        Polytope.from_inequalities([ineq((1, 0), 1), ineq((0, 1), 1)], 2).vertices
+    # a quadrant: every row passes through the point (1, 1)
+    quadrant = [ineq((1, 0), 1), ineq((0, 1), 1)]
+    with pytest.raises(UnboundedError) as err:
+        Polytope.from_inequalities(quadrant, 2).vertices
+    assert_recession_direction(quadrant, err.value.direction)
 
 
 def test_halfplane_raises_unbounded():
-    with pytest.raises(UnboundedError):
-        Polytope.from_inequalities([ineq((1, 0), 1)], 2).vertices
+    # a single normal does not span the plane
+    halfplane = [ineq((1, 0), 1)]
+    with pytest.raises(UnboundedError) as err:
+        Polytope.from_inequalities(halfplane, 2).vertices
+    assert_recession_direction(halfplane, err.value.direction)
 
 
 def test_infeasible_system_raises():
