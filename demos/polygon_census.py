@@ -1,14 +1,11 @@
 """Count the vertices of Hom(P_m, P_n) for regular polygons P_3..P_6.
 
-Regular polygons other than the square have irrational vertex
-coordinates, so the survey works on rational stand-ins rounded to six
-decimal digits.  Rounding splits some true vertices into tight bundles
-of nearby ones; clustering at 1e-3 and 1e-4 merges them back, and the
-two thresholds must agree before a row is trusted.  Each printed cell
-carries its provenance: a closed-form count where a formula is proven,
-an enumerated count when no merging was needed, and a clustered count
-otherwise.  The divisibility column reports the exact-symmetry
-constraints every true row must satisfy.
+Each row is an exact count for the true regular polygons: the survey
+works on affine models of them over the real cyclotomic field
+Q(2cos 2π/m, 2cos 2π/n), where every sign and rank is decided exactly.
+Each printed cell carries its provenance: a closed-form count where a
+formula is proven, an enumerated count otherwise.  The divisibility
+column reports the symmetry constraints every true row satisfies.
 """
 
 from hompoly import table_row
@@ -27,8 +24,6 @@ def main() -> None:
                 f"{m:>2} {n:>2} {row.rank0:>6} {row.rank1:>6} {row.rank2:>6}"
                 f" {row.total:>6}  {ok:>9}  {marks}"
             )
-            if diag.mixed_rank_clusters:
-                print(f"      warning: clusters mixing ranks: {diag.mixed_rank_clusters}")
             if diag.closed_form_mismatches:
                 print(f"      warning: formula disagrees: {diag.closed_form_mismatches}")
 

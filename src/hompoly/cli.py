@@ -19,8 +19,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from pathlib import Path
 
 from .classify import classify_all
@@ -36,11 +35,9 @@ from .hom import HomPolytope, build_hom, enumerate_vertex_maps, hom_identity_che
 from .polyio import ParseError, read_polytope, write_hrep, write_labels, write_vrep
 from .polytope import Polytope, contains_point, polytope_dim
 from .regular import (
-    CLUSTER_CONVENTION,
-    DEFAULT_EPSILONS,
-    DISTANCE_CONVENTION,
     CountRow,
     TableDiagnostics,
+    check_survey_size,
     closed_form_counts,
     table_row,
 )
@@ -73,7 +70,6 @@ class RunConfig:
     m_range: tuple[int, int] = (3, 6)
     n_range: tuple[int, int] = (3, 6)
     digits: int = 6
-    eps: tuple[Fraction, ...] = field(default=DEFAULT_EPSILONS)
     check: bool = False
     jobs: int = 1
 
@@ -81,10 +77,6 @@ class RunConfig:
         """Reject bad flag combinations before any computation starts."""
         if self.digits < 1:
             raise ValueError("--digits must be at least 1")
-        if not self.eps:
-            raise ValueError("--eps needs at least one threshold")
-        if any(e <= 0 for e in self.eps):
-            raise ValueError("--eps thresholds must be positive")
         if self.jobs < 1:
             raise ValueError("--jobs must be at least 1")
         if self.command == "construct":
@@ -109,6 +101,9 @@ class RunConfig:
                     raise ValueError(f"--{name}-range must start at 3 or more")
                 if hi < lo:
                     raise ValueError(f"--{name}-range is empty")
+            for m in range(self.m_range[0], self.m_range[1] + 1):
+                for n in range(self.n_range[0], self.n_range[1] + 1):
+                    check_survey_size(m, n)
         elif self.command == "identity-check":
             if self.kind not in _IDENTITY_KINDS:
                 raise ValueError(
@@ -203,7 +198,13 @@ Emission = list[tuple[str | None, str]]
 def _cmd_construct(config: RunConfig) -> Emission:
     assert config.kind is not None
     p = standard(config.kind, config.size, config.digits)
-    return [(config.output, write_vrep(p))]
+    text = write_vrep(p)
+    if config.kind == "regular_ngon" and config.size not in (3, 4, 6):
+        text = (
+            f"# coordinates rounded to {config.digits} decimals: not an affine"
+            f" image of the regular {config.size}-gon\n" + text
+        )
+    return [(config.output, text)]
 
 
 def _read_input(path: str) -> Polytope:
@@ -249,16 +250,13 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
-def _table_worker(
-    spec: tuple[int, int, int, tuple[Fraction, ...]]
-) -> tuple[CountRow, TableDiagnostics]:
-    m, n, digits, eps = spec
-    return table_row(m, n, digits=digits, eps_list=eps)
+def _table_worker(spec: tuple[int, int]) -> tuple[CountRow, TableDiagnostics]:
+    return table_row(*spec)
 
 
 def _cmd_table(config: RunConfig) -> Emission:
     specs = [
-        (m, n, config.digits, config.eps)
+        (m, n)
         for m in range(config.m_range[0], config.m_range[1] + 1)
         for n in range(config.n_range[0], config.n_range[1] + 1)
     ]
@@ -268,12 +266,7 @@ def _cmd_table(config: RunConfig) -> Emission:
             results = list(pool.map(_table_worker, specs))
     else:
         results = [_table_worker(spec) for spec in specs]
-    eps_text = ",".join(str(e) for e in config.eps)
-    lines = [
-        f"# digits={config.digits} eps={eps_text} "
-        f"distance={DISTANCE_CONVENTION} clusters={CLUSTER_CONVENTION}",
-        "m\tn\trank0\trank1\trank2\ttotal\tprovenance",
-    ]
+    lines = ["m\tn\trank0\trank1\trank2\ttotal\tprovenance"]
     for row, diag in results:
         if config.check:
             _check_row(row, diag)
@@ -281,13 +274,6 @@ def _cmd_table(config: RunConfig) -> Emission:
             print(
                 f"hompoly: warning: ({row.m},{row.n}) fails divisibility: "
                 + "; ".join(diag.divisibility.reasons),
-                file=sys.stderr,
-            )
-        if diag.mixed_rank_clusters or diag.mixed_label_clusters:
-            print(
-                f"hompoly: warning: ({row.m},{row.n}) has mixed clusters "
-                f"(rank: {len(diag.mixed_rank_clusters)}, "
-                f"label: {len(diag.mixed_label_clusters)})",
                 file=sys.stderr,
             )
         lines.append(
@@ -330,7 +316,7 @@ def _cmd_identity_check(config: RunConfig) -> Emission:
             raise ValueError(
                 f"--target must look like kind:size, got {config.target!r}"
             )
-        target = standard(name, int(size), config.digits)
+        target = standard(name, int(size))
     report = hom_identity_check(
         config.kind or "", n=config.n, m=config.m, p=target
     )
@@ -380,13 +366,6 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"ranges look like 3..6 or a single number, got {text!r}")
 
 
-def _parse_eps(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--eps takes comma-separated rationals, got {text!r}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hompoly",
@@ -403,10 +382,19 @@ def _build_parser() -> argparse.ArgumentParser:
             help="re-verify invariants and abort on the first violation",
         )
 
-    p = sub.add_parser("construct", help="emit a stock polytope as a V-file")
+    p = sub.add_parser(
+        "construct",
+        help="emit a stock polytope as a V-file",
+        description="Emit a stock polytope as a V-file.  regular_ngon N for N"
+        " other than 3, 4 and 6 rounds the coordinates to --digits decimals,"
+        " so the polygon is not an affine image of the regular N-gon; the"
+        " file says so in a # line.",
+    )
     p.add_argument("kind", choices=_CONSTRUCTION_KINDS)
     p.add_argument("size", type=int, help="dimension, or vertex count for regular_ngon")
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument(
+        "--digits", type=int, default=6, help="decimals of a rounded regular_ngon"
+    )
     common(p)
 
     p = sub.add_parser("hom", help="build the polytope of maps sending P into Q")
@@ -423,13 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="vertex-count table for regular polygon pairs")
     p.add_argument("--m-range", type=_parse_range, default=(3, 6), metavar="LO..HI")
     p.add_argument("--n-range", type=_parse_range, default=(3, 6), metavar="LO..HI")
-    p.add_argument("--digits", type=int, default=6)
-    p.add_argument(
-        "--eps",
-        type=_parse_eps,
-        default=DEFAULT_EPSILONS,
-        help="comma-separated cluster thresholds (default 1e-3,1e-4)",
-    )
     p.add_argument("--jobs", type=int, default=1)
     common(p)
 
@@ -441,7 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--target", help="target polytope as kind:size, e.g. regular_ngon:5")
-    p.add_argument("--digits", type=int, default=6)
     common(p)
 
     return parser
@@ -459,8 +439,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         fields.update(
             m_range=args.m_range,
             n_range=args.n_range,
-            digits=args.digits,
-            eps=args.eps,
             jobs=args.jobs,
         )
     elif args.command == "identity-check":
@@ -469,7 +447,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             n=args.n,
             m=args.m,
             target=args.target,
-            digits=args.digits,
         )
     fields.update(output=args.output, check=args.check)
     return RunConfig(**fields)  # type: ignore[arg-type]

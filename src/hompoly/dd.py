@@ -15,10 +15,12 @@ common kernel direction w, so the solution set is either empty or a
 union of lines parallel to w.  Dropping one coordinate where w is
 nonzero keeps exactly that question, in one dimension fewer.
 
-All arithmetic is on integers: input rows are scaled to primitive
-integer form and every ray is kept as a primitive integer vector.
-Entries are bounded by minors of the input (Cramer), which Python
-integers absorb without ceremony.
+Vertex enumeration runs on integers: input rows are scaled to
+primitive integer form and every ray is kept as a primitive integer
+vector.  Entries are bounded by minors of the input (Cramer), which
+Python integers absorb without ceremony.  :func:`extreme_rays` takes
+its scalar arithmetic from its caller, so the polygon survey runs the
+same engine over a real number field (:mod:`hompoly.numfield`).
 
 Activity of rays against already-processed rows is tracked in bitmasks
 (bit i set means row i is tight), so the adjacency pre-filter is a
@@ -63,57 +65,86 @@ def _dot(a: IntRow, b: IntRow) -> int:
     return sum(map(mul, a, b))
 
 
-def _greedy_row_basis(rows: list[IntRow], dim: int) -> list[int]:
-    """Indices of the first ``dim`` linearly independent rows, in input order."""
-    picked = independent_rows(rows)
-    if len(picked) < dim:
-        raise ConeDegenerateError("inequality rows do not span")
-    return picked
+class IntegerArithmetic:
+    """Integer scalars: rows and rays are primitive integer vectors."""
+
+    degree = 1
+    value = staticmethod(_dot)
+
+    @staticmethod
+    def signs(values: list[int]) -> list[int]:
+        # an integer is its own sign
+        return values
+
+    @staticmethod
+    def combine(vp: int, gp: IntRow, vq: int, gq: IntRow) -> IntRow:
+        return _reduce([vp * b - vq * a for a, b in zip(gp, gq)])
 
 
-def _initial_generators(rows: list[IntRow], picked: list[int]) -> list[IntRow]:
-    """Extreme rays of the simplicial cone cut out by the picked rows.
+INTEGERS = IntegerArithmetic()
 
-    If M stacks the picked rows, the generators are the columns of
-    M^{-1}: generator j is tight on every picked row but j and strictly
-    positive on row j, which is exactly a simplicial ray configuration.
+
+def _initial_generators(rows: list, arithmetic) -> tuple[list[int], list[tuple]]:
+    """The greedily picked basis rows and the rays of their simplicial cone.
+
+    Over a field of degree D each row is given as its block of D rational
+    rows, so the basis and the inverse come from ``linalg`` on those.
+    A row is independent of the rows before it exactly when its whole
+    block is kept.  If M stacks the picked blocks, the generators are
+    the columns of M^{-1} that answer the first row of each block: such
+    a column has value 1 on its own row and 0 on every other picked row,
+    which is exactly a simplicial ray configuration.
     """
-    inv = mat_inverse(tuple(rows[i] for i in picked))
-    return [integer_direction(col) for col in zip(*inv)]
+    d = arithmetic.degree
+    flat = rows if d == 1 else [r for block in rows for r in block]
+    kept = set(independent_rows(flat))
+    picked = [i for i in range(len(rows)) if all(i * d + k in kept for k in range(d))]
+    if len(picked) * d < len(flat[0]):
+        raise ConeDegenerateError("inequality rows do not span")
+    inv = mat_inverse(tuple(r for i in picked for r in flat[i * d:(i + 1) * d]))
+    return picked, [integer_direction(col) for col in list(zip(*inv))[::d]]
 
 
-def extreme_rays(rows: list[IntRow]) -> list[tuple[IntRow, int]]:
+def extreme_rays(rows: list, arithmetic) -> list[tuple[tuple, int]]:
     """Extreme rays of ``{x : r . x >= 0 for every row r}`` with activity masks.
 
     The cone must be pointed (rows span), otherwise
     :class:`ConeDegenerateError` is raised; :func:`enumerate_vertices`
     appends the row ``x0 >= 0``, so its cone is pointed exactly when the
-    normals span.  Each result is a primitive integer ray together with
-    a bitmask of the input rows it is tight on.  Rays are returned in an
-    implementation order; callers sort.
+    normals span.  Each result is a ray together with a bitmask of the
+    input rows it is tight on.  Rays are returned in an implementation
+    order; callers sort.
+
+    The scalars come from ``arithmetic``: :data:`INTEGERS` here, a
+    :class:`hompoly.numfield.Field` for the polygon survey.  It gives
+    ``degree`` D, ``value(row, ray)``, ``signs(values)`` and
+    ``combine(vp, gp, vq, gq)``, the normalized ray ``vp gq - vq gp``.
+    Rays are flat integer vectors of D coordinates per entry; for D > 1
+    a row is its block, the D rational rows of its value on such a ray.
     """
-    dim = len(rows[0])
-    picked = _greedy_row_basis(rows, dim)
+    value, signs, combine = arithmetic.value, arithmetic.signs, arithmetic.combine
+    picked, generators = _initial_generators(rows, arithmetic)
     picked_set = set(picked)
 
-    rays: list[tuple[IntRow, int]] = []
-    for g in _initial_generators(rows, picked):
+    rays: list[tuple[tuple, int]] = []
+    for g in generators:
         mask = 0
-        for i in picked:
-            if _dot(rows[i], g) == 0:
+        for i, v in zip(picked, signs([value(rows[i], g) for i in picked])):
+            if v == 0:
                 mask |= 1 << i
         rays.append((g, mask))
 
-    need = dim - 2
+    need = len(picked) - 2
     for k, row in enumerate(rows):
         if k in picked_set:
             continue
-        vals = [_dot(row, g) for g, _ in rays]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
+        vals = [value(row, g) for g, _ in rays]
+        sgn = signs(vals)
+        pos = [i for i, v in enumerate(sgn) if v > 0]
+        neg = [i for i, v in enumerate(sgn) if v < 0]
         if not neg:
             rays = [
-                (g, m | (1 << k)) if vals[i] == 0 else (g, m)
+                (g, m | (1 << k)) if sgn[i] == 0 else (g, m)
                 for i, (g, m) in enumerate(rays)
             ]
             continue
@@ -121,7 +152,7 @@ def extreme_rays(rows: list[IntRow]) -> list[tuple[IntRow, int]]:
             # every ray strictly violates the row: the cone collapses to {0}
             return []
 
-        new_rays: list[tuple[IntRow, int]] = []
+        new_rays: list[tuple[tuple, int]] = []
         for ip in pos:
             gp, mp = rays[ip]
             vp = vals[ip]
@@ -137,13 +168,12 @@ def extreme_rays(rows: list[IntRow]) -> list[tuple[IntRow, int]]:
                         break
                 if not adjacent:
                     continue
-                combo = _reduce([vp * b - vals[iq] * a for a, b in zip(gp, gq)])
-                new_rays.append((combo, common | (1 << k)))
+                new_rays.append((combine(vp, gp, vals[iq], gq), common | (1 << k)))
 
         kept = [
-            (g, m | (1 << k)) if vals[i] == 0 else (g, m)
+            (g, m | (1 << k)) if sgn[i] == 0 else (g, m)
             for i, (g, m) in enumerate(rays)
-            if vals[i] >= 0
+            if sgn[i] >= 0
         ]
         rays = kept + new_rays
     return rays
@@ -183,7 +213,7 @@ def enumerate_vertices(
     d = len(normals[0])
     rows = _homogenize(normals, offsets)
     try:
-        rays = extreme_rays(rows + [(1,) + (0,) * d])
+        rays = extreme_rays(rows + [(1,) + (0,) * d], INTEGERS)
     except ConeDegenerateError:
         w = nullspace_basis(tuple(normals))[0]
         c = next(i for i, e in enumerate(w) if e != 0)

@@ -33,6 +33,7 @@ from .errors import (
     InfeasibleError,
     LowerDimensionalError,
     OutsideHullError,
+    UnboundedError,
 )
 from .linalg import (
     Vector,
@@ -190,6 +191,9 @@ def _vertices_of_system(
             if iq.offset == 0:
                 mask |= 1 << j
         return [((), mask)]
+    if not inequalities:
+        # the empty system is all of R^d
+        raise UnboundedError(tuple(Fraction(int(i == 0)) for i in range(ambient_dim)))
     normals = [iq.normal for iq in inequalities]
     offsets = [iq.offset for iq in inequalities]
     found = dd.enumerate_vertices(normals, offsets)

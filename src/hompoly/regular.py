@@ -1,18 +1,20 @@
-"""Regular-polygon survey: closed-form counts, clustering, count tables.
+"""Regular-polygon survey: closed-form counts, exact counts, count tables.
 
-The pipeline builds two regular polygons at a chosen decimal precision,
-enumerates the vertices of their hom-polytope exactly, and merges
-near-duplicate vertices by epsilon-clustering.  Closed-form count
+A table row counts the vertices of Hom(P_m, P_n), the polytope of
+affine maps sending the regular m-gon into the regular n-gon, by rank of
+their linear part.  Vertex counts and ranks are affine invariants, so
+the row is computed on affine models of the polygons over the real
+cyclotomic field K_m·K_n (:mod:`hompoly.numfield`), where every count
+and rank comes from exact zero and sign tests.  Closed-form count
 formulas cover the rank-0 and rank-1 populations for all sizes and the
 rank-2 population when either polygon is a triangle or a square; the
-clustered counts are checked against those formulas and against the
-divisibility constraints that hold for exact regular polygons.
+enumerated counts are checked against those formulas and against the
+divisibility constraints that hold for regular polygons.
 
-Two conventions are deliberate and recorded here because the survey
-protocol leaves them open: distances are Euclidean on the natural
-hom coordinates (compared exactly, squared, against epsilon squared),
-and a cluster is a connected component of the proximity graph rather
-than a maximal clique, with a pairwise post-check reported separately.
+:func:`cluster_vertices` merges near-duplicate points by
+epsilon-proximity.  The survey no longer needs it, since it counts the
+true polygons rather than rounded stand-ins; it is kept while
+``perfbench`` still traces it.
 """
 
 from __future__ import annotations
@@ -21,14 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .classify import map_rank
-from .constructions import regular_ngon
-from .errors import GeometryError
-from .hom import AffineMap, build_hom
+from . import dd
 from .linalg import Scalar, Vector
-
-DISTANCE_CONVENTION = "euclidean"
-CLUSTER_CONVENTION = "connected-components"
+from .numfield import survey_degree, survey_field
 
 
 @dataclass(frozen=True)
@@ -45,8 +42,9 @@ class CountRow:
     """One row of the vertex-count table, with per-cell provenance.
 
     ``provenance`` aligns with (rank0, rank1, rank2, total); each entry
-    is ``closed_form``, ``enumerated``, ``clustered`` or ``unknown``.
-    Cells without a value (no closed form known) hold None.
+    is ``closed_form`` where a proven formula gives the cell,
+    ``enumerated`` where only the exact enumeration does, or ``unknown``
+    for a cell :func:`closed_form_counts` cannot fill, which holds None.
     """
 
     m: int
@@ -66,29 +64,19 @@ class DivisibilityReport:
     reasons: tuple[str, ...]
 
 
-class PartitionMismatchError(GeometryError):
-    """Raised when different epsilon values partition the vertices differently."""
-
-    def __init__(self, partitions: tuple[ClusterPartition, ...]):
-        self.partitions = partitions
-        described = "; ".join(
-            f"eps {p.epsilon}: {len(p.clusters)} clusters" for p in partitions
-        )
-        super().__init__(
-            f"epsilon values disagree on the vertex partition ({described})"
-        )
-
-
 @dataclass(frozen=True)
 class TableDiagnostics:
-    """Everything observed while computing one table row."""
+    """Everything observed while computing one table row.
+
+    Nothing is merged, so ``partition`` puts every vertex in a cluster of
+    its own and ``raw_vertex_count`` is the total; both stay while
+    ``perfbench`` reads them.
+    """
 
     m: int
     n: int
     raw_vertex_count: int
     partition: ClusterPartition
-    mixed_rank_clusters: tuple[int, ...]
-    mixed_label_clusters: tuple[int, ...]
     divisibility: DivisibilityReport
     closed_form_mismatches: tuple[tuple[str, int, int], ...]
 
@@ -236,64 +224,81 @@ def divisibility_check(total: int, m: int, n: int) -> DivisibilityReport:
     return DivisibilityReport(ok=not reasons, reasons=tuple(reasons))
 
 
-DEFAULT_EPSILONS = (Fraction(1, 1000), Fraction(1, 10000))
+# Largest polygon and field degree a survey row accepts, so an oversized
+# table fails at once instead of running for minutes.  Every published
+# row (sides up to 8, degree up to 6) passes.  Measured in one process on
+# 2 cores: the slowest accepted rows are (9,10) at 44 s and (10,9) at
+# 30 s; (12,12) takes 53 s.  A field product costs D^2 multiplications,
+# so the degree D stays at the published maximum; the pairs this refuses
+# within the side limit are (7,9) and (9,7), of degree 9 (17 s for (7,9)).
+_SURVEY_SIDE_LIMIT = 10
+_SURVEY_DEGREE_LIMIT = 6
 
 
-def table_row(
-    m: int,
-    n: int,
-    digits: int = 6,
-    eps_list: tuple[Scalar, ...] = DEFAULT_EPSILONS,
-) -> tuple[CountRow, TableDiagnostics]:
-    """Compute one survey row by exact enumeration plus clustering.
+def check_survey_size(m: int, n: int) -> None:
+    """Refuse a pair whose polygons or field exceed the survey's limits."""
+    if m < 3 or n < 3:
+        raise ValueError("polygon sizes start at 3")
+    side = max(m, n)
+    if side > _SURVEY_SIDE_LIMIT:
+        raise ValueError(
+            f"survey pair ({m},{n}): a {side}-gon is above the limit of"
+            f" {_SURVEY_SIDE_LIMIT} sides; refusing"
+        )
+    degree = survey_degree(m, n)
+    if degree > _SURVEY_DEGREE_LIMIT:
+        raise ValueError(
+            f"survey pair ({m},{n}): field degree {degree} is above the"
+            f" limit of {_SURVEY_DEGREE_LIMIT}; refusing"
+        )
 
-    Builds both polygons at the given precision, enumerates the
-    hom-polytope's vertices exactly, clusters them with every epsilon in
-    ``eps_list`` (the partitions must agree, otherwise
-    :class:`PartitionMismatchError` carries all of them), takes each
-    cluster's rank from its lexicographically least member, and runs the
-    divisibility and closed-form cross-checks.  Rank disagreements or
-    differing active-label sets inside a cluster are reported in the
-    diagnostics, never resolved silently.
+
+def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
+    """Count the vertices of Hom(P_m, P_n) exactly, by rank.
+
+    Vertex k of the model n-gon is (C_k(β), S_k(β)) with β = 2cos 2π/n
+    (:meth:`Field.chebyshev <hompoly.numfield.Field.chebyshev>`): the
+    regular n-gon under diag(2, 1/sin 2π/n).  The hom rows
+    ``b x0 - a.(L v + t) >= 0``, one per source vertex v and target edge
+    ``a.x <= b``, plus ``x0 >= 0``, cut out a pointed cone whose extreme
+    rays are the vertex maps (x0 > 0, since the hom-polytope is
+    bounded).  A map has rank 0 when L = 0, rank 2 when det L != 0, and
+    rank 1 otherwise.  When the field is Q the models are integral and
+    the engine runs on integers.
     """
-    if not eps_list:
-        raise ValueError("at least one epsilon is required")
-    p = regular_ngon(m, digits)
-    q = regular_ngon(n, digits)
-    h = build_hom(p, q)
-    points = h.polytope.vertices
-    partitions = tuple(cluster_vertices(points, eps) for eps in eps_list)
-    first = partitions[0]
-    if any(part.clusters != first.clusters for part in partitions[1:]):
-        raise PartitionMismatchError(partitions)
+    check_survey_size(m, n)
+    field, alpha, beta = survey_field(m, n)
+    source = field.chebyshev(alpha, m)
+    target = field.chebyshev(beta, n)
+    mul, sub = field.mul, field.sub
+    zero = (0,) * field.degree
+    rows = []
+    for v in source:
+        for k in range(n):
+            p, q = target[k], target[(k + 1) % n]
+            a = (sub(q[1], p[1]), sub(p[0], q[0]))  # outward normal of edge p -> q
+            b = field.add(mul(a[0], p[0]), mul(a[1], p[1]))
+            na = [sub(zero, e) for e in a]
+            rows.append((b, *(mul(e, x) for e in na for x in v), *na))
+    rows.append((field.one,) + (zero,) * 6)
+    blocks = [field.block(row) for row in rows]
+    if field.degree == 1:
+        rays = dd.extreme_rays([blk[0] for blk in blocks], dd.INTEGERS)
+    else:
+        rays = dd.extreme_rays(blocks, field)
 
-    dp, dq = p.ambient_dim, q.ambient_dim
-    ranks_per_cluster: list[tuple[int, ...]] = []
-    for cluster in first.clusters:
-        ranks = tuple(
-            map_rank(AffineMap.from_point(points[i], dp, dq))
-            for i in cluster
-        )
-        ranks_per_cluster.append(ranks)
-    mixed_rank = tuple(
-        ci
-        for ci, ranks in enumerate(ranks_per_cluster)
-        if len(set(ranks)) > 1
-    )
-    masks = h.polytope.vertex_masks
-    mixed_label = tuple(
-        ci
-        for ci, cluster in enumerate(first.clusters)
-        if len({masks[i] for i in cluster}) > 1
-    )
-
+    d = field.degree
     counts = {0: 0, 1: 0, 2: 0}
-    for cluster, ranks in zip(first.clusters, ranks_per_cluster):
-        least_pos = min(
-            range(len(cluster)), key=lambda k: points[cluster[k]]
-        )
-        counts[ranks[least_pos]] = counts.get(ranks[least_pos], 0) + 1
-    total = len(first.clusters)
+    for ray, _ in rays:
+        l11, l12, l21, l22 = (ray[j * d:(j + 1) * d] for j in range(1, 5))
+        if not any(ray[d:5 * d]):
+            rank = 0
+        elif any(sub(mul(l11, l22), mul(l12, l21))):
+            rank = 2
+        else:
+            rank = 1
+        counts[rank] += 1
+    total = len(rays)
 
     closed = closed_form_counts(m, n)
     mismatches = []
@@ -306,10 +311,8 @@ def table_row(
         if closed_value is not None and closed_value != found:
             mismatches.append((cell, closed_value, found))
 
-    all_singletons = all(len(c) == 1 for c in first.clusters)
-    fallback = "enumerated" if all_singletons else "clustered"
     tags = [
-        "closed_form" if closed_value is not None else fallback
+        "closed_form" if closed_value is not None else "enumerated"
         for closed_value in (closed.rank0, closed.rank1, closed.rank2, closed.total)
     ]
     row = CountRow(
@@ -324,10 +327,12 @@ def table_row(
     diagnostics = TableDiagnostics(
         m=m,
         n=n,
-        raw_vertex_count=len(points),
-        partition=first,
-        mixed_rank_clusters=mixed_rank,
-        mixed_label_clusters=mixed_label,
+        raw_vertex_count=total,
+        partition=ClusterPartition(
+            epsilon=Fraction(0),
+            clusters=tuple((i,) for i in range(total)),
+            pairwise_ok=True,
+        ),
         divisibility=divisibility_check(total, m, n),
         closed_form_mismatches=tuple(mismatches),
     )

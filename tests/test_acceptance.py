@@ -335,43 +335,25 @@ def test_criterion_03_table_rows_3_to_6_exact(required_table):
     start = time.monotonic()
     for (m, n), (row, diag) in required_table.items():
         assert (row.rank0, row.rank1, row.rank2, row.total) == TABLE_ROWS[m, n]
-        # clusters may merge members whose label sets differ (rounding
-        # splits a true vertex into nearby ones), but never ranks
-        assert not diag.mixed_rank_clusters
+        # every vertex is counted once: nothing is merged
+        assert diag.raw_vertex_count == row.total
+        assert "clustered" not in row.provenance
     assert time.monotonic() - start < 600
+
+
+def test_criterion_03_row_7_7_exact():
+    """The published (7,7) row, the one a rounded 7-gon misses (1017)."""
+    row, diag = table_row(7, 7)
+    assert (row.rank0, row.rank1, row.rank2, row.total) == TABLE_ROWS[7, 7]
+    assert diag.divisibility.ok
 
 
 @stretch
 def test_criterion_03_stretch_rows_to_8(stretch_table):
-    """Rows with a side of 7 or 8, except the unstable (7,7) regime.
-
-    Nineteen of the twenty rows reproduce the published counts at the
-    same six-digit, 1e-3 and 1e-4 protocol as the gating block.  The
-    remaining row is asserted separately below.
-    """
+    """All twenty rows with a side of 7 or 8 reproduce the published counts."""
     for (m, n), (row, diag) in stretch_table.items():
-        if (m, n) == (7, 7):
-            continue
         assert (row.rank0, row.rank1, row.rank2, row.total) == TABLE_ROWS[m, n]
         assert diag.divisibility.ok
-
-
-@stretch
-def test_criterion_03_stretch_7_7_is_flagged(stretch_table):
-    """The (7,7) six-digit run does not reproduce the published row.
-
-    Published: (7, 294, 700, 1001).  This implementation's rounding
-    yields a partition that is stable across both thresholds yet keeps
-    extra rank-2 clusters, and the divisibility gate catches it: the
-    total 1017 is not 7 more than a multiple of 7.  Probes at 5, 7, 8,
-    10, and 12 digits land near 1015..1021, never on 1001, so the row
-    is recorded as diverging rather than silently re-tuned; the
-    diagnostics carrying the failure are the asserted behavior.
-    """
-    row, diag = stretch_table[(7, 7)]
-    assert (row.rank0, row.rank1) == (7, 294)
-    assert row.total != TABLE_ROWS[7, 7][3]
-    assert not diag.divisibility.ok
 
 
 def test_criterion_04_divisibility_all_computed_rows(required_table):

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -158,10 +159,6 @@ def test_label_sidecar_rejects_gaps_and_junk():
 def test_validate_rejects_bad_flags():
     with pytest.raises(ValueError, match="digits"):
         RunConfig("graphs", digits=0).validate()
-    with pytest.raises(ValueError, match="eps"):
-        RunConfig("graphs", eps=()).validate()
-    with pytest.raises(ValueError, match="positive"):
-        RunConfig("graphs", eps=(Fraction(-1, 2),)).validate()
     with pytest.raises(ValueError, match="jobs"):
         RunConfig("graphs", jobs=0).validate()
     with pytest.raises(ValueError, match="unknown construction"):
@@ -271,10 +268,9 @@ def test_table_rows_and_determinism(capsys):
     assert code == 0
     assert err == ""
     lines = first.splitlines()
-    assert lines[0].startswith("# digits=6 eps=1/1000,1/10000")
-    assert lines[1] == "m\tn\trank0\trank1\trank2\ttotal\tprovenance"
-    assert lines[2].startswith("3\t3\t3\t18\t6\t27\t")
-    assert lines[3].startswith("3\t4\t4\t36\t24\t64\t")
+    assert lines[0] == "m\tn\trank0\trank1\trank2\ttotal\tprovenance"
+    assert lines[1].startswith("3\t3\t3\t18\t6\t27\t")
+    assert lines[2].startswith("3\t4\t4\t36\t24\t64\t")
     code, second, _ = run_cli(argv, capsys)
     assert second == first
     code, parallel, _ = run_cli(argv + ["--jobs", "2"], capsys)
@@ -359,9 +355,30 @@ def test_cli_errors_are_structured(tmp_path, capsys):
     assert code == 1
     assert "start at 3" in err
 
-    code, _, err = run_cli(["table", "--eps", "0"], capsys)
+
+
+def test_oversized_table_fails_at_once(capsys):
+    start = time.monotonic()
+    code, out, err = run_cli(["table", "--n-range", "40"], capsys)
+    assert time.monotonic() - start < 5
     assert code == 1
-    assert "positive" in err
+    assert out == ""
+    assert err == (
+        "hompoly: ValueError: survey pair (3,40): a 40-gon is above the"
+        " limit of 10 sides; refusing\n"
+    )
+
+
+def test_rounded_ngon_says_so(capsys):
+    code, pentagon, _ = run_cli(["construct", "regular_ngon", "5"], capsys)
+    assert code == 0
+    assert pentagon.startswith(
+        "# coordinates rounded to 6 decimals: not an affine image of the"
+        " regular 5-gon\nV 2 5\n"
+    )
+    assert read_polytope(pentagon).n_vertices == 5
+    code, square, _ = run_cli(["construct", "regular_ngon", "4"], capsys)
+    assert "#" not in square
 
 
 def test_module_is_runnable():

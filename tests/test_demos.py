@@ -1,4 +1,4 @@
-"""The demos that read the classify layer print what they always printed.
+"""The demos that read the classify and survey layers print frozen text.
 
 Each demo runs in-process as ``__main__`` and its stdout is compared
 byte for byte with the frozen text below.
@@ -43,12 +43,34 @@ is_simple_vertex: False
   tight on (vertex 3, facet 2)
 """
 
+POLYGON_CENSUS = """\
+ m  n  rank0  rank1  rank2  total  divisible  provenance
+--------------------------------------------------------
+ 3  3      3     18      6     27        yes  closed_form
+ 3  4      4     36     24     64        yes  closed_form
+ 3  5      5     60     60    125        yes  closed_form
+ 3  6      6     90    120    216        yes  closed_form
+ 4  3      3     12      0     15        yes  closed_form
+ 4  4      4     24      8     36        yes  closed_form
+ 4  5      5     40     80    125        yes  closed_form
+ 4  6      6     60     72    138        yes  closed_form
+ 5  3      3     30     30     63        yes  closed_form
+ 5  4      4     60     80    144        yes  closed_form
+ 5  5      5    100     60    165        yes  closed_form,enumerated
+ 5  6      6    150    540    696        yes  closed_form,enumerated
+ 6  3      3     18     12     33        yes  closed_form
+ 6  4      4     36     24     64        yes  closed_form
+ 6  5      5     60    240    305        yes  closed_form,enumerated
+ 6  6      6     90     84    180        yes  closed_form,enumerated
+"""
+
 
 @pytest.mark.parametrize(
     "name, expected",
     (
         ("collapse_or_not", COLLAPSE_OR_NOT),
         ("square_to_square", SQUARE_TO_SQUARE),
+        ("polygon_census", POLYGON_CENSUS),
     ),
 )
 def test_demo_prints_its_frozen_output(name, expected, capsys):

@@ -149,6 +149,20 @@ def test_halfplane_raises_unbounded():
     assert_recession_direction(halfplane, err.value.direction)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_empty_system_is_unbounded(d):
+    # no rows: the solution set is all of R^d
+    with pytest.raises(UnboundedError) as err:
+        Polytope.from_inequalities([], d).vertices
+    assert err.value.direction == (1,) + (0,) * (d - 1)
+
+
+def test_empty_system_in_dimension_zero_is_the_point():
+    assert Polytope.from_inequalities([], 0).vertices == ((),)
+    with pytest.raises(ValueError, match="no inequality rows"):
+        dd.enumerate_vertices([], [])
+
+
 def test_infeasible_system_raises():
     with pytest.raises(InfeasibleError):
         Polytope.from_inequalities(

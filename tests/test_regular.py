@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hompoly.classify import classify_all
+from hompoly.hom import build_hom
+from hompoly.polytope import Polytope
 from hompoly.regular import (
     ClusterPartition,
-    PartitionMismatchError,
+    check_survey_size,
     closed_form_counts,
     cluster_vertices,
     divisibility_check,
@@ -207,7 +210,6 @@ def test_triangle_row_is_exact():
     assert all(len(c) == 1 for c in diag.partition.clusters)
     assert diag.divisibility.ok
     assert diag.closed_form_mismatches == ()
-    assert diag.mixed_rank_clusters == ()
 
 
 def test_square_row_is_exact():
@@ -216,13 +218,13 @@ def test_square_row_is_exact():
     assert diag.raw_vertex_count == 36
 
 
-def test_pentagon_row_clusters_to_expected_count():
+def test_pentagon_row_is_exact():
     row, diag = table_row(5, 5)
     assert (row.rank0, row.rank1, row.rank2, row.total) == (5, 100, 60, 165)
-    assert diag.raw_vertex_count > 165
-    assert row.provenance[2] == "clustered"
+    assert diag.raw_vertex_count == 165
+    assert diag.partition.clusters == tuple((i,) for i in range(165))
+    assert row.provenance == ("closed_form", "closed_form", "enumerated", "enumerated")
     assert diag.divisibility.ok
-    assert diag.mixed_rank_clusters == ()
 
 
 def test_mixed_pentagon_triangle_row():
@@ -231,13 +233,35 @@ def test_mixed_pentagon_triangle_row():
     assert diag.closed_form_mismatches == ()
 
 
-def test_table_row_epsilon_disagreement_raises():
-    # a huge second epsilon merges everything, so the partitions differ
-    with pytest.raises(PartitionMismatchError) as err:
-        table_row(3, 3, eps_list=(Fraction(1, 1000), Fraction(100)))
-    assert len(err.value.partitions) == 2
+# Integer affine models of the regular 3-, 4- and 6-gon: the images of
+# the regular polygons under diag(2, 1/sin(2 pi/n)), listed by hand.
+INTEGER_MODELS = {
+    3: ((2, 0), (-1, 1), (-1, -1)),
+    4: ((2, 0), (0, 1), (-2, 0), (0, -1)),
+    6: ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)),
+}
 
 
-def test_table_row_requires_epsilons():
-    with pytest.raises(ValueError):
-        table_row(3, 3, eps_list=())
+@pytest.mark.parametrize("m", sorted(INTEGER_MODELS))
+@pytest.mark.parametrize("n", sorted(INTEGER_MODELS))
+def test_survey_matches_classify_on_integer_models(m, n):
+    """The survey's own rows and DD agree with the Polytope/hom/classify route."""
+    p, q = (Polytope.from_vertices(INTEGER_MODELS[k]) for k in (m, n))
+    _, summary = classify_all(build_hom(p, q))
+    by_rank = dict(summary.by_rank)
+    row, _ = table_row(m, n)
+    assert (row.rank0, row.rank1, row.rank2, row.total) == (
+        by_rank.get(0, 0),
+        by_rank.get(1, 0),
+        by_rank.get(2, 0),
+        summary.total,
+    )
+
+
+def test_oversized_pairs_are_refused_before_enumeration():
+    check_survey_size(8, 8)
+    check_survey_size(7, 8)
+    with pytest.raises(ValueError, match=r"\(3,40\): a 40-gon is above the limit"):
+        table_row(3, 40)
+    with pytest.raises(ValueError, match=r"\(7,9\): field degree 9 is above the limit"):
+        table_row(7, 9)
