@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 from . import dd
 from .errors import (
@@ -244,14 +244,21 @@ def hrep_to_vrep(h: HRep) -> VRep:
     return VRep(h.ambient_dim, tuple(p for p, _ in found))
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _transpose(masks: Iterable[int], width: int) -> tuple[int, ...]:
     """Transpose an incidence matrix given as bitmask rows of ``width`` bits."""
     out = [0] * width
     for j, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            out[low.bit_length() - 1] |= 1 << j
-            mask ^= low
+        bit = 1 << j
+        for i in _bits(mask):
+            out[i] |= bit
     return tuple(out)
 
 
@@ -299,9 +306,7 @@ def _extreme_points(
         first.setdefault(p, i)
     out = []
     for i in first.values():
-        active = tuple(
-            iq.normal for j, iq in enumerate(facets) if point_masks[i] >> j & 1
-        )
+        active = tuple(facets[j].normal for j in _bits(point_masks[i]))
         if len(active) >= d and mat_rank(active) == d:
             out.append(i)
     return out
@@ -340,6 +345,7 @@ class Polytope:
         self._interior_point = interior_point
         self._dim: int | None = None
         self._vertex_masks: tuple[int, ...] | None = None
+        self._lattice: tuple[tuple[int, int], ...] | None = None
         self._faces: tuple[Face, ...] | None = None
 
     # -- constructors -------------------------------------------------
@@ -502,27 +508,50 @@ class Polytope:
 
     # -- derived structure ---------------------------------------------
 
+    def _graded(self) -> tuple[tuple[int, int], ...]:
+        """The face lattice as ``(dim, vertex mask)`` pairs, computed once."""
+        if self._lattice is None:
+            self._lattice = _face_lattice(self)
+        return self._lattice
+
     @property
     def faces(self) -> tuple[Face, ...]:
+        """All faces as :class:`Face` objects, by dimension, then vertex list.
+
+        Built from the graded masks on first use: a face's incident
+        facets are the AND of its vertices' ``vertex_masks``.
+        """
         if self._faces is None:
-            self._faces = _face_lattice(self)
+            vertex_masks = self.vertex_masks
+            every_facet = (1 << len(self.facet_masks)) - 1
+            graded = []
+            for dim, mask in self._graded():
+                vertices = tuple(_bits(mask))
+                incident = every_facet
+                for v in vertices:
+                    incident &= vertex_masks[v]
+                graded.append((dim, vertices, incident))
+            graded.sort(key=lambda item: item[:2])
+            self._faces = tuple(
+                Face(dim, frozenset(vertices), frozenset(_bits(incident)))
+                for dim, vertices, incident in graded
+            )
         return self._faces
 
     @property
     def f_vector(self) -> tuple[int, ...]:
+        """Face counts by dimension, counted off the graded masks."""
         counts = [0] * (self.dim + 1)
-        for face in self.faces:
-            if face.dim >= 0:
-                counts[face.dim] += 1
+        for dim, _ in self._graded():
+            if dim >= 0:
+                counts[dim] += 1
         return tuple(counts)
 
     def facet_vertex_indices(self, j: int) -> tuple[int, ...]:
-        mask = self.facet_masks[j]
-        return tuple(v for v in range(len(self.vertices)) if mask >> v & 1)
+        return tuple(_bits(self.facet_masks[j]))
 
     def vertex_facet_indices(self, v: int) -> tuple[int, ...]:
-        mask = self.vertex_masks[v]
-        return tuple(j for j in range(len(self.inequalities)) if mask >> j & 1)
+        return tuple(_bits(self.vertex_masks[v]))
 
     def __repr__(self) -> str:
         parts = [f"ambient_dim={self.ambient_dim}"]
@@ -568,57 +597,60 @@ def is_simple_vertex(p: Polytope, vertex: int | Vector) -> bool:
     return len(p.vertex_facet_indices(index)) == p.dim
 
 
-def _face_lattice(p: Polytope) -> tuple[Face, ...]:
-    """All faces, graded top-down from the vertex-facet incidences alone.
+def _face_lattice(p: Polytope) -> tuple[tuple[int, int], ...]:
+    """All faces as ``(dim, vertex mask)`` pairs, graded top-down.
 
-    The facets of a face G of dimension k >= 1 are exactly the
-    inclusion-maximal sets among the nonempty intersections of G with
-    the facets of P other than G itself (Kaibel and Pfetsch, "Computing
-    the face lattice of a polytope from its vertex-facet incidences",
-    Comput. Geom. 23, 2002).  Starting from the full vertex set at level
-    ``p.dim``, each level is the union of the facets of the level above,
-    down to the vertices at level 0; the empty face is added with
-    dimension -1 and every facet incident.  No arithmetic is done on
-    coordinates, so the grading holds over any ordered field.
+    The grading reads the vertex-facet incidences alone.  The facets of
+    a face G of dimension k >= 1 are exactly the inclusion-maximal sets
+    among the nonempty intersections of G with the facets of P other
+    than G itself (Kaibel and Pfetsch, "Computing the face lattice of a
+    polytope from its vertex-facet incidences", Comput. Geom. 23, 2002).
+    Starting from the full vertex set at level ``p.dim``, each level is
+    the union of the facets of the level above, down to the vertices at
+    level 0.  The empty face comes first as ``(-1, 0)``, then the levels
+    from the top; within a level the order is unspecified.  No
+    arithmetic is done on coordinates, so the grading holds over any
+    ordered field.
     """
     masks = p.facet_masks
-    n = len(p.vertices)
-    faces = [Face(-1, frozenset(), frozenset(range(len(masks))))]
-    level = {(1 << n) - 1}
-    for dim in range(p.dim, -1, -1):
+    lattice = [(-1, 0)]
+    level = {(1 << len(p.vertices)) - 1}
+    for dim in range(p.dim, 0, -1):
+        lattice.extend((dim, face) for face in level)
         below: set[int] = set()
         for face in level:
-            incident = []
-            candidates = set()
-            for j, fm in enumerate(masks):
-                sub = face & fm
-                if sub == face:
-                    incident.append(j)
-                elif sub:
-                    candidates.add(sub)
-            verts = frozenset(v for v in range(n) if face >> v & 1)
-            faces.append(Face(dim, verts, frozenset(incident)))
-            if dim == 0:
-                continue
+            candidates = {face & fm for fm in masks}
+            candidates.discard(face)
+            candidates.discard(0)
             # largest first, so a candidate need only be tested against
             # the kept sets, which are the facets of this face so far
             kept: list[int] = []
             for sub in sorted(candidates, key=int.bit_count, reverse=True):
-                if all(sub & big != sub for big in kept):
+                for big in kept:
+                    if sub & big == sub:
+                        break
+                else:
                     kept.append(sub)
             below.update(kept)
         level = below
-    faces.sort(key=lambda f: (f.dim, sorted(f.vertices)))
-    return tuple(faces)
+    lattice.extend((0, face) for face in level)
+    return tuple(lattice)
 
 
 def face_lattice(p: Polytope) -> tuple[Face, ...]:
-    """Graded tuple of all faces, from the empty face to the polytope."""
+    """Graded tuple of all faces, from the empty face to the polytope.
+
+    Sorted by dimension, then by sorted vertex list; the ``Face`` objects
+    are built from the graded masks on first request and cached.
+    """
     return p.faces
 
 
 def f_vector(p: Polytope) -> tuple[int, ...]:
-    """Face counts by dimension, from vertices up to the polytope itself."""
+    """Face counts by dimension, from vertices up to the polytope itself.
+
+    Counted from the graded masks alone, so no ``Face`` object is built.
+    """
     return p.f_vector
 
 

@@ -369,6 +369,21 @@ def test_oversized_table_fails_at_once(capsys):
     )
 
 
+def test_oversized_simplex_power_fails_at_once(capsys):
+    start = time.monotonic()
+    code, out, err = run_cli(
+        ["identity-check", "simplex_power", "--n", "3", "--target", "regular_ngon:12"],
+        capsys,
+    )
+    assert time.monotonic() - start < 5
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "hompoly: ValueError: hom(simplex(3), target) has 12^4 = 20736"
+        " vertices, above the vertex limit of 4096; refusing\n"
+    )
+
+
 def test_rounded_ngon_says_so(capsys):
     code, pentagon, _ = run_cli(["construct", "regular_ngon", "5"], capsys)
     assert code == 0

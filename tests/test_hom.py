@@ -142,6 +142,17 @@ def test_identity_guard_refuses_large_dimensions():
         hom_identity_check("simplex_power", n=3, p=cube(3))
 
 
+def test_identity_vertex_guard_refuses_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("a side was built")
+
+    monkeypatch.setattr(hom, "build_hom", build)
+    monkeypatch.setattr(hom, "product", build)
+    limit = hom._IDENTITY_VERTEX_LIMIT
+    with pytest.raises(ValueError, match=f"= 40000 vertices, above the vertex limit of {limit}"):
+        hom_identity_check("simplex_power", n=1, p=regular_ngon(200))
+
+
 def test_identity_unknown_kind():
     with pytest.raises(ValueError):
         hom_identity_check("moebius_flip", n=1, m=1)

@@ -476,6 +476,14 @@ def _face_triples(p):
     return [(f.dim, f.vertices, f.facets) for f in p.faces]
 
 
+def _counts_of_faces(p):
+    counts = [0] * (p.dim + 1)
+    for face in p.faces:
+        if face.dim >= 0:
+            counts[face.dim] += 1
+    return tuple(counts)
+
+
 @st.composite
 def full_dimensional_point_sets(draw):
     d = draw(st.sampled_from((1, 2, 3, 4)))
@@ -492,6 +500,7 @@ def full_dimensional_point_sets(draw):
 def test_faces_match_closure_graded_by_affine_hull(pts):
     p = Polytope.from_points(pts)
     assert _face_triples(p) == _reference_faces(p)
+    assert f_vector(p) == _counts_of_faces(p)
 
 
 NON_SIMPLE = {
@@ -508,6 +517,7 @@ def test_non_simple_faces_match_closure_graded_by_affine_hull(name):
     p = NON_SIMPLE[name]()
     assert not all(is_simple_vertex(p, v) for v in range(p.n_vertices))
     assert _face_triples(p) == _reference_faces(p)
+    assert f_vector(p) == _counts_of_faces(p)
 
 
 @pytest.mark.parametrize("name", sorted(NON_SIMPLE))
@@ -529,6 +539,28 @@ def test_faces_need_no_linear_algebra_once_complete(name, monkeypatch):
     before = len(calls)
     _ = p.faces
     assert len(calls) == before
+
+
+@pytest.mark.parametrize("name", sorted(NON_SIMPLE))
+def test_f_vector_builds_no_face(name, monkeypatch):
+    gradings = []
+    grade = polytope_module._face_lattice
+
+    def counted(p):
+        gradings.append(p)
+        return grade(p)
+
+    def no_face(*args):
+        raise AssertionError("a Face was built")
+
+    monkeypatch.setattr(polytope_module, "_face_lattice", counted)
+    with monkeypatch.context() as m:
+        m.setattr(polytope_module, "Face", no_face)
+        p = NON_SIMPLE[name]()
+        counts = f_vector(p)
+    # the faces come later from the same grading, which runs once
+    assert _counts_of_faces(p) == counts
+    assert len(gradings) == 1
 
 
 def test_point_in_ambient_dimension_zero_has_two_faces():
