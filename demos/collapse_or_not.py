@@ -2,12 +2,14 @@
 
 Dropping the z coordinate maps both solids below onto the big triangle
 with corners (0,0), (2,0), (0,2).  On the frustum (the triangle's prism
-cut by a slanted top) the projection is a face collapse: the top face
-is a positive-dimensional fiber bundle member whose image lands on no
-vertex interior.  On the wedge (same solid with one top corner removed)
-the same formula is a vertex of the map space but not a face collapse,
-because one fiber fails to be a face.  Neither is a deflation; the
-demo prints the three judgments for both solids side by side.
+cut by a slanted top) the projection is a face collapse: the fiber over
+the image vertex (0,0) is the vertical edge from (0,0,0) to (0,0,1),
+whose direction spans the kernel, the z-axis.  On the wedge (same solid
+with one top corner removed) the same formula is a vertex of the map
+space but not a face collapse: the fiber over each image vertex is a
+single vertex, so no positive-dimensional face collapses.  Neither is a
+deflation; the demo prints the three judgments for both solids side by
+side.
 """
 
 from fractions import Fraction

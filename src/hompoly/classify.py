@@ -8,30 +8,27 @@ hom-polytope they are its tight (vertex, facet) pairs, so
 through an exact chart of the image's affine hull, and the face-collapse
 test reads the vertex images and the source's face lattice.
 
-The collapse test rests on two identities.  First, the directions of a
+The collapse test rests on three facts.  First, the directions of a
 face G of the source lie in K = ker L exactly when f is constant on G's
 vertices, since those directions are spanned by vertex differences.
 Second, the fiber of f over a vertex w of f(P) is a face of P whose
 vertices are exactly the vertices sent to w: a functional c exposing w
-on f(P) makes that fiber the face where c . f is maximal on P.  So the
-fibers over image vertices are full fibers by construction, and only a
-face outside that family needs the finite fiber scan, which rests on
-
-    (G + K) intersected with P  =  the full fiber of f over f(G)
-
-for a face G whose directions lie in K.  Both inclusions are elementary
-(translating by K does not move the image; any point with the same
-image differs by a kernel vector), so "(G + K) cap P = G" is exactly "G
-is the whole fiber over its image point", and fibers can be checked
-finitely by scanning the faces of P for their extreme points.
+on f(P) makes that fiber the face where c . f is maximal on P.  Third,
+no other positive-dimensional face is a whole fiber, so the family of
+fibers over image vertices needs no maximality check.  Say a face G is
+the whole fiber over w.  Let E be the smallest face of f(P) containing
+w and P_E = P cap f^-1(E), the face of P exposed by c . f when c
+exposes E; f maps P_E onto E.  An affine map sends relative interiors
+onto relative interiors (Rockafellar, Convex Analysis, Thm 6.6) and w
+lies in relint E, so G meets relint P_E.  The face G then contains P_E,
+so E = f(P_E) lies in f(G) = {w}: w is a vertex of f(P).
 
 The verdict depends on f only through K.  Two vertices of P share an
 image exactly when they differ by a kernel vector, so the fiber vertex
-sets are the cosets of K meeting the vertex set; f(P) is affinely
+sets are the cosets of K meeting the vertex set, and f(P) is affinely
 isomorphic to P/K, the projection of P along K, so the image vertices
-are the vertices of P/K; and ``_fiber_is_contained_in_face`` tests the
-fiber (x + K) cap P.  ``classify_all`` therefore runs the test once per
-kernel.
+are the vertices of P/K.  ``classify_all`` therefore runs the test once
+per kernel.
 """
 
 from __future__ import annotations
@@ -47,8 +44,6 @@ from .linalg import (
     integer_direction,
     mat_rank,
     rref,
-    solve_affine_hull,
-    vec_add,
     vec_sub,
 )
 from .polytope import (
@@ -186,71 +181,23 @@ def is_deflation(
     return "boundary" not in locations
 
 
-def _fiber_is_contained_in_face(
-    f: AffineMap, p: Polytope, w: Vector, face: Face
-) -> bool:
-    """Exact test that every point of ``{x in P : f(x) = w}`` lies in ``face``.
-
-    Every extreme point of the fiber sits in the relative interior of
-    some face E of P whose affine hull meets the preimage of w in a
-    single point, so scanning all faces (and solving a linear system on
-    each one's chart) produces a finite superset of the fiber's extreme
-    points; it suffices to check those against the face.
-    """
-    for e_face in p.faces:
-        if e_face.dim < 0:
-            continue
-        verts = tuple(p.vertices[v] for v in sorted(e_face.vertices))
-        base, dirs = solve_affine_hull(verts)
-        # solve f(base + D z) = w on the face's chart by one reduction of
-        # [L D | w - f(base)]: a unique solution needs a pivot in every
-        # direction column and none in the last; otherwise the preimage
-        # meets this chart in a positive-dimensional set (its extreme
-        # points are found on subfaces) or not at all
-        origin = f.apply(base)
-        cols = tuple(vec_sub(f.apply(vec_add(base, d)), origin) for d in dirs)
-        rhs = vec_sub(w, origin)
-        rows, pivots = rref(
-            tuple(col[i] for col in cols) + (rhs[i],) for i in range(len(rhs))
-        )
-        if pivots != list(range(len(dirs))):
-            continue
-        candidate = base
-        for row, direction in zip(rows, dirs):
-            z = row[-1]
-            if z:
-                candidate = tuple(c + z * d for c, d in zip(candidate, direction))
-        # any point of P in the preimage of w is a fiber point; one
-        # outside the target face disproves containment
-        hit = contains_point(p, candidate)
-        if hit.kind != "outside" and not face.facets <= hit.active:
-            return False
-    return True
-
-
 def is_face_collapse(f: AffineMap, p: Polytope) -> bool:
     """Whether f collapses a canonical family of faces of p.
 
-    The candidate family is the positive-dimensional fibers over the
-    vertices of the image.  True when the family is nonempty, its
-    directions span exactly ker(linear part), and no further positive-
-    dimensional face of p could be added without changing the kernel or
-    failing the full-fiber condition (maximality, scanned over the face
-    lattice).  A bijective f has an empty family and returns False.
+    The family is the positive-dimensional fibers over the vertices of
+    the image.  True when the family is nonempty and its directions span
+    exactly ker(linear part).  A bijective f has an empty family and
+    returns False.  Maximality needs no check: a positive-dimensional
+    face of p that is the whole fiber over its image point lies over a
+    vertex of the image, so it is already in the family.
 
     Two identities keep the test on vertex images and the face lattice.
     The directions of a face G lie in the kernel exactly when f is
     constant on G's vertices.  The fiber over a vertex w of f(P) is the
     face where c . f is maximal on P, for any functional c exposing w,
-    so its vertices are exactly those sent to w and every family member
-    is a full fiber by construction.
+    so its vertices are exactly those sent to w.
     """
-    return _collapses(f, p, map_rank(f))
-
-
-def _collapses(f: AffineMap, p: Polytope, rank: int) -> bool:
-    """``is_face_collapse`` for a map whose rank is already known."""
-    kernel_dim = f.source_dim - rank
+    kernel_dim = f.source_dim - map_rank(f)
     if kernel_dim == 0:
         return False
     images = tuple(f.apply(v) for v in p.vertices)
@@ -275,29 +222,13 @@ def _collapses(f: AffineMap, p: Polytope, rank: int) -> bool:
     if not family:
         return False
 
-    # condition: the collapsed directions span the kernel exactly
+    # the collapsed directions span the kernel exactly
     differences = tuple(
         vec_sub(p.vertices[i], p.vertices[min(face.vertices)])
         for face in family
         for i in face.vertices
     )
-    if mat_rank(differences) != kernel_dim:
-        return False
-
-    # maximality: no positive-dimensional face outside the family can be
-    # added while keeping the kernel and the full-fiber condition; such a
-    # face has f constant on its vertices and no other vertex sharing
-    # their image, which is one fiber-set comparison
-    members = {face.vertices for face in family}
-    for face in p.faces:
-        if face.dim < 1 or face.vertices in members:
-            continue
-        w = images[min(face.vertices)]
-        if fibers[w] != face.vertices:
-            continue
-        if _fiber_is_contained_in_face(f, p, w, face):
-            return False
-    return True
+    return mat_rank(differences) == kernel_dim
 
 
 @dataclass(frozen=True)
@@ -352,12 +283,11 @@ def classify_all(
     surjectivity and deflation are read off its facet mask.
 
     The face-collapse verdict depends only on the kernel K of the linear
-    part: fiber sets are cosets of K, the image vertices are the vertices
-    of P/K, and ``_fiber_is_contained_in_face`` tests (x + K) cap P.  So
-    it is decided once per kernel within this call, keyed by the RREF
-    rows of the linear part, the canonical basis of the row space whose
-    orthogonal complement is K.  A map of full rank has no kernel and is
-    never a face collapse.
+    part: fiber sets are cosets of K and the image vertices are the
+    vertices of P/K.  So ``is_face_collapse`` runs once per kernel within
+    this call, keyed by the RREF rows of the linear part, the canonical
+    basis of the row space whose orthogonal complement is K.  A map of
+    full rank has no kernel and is never a face collapse.
     """
     p, q = h.source, h.target
     records: list[MapClassification] = []
@@ -383,7 +313,7 @@ def classify_all(
         else:
             row_space = tuple(rref(f.linear)[0])
             if row_space not in collapse_by_kernel:
-                collapse_by_kernel[row_space] = _collapses(f, p, rank)
+                collapse_by_kernel[row_space] = is_face_collapse(f, p)
             collapse = collapse_by_kernel[row_space]
         records.append(
             MapClassification(

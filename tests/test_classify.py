@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hompoly import classify
 from hompoly.classify import (
-    _fiber_is_contained_in_face,
     classify_all,
     image_polytope,
     image_vertex_locations,
@@ -36,6 +35,7 @@ from hompoly.linalg import (
     rref,
     solve_affine_hull,
     vec_add,
+    vec_sub,
 )
 from hompoly.polytope import Polytope, contains_point, is_simple_vertex
 
@@ -264,11 +264,52 @@ def _subspace_contains(basis, vectors):
     return mat_rank(basis + vectors) == mat_rank(basis)
 
 
+def _fiber_is_contained_in_face(f, p, w, face):
+    """Exact test that every point of ``{x in P : f(x) = w}`` lies in ``face``.
+
+    Every extreme point of the fiber sits in the relative interior of
+    some face E of P whose affine hull meets the preimage of w in a
+    single point, so scanning all faces (and solving a linear system on
+    each one's chart) produces a finite superset of the fiber's extreme
+    points; it suffices to check those against the face.
+    """
+    for e_face in p.faces:
+        if e_face.dim < 0:
+            continue
+        verts = tuple(p.vertices[v] for v in sorted(e_face.vertices))
+        base, dirs = solve_affine_hull(verts)
+        # solve f(base + D z) = w on the face's chart by one reduction of
+        # [L D | w - f(base)]: a unique solution needs a pivot in every
+        # direction column and none in the last; otherwise the preimage
+        # meets this chart in a positive-dimensional set (its extreme
+        # points are found on subfaces) or not at all
+        origin = f.apply(base)
+        cols = tuple(vec_sub(f.apply(vec_add(base, d)), origin) for d in dirs)
+        rhs = vec_sub(w, origin)
+        rows, pivots = rref(
+            tuple(col[i] for col in cols) + (rhs[i],) for i in range(len(rhs))
+        )
+        if pivots != list(range(len(dirs))):
+            continue
+        candidate = base
+        for row, direction in zip(rows, dirs):
+            z = row[-1]
+            if z:
+                candidate = tuple(c + z * d for c, d in zip(candidate, direction))
+        # any point of P in the preimage of w is a fiber point; one
+        # outside the target face disproves containment
+        hit = contains_point(p, candidate)
+        if hit.kind != "outside" and not face.facets <= hit.active:
+            return False
+    return True
+
+
 def reference_is_face_collapse(f, p):
     """Face collapse decided with one exact affine hull per face.
 
-    Kernel containment of each face is tested on the face's chart, and
-    every family member is re-checked as a full fiber.
+    Kernel containment of each face is tested on the face's chart, every
+    family member is re-checked as a full fiber, and maximality is
+    scanned over every other face whose vertex set is a vertex fiber.
     """
     kernel = nullspace_basis(f.linear)
     if not kernel:
@@ -401,36 +442,6 @@ def test_surjective_onto_matches_image_hull_reference(case):
     assert surjective_onto(f, p, q) == reference_surjective_onto(f, p, q)
 
 
-def test_face_collapse_reaches_the_maximality_scan(monkeypatch):
-    # f(x) = y: the fibers over the image's two vertices span the kernel,
-    # and an edge outside the family is a fiber vertex set whose fiber
-    # test fails, so the answer stays True only through the scan
-    p = Polytope.from_points(
-        (
-            (2, -1, 2),
-            (1, -1, 2),
-            (-2, 1, 2),
-            (0, 1, -2),
-            (0, -1, -1),
-            (-2, 0, -2),
-            (-2, 0, 0),
-        )
-    )
-    f = AffineMap(
-        ((Fraction(0), Fraction(1), Fraction(0)),), (Fraction(0),)
-    )
-    answers = []
-
-    def recording(*args):
-        answers.append(_fiber_is_contained_in_face(*args))
-        return answers[-1]
-
-    monkeypatch.setattr(classify, "_fiber_is_contained_in_face", recording)
-    assert is_face_collapse(f, p)
-    assert False in answers
-    assert reference_is_face_collapse(f, p)
-
-
 # integer affine models of the regular k-gons
 INTEGER_POLYGONS = {
     3: ((2, 0), (-1, 1), (-1, -1)),
@@ -450,20 +461,86 @@ HOM_PAIRS = {
 }
 
 
+# -- full fibers are exactly the fibers over image vertices ---------------
+
+
+def _vertex_fiber_faces(f, p):
+    """Faces of p of dimension >= 1 whose vertices are all the vertices
+    that f sends to one point w, each with its w."""
+    images = [f.apply(v) for v in p.vertices]
+    for face in p.faces:
+        if face.dim < 1:
+            continue
+        w = images[min(face.vertices)]
+        if face.vertices == {i for i, y in enumerate(images) if y == w}:
+            yield face, w
+
+
+def _image_vertices(f, p):
+    image = image_polytope(f, p)
+    return {image.chart.lift(u) for u in image.vertices}
+
+
+def _assert_full_fibers_lie_over_image_vertices(f, p):
+    # is_face_collapse relies on this in place of a maximality scan
+    image_vertices = _image_vertices(f, p)
+    for face, w in _vertex_fiber_faces(f, p):
+        full = _fiber_is_contained_in_face(f, p, w, face)
+        assert full == (w in image_vertices)
+
+
+@given(polytopes_and_maps())
+@settings(max_examples=150, deadline=None)
+def test_full_fiber_faces_lie_over_image_vertices(case):
+    p, f = case
+    _assert_full_fibers_lie_over_image_vertices(f, p)
+
+
 @pytest.mark.parametrize("pair", sorted(HOM_PAIRS))
 def test_fibers_over_image_vertices_are_full_fiber_faces(pair):
     p, q = HOM_PAIRS[pair]()
     faces = {face.vertices: face for face in p.faces}
     for point in build_hom(p, q).polytope.vertices:
         f = AffineMap.from_point(point, p.ambient_dim, q.ambient_dim)
-        image = image_polytope(f, p)
-        for w in (image.chart.lift(u) for u in image.vertices):
+        for w in _image_vertices(f, p):
             fiber = frozenset(
                 i for i, v in enumerate(p.vertices) if f.apply(v) == w
             )
             assert fiber in faces
             assert _fiber_is_contained_in_face(f, p, w, faces[fiber])
             assert {f.apply(p.vertices[i]) for i in fiber} == {w}
+        _assert_full_fibers_lie_over_image_vertices(f, p)
+
+
+def test_face_collapse_needs_no_maximality_scan():
+    # f(x) = y: the fibers over the image's two vertices span the kernel,
+    # and an edge outside the family is a vertex fiber whose whole fiber
+    # is larger, so maximality holds without scanning for it
+    p = Polytope.from_points(
+        (
+            (2, -1, 2),
+            (1, -1, 2),
+            (-2, 1, 2),
+            (0, 1, -2),
+            (0, -1, -1),
+            (-2, 0, -2),
+            (-2, 0, 0),
+        )
+    )
+    f = AffineMap(
+        ((Fraction(0), Fraction(1), Fraction(0)),), (Fraction(0),)
+    )
+    image_vertices = _image_vertices(f, p)
+    outside = [
+        (face, w)
+        for face, w in _vertex_fiber_faces(f, p)
+        if w not in image_vertices
+    ]
+    assert outside
+    for face, w in outside:
+        assert not _fiber_is_contained_in_face(f, p, w, face)
+    assert is_face_collapse(f, p)
+    assert reference_is_face_collapse(f, p)
 
 
 # -- full classification -----------------------------------------------
@@ -561,14 +638,14 @@ def test_record_collapse_matches_is_face_collapse(classified):
 def test_classify_all_tests_collapse_once_per_kernel(monkeypatch):
     p = _integer_polygon(6)
     h = build_hom(p, p)
-    collapses, calls = classify._collapses, []
+    collapses, calls = classify.is_face_collapse, []
 
-    def counting(f, source, rank):
-        assert rank < f.source_dim
+    def counting(f, source):
+        assert map_rank(f) < f.source_dim
         calls.append(f)
-        return collapses(f, source, rank)
+        return collapses(f, source)
 
-    monkeypatch.setattr(classify, "_collapses", counting)
+    monkeypatch.setattr(classify, "is_face_collapse", counting)
     records, _ = classify_all(h)
     row_spaces = {
         tuple(rref(r.map.linear)[0])
