@@ -9,6 +9,12 @@ never content or order.
 ``--check`` turns on assertion mode, which re-verifies the documented
 invariants along the way and aborts naming the violated property.
 
+Validation happens in two places.  argparse checks the shape of the
+command line: the subcommand, the kind names, the positional inputs and
+the integer flags.  Each ``_cmd_*`` handler then first checks the values
+of the flags it owns, before it reads an input file or computes
+anything.
+
 Exit status: 0 on success, 1 on any module or validation error (and on
 a failed identity check), 2 on command-line usage errors.
 """
@@ -18,8 +24,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .classify import classify_all
@@ -52,70 +58,6 @@ class InvariantViolation(RuntimeError):
     def __init__(self, property_name: str, detail: str):
         super().__init__(f"violated invariant {property_name}: {detail}")
         self.property_name = property_name
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully validated command invocation."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    output: str | None = None
-    labels: str | None = None
-    kind: str | None = None
-    size: int | None = None
-    target: str | None = None
-    m: int | None = None
-    n: int | None = None
-    m_range: tuple[int, int] = (3, 6)
-    n_range: tuple[int, int] = (3, 6)
-    digits: int = 6
-    check: bool = False
-    jobs: int = 1
-
-    def validate(self) -> None:
-        """Reject bad flag combinations before any computation starts."""
-        if self.digits < 1:
-            raise ValueError("--digits must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
-        if self.command == "construct":
-            if self.kind not in _CONSTRUCTION_KINDS:
-                raise ValueError(
-                    f"unknown construction {self.kind!r}; pick one of "
-                    + ", ".join(_CONSTRUCTION_KINDS)
-                )
-            if self.size is None or self.size < 1:
-                raise ValueError("construct needs a positive size")
-        elif self.command in ("hom", "classify"):
-            if len(self.inputs) != 2:
-                raise ValueError(f"{self.command} needs exactly two polytope files")
-            if self.command == "hom" and self.output is None and self.labels is None:
-                raise ValueError(
-                    "hom writes a label sidecar; pass --output (sidecar goes "
-                    "next to it) or --labels"
-                )
-        elif self.command == "table":
-            for name, (lo, hi) in (("m", self.m_range), ("n", self.n_range)):
-                if lo < 3:
-                    raise ValueError(f"--{name}-range must start at 3 or more")
-                if hi < lo:
-                    raise ValueError(f"--{name}-range is empty")
-            for m in range(self.m_range[0], self.m_range[1] + 1):
-                for n in range(self.n_range[0], self.n_range[1] + 1):
-                    check_survey_size(m, n)
-        elif self.command == "identity-check":
-            if self.kind not in _IDENTITY_KINDS:
-                raise ValueError(
-                    f"unknown identity {self.kind!r}; pick one of "
-                    + ", ".join(_IDENTITY_KINDS)
-                )
-            if self.kind == "simplex_power" and (self.n is None or not self.target):
-                raise ValueError("simplex_power needs --n and --target")
-            if self.kind != "simplex_power" and (self.n is None or self.m is None):
-                raise ValueError(f"{self.kind} needs --m and --n")
-        elif self.command != "graphs":
-            raise ValueError(f"unknown command {self.command!r}")
 
 
 # -- assertion-mode re-checks -------------------------------------------
@@ -192,53 +134,58 @@ def _check_row(row: CountRow, diag: TableDiagnostics) -> None:
 
 # -- command bodies ------------------------------------------------------
 
+# Each handler checks the flags it owns, then returns what to write
+# where (None is stdout) and the exit status.
 Emission = list[tuple[str | None, str]]
+Handler = Callable[[argparse.Namespace], tuple[Emission, int]]
 
 
-def _cmd_construct(config: RunConfig) -> Emission:
-    assert config.kind is not None
-    p = standard(config.kind, config.size, config.digits)
-    text = write_vrep(p)
-    if config.kind == "regular_ngon" and config.size not in (3, 4, 6):
+def _cmd_construct(args: argparse.Namespace) -> tuple[Emission, int]:
+    if args.digits < 1:
+        raise ValueError("--digits must be at least 1")
+    if args.size < 1:
+        raise ValueError("construct needs a positive size")
+    text = write_vrep(standard(args.kind, args.size, args.digits))
+    if args.kind == "regular_ngon" and args.size not in (3, 4, 6):
         text = (
-            f"# coordinates rounded to {config.digits} decimals: not an affine"
-            f" image of the regular {config.size}-gon\n" + text
+            f"# coordinates rounded to {args.digits} decimals: not an affine"
+            f" image of the regular {args.size}-gon\n" + text
         )
-    return [(config.output, text)]
+    return [(args.output, text)], 0
 
 
-def _read_input(path: str) -> Polytope:
-    return read_polytope(Path(path).read_text())
-
-
-def _cmd_hom(config: RunConfig) -> Emission:
-    p = _read_input(config.inputs[0])
-    q = _read_input(config.inputs[1])
+def _read_hom(args: argparse.Namespace) -> HomPolytope:
+    p, q = (read_polytope(Path(f).read_text()) for f in (args.source, args.target))
     h = build_hom(p, q)
-    if config.check:
+    if args.check:
         _check_hom(h)
-    labels_path = config.labels
-    if labels_path is None and config.output is not None:
-        labels_path = config.output + ".labels"
-    out: Emission = [(config.output, write_hrep(h.polytope))]
-    if labels_path is not None:
-        out.append((labels_path, write_labels(h.labels)))
-    return out
+    return h
 
 
-def _cmd_classify(config: RunConfig) -> Emission:
-    p = _read_input(config.inputs[0])
-    q = _read_input(config.inputs[1])
-    h = build_hom(p, q)
-    if config.check:
-        _check_hom(h)
-    _records, summary = classify_all(h)
+def _cmd_hom(args: argparse.Namespace) -> tuple[Emission, int]:
+    labels_path = args.labels
+    if labels_path is None and args.output is not None:
+        labels_path = args.output + ".labels"
+    if labels_path is None:
+        raise ValueError(
+            "hom writes a label sidecar; pass --output (sidecar goes "
+            "next to it) or --labels"
+        )
+    h = _read_hom(args)
+    return [
+        (args.output, write_hrep(h.polytope)),
+        (labels_path, write_labels(h.labels)),
+    ], 0
+
+
+def _cmd_classify(args: argparse.Namespace) -> tuple[Emission, int]:
+    _records, summary = classify_all(_read_hom(args))
     lines = ["rank\tcount"]
     for rank, count in summary.by_rank:
         lines.append(f"{rank}\t{count}")
     lines.append(f"total\t{summary.total}")
     lines.append(f"simple\t{summary.simple_count}")
-    return [(config.output, "\n".join(lines) + "\n")]
+    return [(args.output, "\n".join(lines) + "\n")], 0
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -254,13 +201,22 @@ def _table_worker(spec: tuple[int, int]) -> tuple[CountRow, TableDiagnostics]:
     return table_row(*spec)
 
 
-def _cmd_table(config: RunConfig) -> Emission:
+def _cmd_table(args: argparse.Namespace) -> tuple[Emission, int]:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    for name, (lo, hi) in (("m", args.m_range), ("n", args.n_range)):
+        if lo < 3:
+            raise ValueError(f"--{name}-range must start at 3 or more")
+        if hi < lo:
+            raise ValueError(f"--{name}-range is empty")
     specs = [
         (m, n)
-        for m in range(config.m_range[0], config.m_range[1] + 1)
-        for n in range(config.n_range[0], config.n_range[1] + 1)
+        for m in range(args.m_range[0], args.m_range[1] + 1)
+        for n in range(args.n_range[0], args.n_range[1] + 1)
     ]
-    workers = worker_count(config.jobs, len(specs))
+    for spec in specs:
+        check_survey_size(*spec)
+    workers = worker_count(args.jobs, len(specs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_table_worker, specs))
@@ -268,7 +224,7 @@ def _cmd_table(config: RunConfig) -> Emission:
         results = [_table_worker(spec) for spec in specs]
     lines = ["m\tn\trank0\trank1\trank2\ttotal\tprovenance"]
     for row, diag in results:
-        if config.check:
+        if args.check:
             _check_row(row, diag)
         elif not diag.divisibility.ok:
             print(
@@ -280,20 +236,20 @@ def _cmd_table(config: RunConfig) -> Emission:
             f"{row.m}\t{row.n}\t{row.rank0}\t{row.rank1}\t{row.rank2}"
             f"\t{row.total}\t" + ",".join(row.provenance)
         )
-    return [(config.output, "\n".join(lines) + "\n")]
+    return [(args.output, "\n".join(lines) + "\n")], 0
 
 
-def _cmd_graphs(config: RunConfig) -> Emission:
+def _cmd_graphs(args: argparse.Namespace) -> tuple[Emission, int]:
     lines = ["# graph\tstatus\tcertificate\tdeterminant"]
     for g in enumerate_graphs():
         cert = certify_nonvanishing(g)
         status = reject_reason(g)
-        if config.check and status != "accepted":
+        if args.check and status != "accepted":
             raise InvariantViolation(
                 "enumerated-graphs-accepted",
                 f"{canonical_encoding(g)} came out {status}",
             )
-        if config.check and cert.det_value == 0:
+        if args.check and cert.det_value == 0:
             raise InvariantViolation(
                 "certificate-nonzero", f"{cert.encoding} certified zero"
             )
@@ -304,53 +260,31 @@ def _cmd_graphs(config: RunConfig) -> Emission:
         lines.append(
             f"{cert.encoding}\t{status}\t{point}\t{cert.det_value}"
         )
-    return [(config.output, "\n".join(lines) + "\n")]
+    return [(args.output, "\n".join(lines) + "\n")], 0
 
 
-def _cmd_identity_check(config: RunConfig) -> Emission:
+def _cmd_identity_check(args: argparse.Namespace) -> tuple[Emission, int]:
+    if args.kind == "simplex_power" and (args.n is None or not args.target):
+        raise ValueError("simplex_power needs --n and --target")
+    if args.kind != "simplex_power" and (args.n is None or args.m is None):
+        raise ValueError(f"{args.kind} needs --m and --n")
     target = None
-    if config.target:
-        name, _, size = config.target.partition(":")
+    if args.target:
+        name, _, size = args.target.partition(":")
         # isdecimal, not isdigit: "²" is a digit that int() rejects
         if not size.isdecimal():
             raise ValueError(
-                f"--target must look like kind:size, got {config.target!r}"
+                f"--target must look like kind:size, got {args.target!r}"
             )
         target = standard(name, int(size))
-    report = hom_identity_check(
-        config.kind or "", n=config.n, m=config.m, p=target
-    )
+    report = hom_identity_check(args.kind, n=args.n, m=args.m, p=target)
     lines = [
         f"kind: {report.kind}",
         f"lhs: {report.lhs_description}: f-vector {report.lhs_f_vector}",
         f"rhs: {report.rhs_description}: f-vector {report.rhs_f_vector}",
         f"match: {'yes' if report.match else 'no'}",
     ]
-    return [(config.output, "\n".join(lines) + "\n")]
-
-
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "hom": _cmd_hom,
-    "classify": _cmd_classify,
-    "table": _cmd_table,
-    "graphs": _cmd_graphs,
-    "identity-check": _cmd_identity_check,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Validate, execute, and write one command; return the exit status."""
-    config.validate()
-    emissions = _HANDLERS[config.command](config)
-    for destination, text in emissions:
-        if destination is None:
-            sys.stdout.write(text)
-        else:
-            Path(destination).write_text(text)
-    if config.command == "identity-check":
-        return 0 if emissions[0][1].splitlines()[-1] == "match: yes" else 1
-    return 0
+    return [(args.output, "\n".join(lines) + "\n")], 0 if report.match else 1
 
 
 # -- argument parsing ----------------------------------------------------
@@ -374,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, handler: Handler) -> None:
+        p.set_defaults(handler=handler)
         p.add_argument("-o", "--output", help="write here instead of stdout")
         p.add_argument(
             "--check",
@@ -395,71 +330,51 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--digits", type=int, default=6, help="decimals of a rounded regular_ngon"
     )
-    common(p)
+    common(p, _cmd_construct)
 
     p = sub.add_parser("hom", help="build the polytope of maps sending P into Q")
     p.add_argument("source", help="V- or H-file for P")
     p.add_argument("target", help="V- or H-file for Q")
     p.add_argument("--labels", help="label sidecar path (default: OUTPUT.labels)")
-    common(p)
+    common(p, _cmd_hom)
 
     p = sub.add_parser("classify", help="rank summary of the vertex maps P -> Q")
     p.add_argument("source")
     p.add_argument("target")
-    common(p)
+    common(p, _cmd_classify)
 
     p = sub.add_parser("table", help="vertex-count table for regular polygon pairs")
     p.add_argument("--m-range", type=_parse_range, default=(3, 6), metavar="LO..HI")
     p.add_argument("--n-range", type=_parse_range, default=(3, 6), metavar="LO..HI")
     p.add_argument("--jobs", type=int, default=1)
-    common(p)
+    common(p, _cmd_table)
 
     p = sub.add_parser("graphs", help="coincidence graphs with nonvanishing certificates")
-    common(p)
+    common(p, _cmd_graphs)
 
     p = sub.add_parser("identity-check", help="compare f-vectors across a hom identity")
     p.add_argument("kind", choices=_IDENTITY_KINDS)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--target", help="target polytope as kind:size, e.g. regular_ngon:5")
-    common(p)
+    common(p, _cmd_identity_check)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields: dict[str, object] = {"command": args.command}
-    if args.command == "construct":
-        fields.update(kind=args.kind, size=args.size, digits=args.digits)
-    elif args.command in ("hom", "classify"):
-        fields.update(inputs=(args.source, args.target))
-        if args.command == "hom":
-            fields.update(labels=args.labels)
-    elif args.command == "table":
-        fields.update(
-            m_range=args.m_range,
-            n_range=args.n_range,
-            jobs=args.jobs,
-        )
-    elif args.command == "identity-check":
-        fields.update(
-            kind=args.kind,
-            n=args.n,
-            m=args.m,
-            target=args.target,
-        )
-    fields.update(output=args.output, check=args.check)
-    return RunConfig(**fields)  # type: ignore[arg-type]
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return run(config)
+        emissions, status = args.handler(args)
+        for destination, text in emissions:
+            if destination is None:
+                sys.stdout.write(text)
+            else:
+                Path(destination).write_text(text)
     except (ParseError, GeometryError, RuntimeError, ValueError, OSError) as exc:
         print(f"hompoly: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return status
 
 
 if __name__ == "__main__":

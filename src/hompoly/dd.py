@@ -142,16 +142,6 @@ def extreme_rays(rows: list, arithmetic) -> list[tuple[tuple, int]]:
         sgn = signs(vals)
         pos = [i for i, v in enumerate(sgn) if v > 0]
         neg = [i for i, v in enumerate(sgn) if v < 0]
-        if not neg:
-            rays = [
-                (g, m | (1 << k)) if sgn[i] == 0 else (g, m)
-                for i, (g, m) in enumerate(rays)
-            ]
-            continue
-        if not pos and len(neg) == len(rays):
-            # every ray strictly violates the row: the cone collapses to {0}
-            return []
-
         new_rays: list[tuple[tuple, int]] = []
         for ip in pos:
             gp, mp = rays[ip]

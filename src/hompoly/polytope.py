@@ -40,7 +40,9 @@ from .linalg import (
     canonical_inequality,
     independent_rows,
     mat_inverse,
-    mat_rank,
+    # unused here: perfbench's tracer self-test looks the name up in this
+    # module and checks that tracing rebinds it
+    mat_rank,  # noqa: F401
     solve_affine_hull,
     vec_dot,
     vec_sub,
@@ -179,7 +181,10 @@ def _vertices_of_system(
     """Sorted vertices with activity masks over the given inequality order.
 
     Requires the feasible set to be a full-dimensional polytope; bounded
-    lower-dimensional sets raise :class:`LowerDimensionalError`.
+    lower-dimensional sets raise :class:`LowerDimensionalError`.  A
+    bounded feasible set is lower-dimensional exactly when some row is
+    tight at every vertex (an implicit equality), which the activity
+    masks show; the hull dimension is computed only for the message.
     """
     if ambient_dim == 0:
         # the only candidate point is the empty tuple; constraints reduce
@@ -198,9 +203,11 @@ def _vertices_of_system(
     offsets = [iq.offset for iq in inequalities]
     found = dd.enumerate_vertices(normals, offsets)
     found.sort(key=lambda item: item[0])
-    rank = _affine_rank(p for p, _ in found)
-    if rank < ambient_dim:
-        raise LowerDimensionalError(rank, ambient_dim)
+    implicit = -1
+    for _, mask in found:
+        implicit &= mask
+    if implicit:
+        raise LowerDimensionalError(_affine_rank(p for p, _ in found), ambient_dim)
     return found
 
 
@@ -214,16 +221,18 @@ def _facets_of_hull(
     full-dimensional.  Mask bit i refers to input point i, so redundant
     input points are handled and reported faithfully; a point equal to
     the center gives the dual row ``0 . y <= 1``, which is never tight.
+    The polar system is unbounded exactly when the points do not span,
+    so that is how a lower-dimensional hull shows.
     """
     if ambient_dim == 0:
         return []
-    rank = _affine_rank(points)
-    if rank < ambient_dim:
-        raise LowerDimensionalError(rank, ambient_dim)
     center = barycenter(points)
-    dual_vertices = dd.enumerate_vertices(
-        [vec_sub(p, center) for p in points], [Fraction(1)] * len(points)
-    )
+    try:
+        dual_vertices = dd.enumerate_vertices(
+            [vec_sub(p, center) for p in points], [Fraction(1)] * len(points)
+        )
+    except UnboundedError:
+        raise LowerDimensionalError(_affine_rank(points), ambient_dim) from None
     results = [
         (Inequality(*canonical_inequality(y, 1 + vec_dot(y, center))), mask)
         for y, mask in dual_vertices
@@ -262,6 +271,19 @@ def _transpose(masks: Iterable[int], width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _maximal_masks(masks: Iterable[int]) -> set[int]:
+    """The distinct masks that are not strictly inside another one."""
+    kept: list[int] = []
+    # largest first: a strict superset has more bits, so it is kept already
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for big in kept:
+            if m & big == m:
+                break
+        else:
+            kept.append(m)
+    return set(kept)
+
+
 def _facet_rows(
     inequalities: tuple[Inequality, ...], masks: tuple[int, ...], n_vertices: int
 ) -> list[int]:
@@ -273,12 +295,7 @@ def _facet_rows(
     row defines a facet exactly when its vertex set is nonempty, proper
     and not strictly inside another row's.
     """
-    full = (1 << n_vertices) - 1
-    distinct = set(masks)
-    maximal = {
-        m for m in distinct
-        if m and m != full and not any(m != o and m & o == m for o in distinct)
-    }
+    maximal = _maximal_masks(masks) - {0, (1 << n_vertices) - 1}
     seen: set[tuple[Vector, Fraction]] = set()
     keep = []
     for j, iq in enumerate(inequalities):
@@ -291,25 +308,21 @@ def _facet_rows(
 
 
 def _extreme_points(
-    points: tuple[Vector, ...],
-    point_masks: tuple[int, ...],
-    facets: tuple[Inequality, ...],
+    points: tuple[Vector, ...], point_masks: tuple[int, ...]
 ) -> list[int]:
     """First index of each distinct extreme point.
 
-    A point is extreme exactly when the normals of the facets through it
-    have full rank.
+    ``point_masks[i]`` is the facet set of point i.  A vertex is the only
+    point of the face its facets cut out, and any other point lies in a
+    face with a vertex on more facets, so a point is extreme exactly
+    when no other point lies on a strict superset of its facets: the
+    dual of :func:`_facet_rows`.
     """
-    d = len(points[0])
+    maximal = _maximal_masks(point_masks)
     first: dict[Vector, int] = {}
     for i, p in enumerate(points):
         first.setdefault(p, i)
-    out = []
-    for i in first.values():
-        active = tuple(facets[j].normal for j in _bits(point_masks[i]))
-        if len(active) >= d and mat_rank(active) == d:
-            out.append(i)
-    return out
+    return [i for i in first.values() if point_masks[i] in maximal]
 
 
 class Polytope:
@@ -418,8 +431,7 @@ class Polytope:
             if not self._checked:
                 point_masks = _transpose(masks, len(points))
                 kept = sorted(
-                    _extreme_points(points, point_masks, self._inequalities),
-                    key=points.__getitem__,
+                    _extreme_points(points, point_masks), key=points.__getitem__
                 )
                 self._vertices = tuple(points[i] for i in kept)
                 masks = _transpose((point_masks[i] for i in kept), len(masks))
@@ -461,26 +473,27 @@ class Polytope:
     def dim(self) -> int:
         """Dimension of the affine hull.
 
-        When only an inequality description is known and a strictly
-        interior point was provided at construction, the dimension is
-        the ambient dimension without any vertex enumeration; that check
-        is exact and cheap, and the hom builder relies on it.
+        Once the facet masks are known it is the ambient dimension,
+        because completion refuses lower-dimensional input.  When only an
+        inequality description is known and a strictly interior point
+        was provided at construction, it is the ambient dimension without
+        any vertex enumeration; that check is exact and cheap, and the
+        hom builder relies on it.
         """
         if self._dim is None:
-            if self._vertices is not None:
+            if self._facet_masks is not None:
+                self._dim = self.ambient_dim
+            elif self._vertices is not None:
                 # unchecked points span the same affine hull as their vertices
                 self._dim = _affine_rank(self._vertices)
-            elif (
-                self._interior_point is not None
-                and self._inequalities is not None
-                and all(
-                    iq.value(self._interior_point) < iq.offset
-                    for iq in self._inequalities
-                )
+            elif self._interior_point is not None and all(
+                iq.value(self._interior_point) < iq.offset
+                for iq in self._inequalities or ()
             ):
                 self._dim = self.ambient_dim
             else:
-                self._dim = _affine_rank(self.vertices)
+                self._complete()
+                self._dim = self.ambient_dim
         return self._dim
 
     @property

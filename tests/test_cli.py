@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import hompoly.polyio
-from hompoly.cli import InvariantViolation, RunConfig, _check_hom, main, worker_count
+import hompoly.cli
+from hompoly.cli import InvariantViolation, _check_hom, main, worker_count
 from hompoly.constructions import cube, regular_ngon
-from hompoly.hom import build_hom
+from hompoly.hom import IdentityCheckReport, build_hom
 from hompoly.polyio import (
     MAX_DECIMAL_EXPONENT,
     MAX_SCALAR_LENGTH,
@@ -153,28 +154,158 @@ def test_label_sidecar_rejects_gaps_and_junk():
         read_labels("# nothing\n")
 
 
-# -- RunConfig validation ------------------------------------------------
+# -- flag validation -----------------------------------------------------
+
+SIDECAR_MESSAGE = (
+    "hom writes a label sidecar; pass --output (sidecar goes next to it)"
+    " or --labels"
+)
 
 
-def test_validate_rejects_bad_flags():
-    with pytest.raises(ValueError, match="digits"):
-        RunConfig("graphs", digits=0).validate()
-    with pytest.raises(ValueError, match="jobs"):
-        RunConfig("graphs", jobs=0).validate()
-    with pytest.raises(ValueError, match="unknown construction"):
-        RunConfig("construct", kind="orb", size=3).validate()
-    with pytest.raises(ValueError, match="exactly two"):
-        RunConfig("hom", inputs=("one.poly",)).validate()
-    with pytest.raises(ValueError, match="sidecar"):
-        RunConfig("hom", inputs=("a", "b")).validate()
-    with pytest.raises(ValueError, match="start at 3"):
-        RunConfig("table", m_range=(2, 4)).validate()
-    with pytest.raises(ValueError, match="empty"):
-        RunConfig("table", n_range=(5, 4)).validate()
-    with pytest.raises(ValueError, match="needs --n and --target"):
-        RunConfig("identity-check", kind="simplex_power").validate()
-    with pytest.raises(ValueError, match="needs --m and --n"):
-        RunConfig("identity-check", kind="cube_cross_swap", n=2).validate()
+def test_validate_rejects_bad_flags(capsys):
+    # every flag check a command line can reach; argparse (exit 2) refuses
+    # unknown kinds, a missing input and flags a command does not have
+    cases = [
+        (["construct", "cube", "3", "--digits", "0"], "--digits must be at least 1"),
+        (["construct", "cube", "0"], "construct needs a positive size"),
+        (["hom", "a.v", "b.v"], SIDECAR_MESSAGE),
+        (["table", "--jobs", "0"], "--jobs must be at least 1"),
+        (["table", "--m-range", "2..4"], "--m-range must start at 3 or more"),
+        (["table", "--n-range", "5..4"], "--n-range is empty"),
+        (
+            ["identity-check", "simplex_power", "--n", "1"],
+            "simplex_power needs --n and --target",
+        ),
+        (
+            ["identity-check", "cube_cross_swap", "--n", "2"],
+            "cube_cross_swap needs --m and --n",
+        ),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", f"hompoly: ValueError: {message}\n"), argv
+
+
+def test_hom_checks_its_destination_before_reading_inputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["hom", "missing.v", "missing.v"], capsys)
+    assert (code, out, err) == (1, "", f"hompoly: ValueError: {SIDECAR_MESSAGE}\n")
+
+
+def test_identity_check_status_follows_the_report(monkeypatch, capsys):
+    def mismatch(kind, **_):
+        return IdentityCheckReport(kind, "left", "right", (1, 1), (2, 1))
+
+    monkeypatch.setattr(hompoly.cli, "hom_identity_check", mismatch)
+    code, out, err = run_cli(["identity-check", "cube_bipyramid", "--m", "2", "--n", "1"], capsys)
+    assert code == 1
+    assert err == ""
+    assert out.splitlines()[-1] == "match: no"
+
+
+# ``--help`` of every subcommand at 80 columns, frozen so that no option
+# comes or goes unnoticed (argparse's formatting as of Python 3.10-3.12)
+HELP = {
+    "construct": """\
+usage: hompoly construct [-h] [--digits DIGITS] [-o OUTPUT] [--check]
+                         {simplex,cube,crosspolytope,regular_ngon} size
+
+Emit a stock polytope as a V-file. regular_ngon N for N other than 3, 4 and 6
+rounds the coordinates to --digits decimals, so the polygon is not an affine
+image of the regular N-gon; the file says so in a # line.
+
+positional arguments:
+  {simplex,cube,crosspolytope,regular_ngon}
+  size                  dimension, or vertex count for regular_ngon
+
+options:
+  -h, --help            show this help message and exit
+  --digits DIGITS       decimals of a rounded regular_ngon
+  -o OUTPUT, --output OUTPUT
+                        write here instead of stdout
+  --check               re-verify invariants and abort on the first violation
+""",
+    "hom": """\
+usage: hompoly hom [-h] [--labels LABELS] [-o OUTPUT] [--check] source target
+
+positional arguments:
+  source                V- or H-file for P
+  target                V- or H-file for Q
+
+options:
+  -h, --help            show this help message and exit
+  --labels LABELS       label sidecar path (default: OUTPUT.labels)
+  -o OUTPUT, --output OUTPUT
+                        write here instead of stdout
+  --check               re-verify invariants and abort on the first violation
+""",
+    "classify": """\
+usage: hompoly classify [-h] [-o OUTPUT] [--check] source target
+
+positional arguments:
+  source
+  target
+
+options:
+  -h, --help            show this help message and exit
+  -o OUTPUT, --output OUTPUT
+                        write here instead of stdout
+  --check               re-verify invariants and abort on the first violation
+""",
+    "table": """\
+usage: hompoly table [-h] [--m-range LO..HI] [--n-range LO..HI] [--jobs JOBS]
+                     [-o OUTPUT] [--check]
+
+options:
+  -h, --help            show this help message and exit
+  --m-range LO..HI
+  --n-range LO..HI
+  --jobs JOBS
+  -o OUTPUT, --output OUTPUT
+                        write here instead of stdout
+  --check               re-verify invariants and abort on the first violation
+""",
+    "graphs": """\
+usage: hompoly graphs [-h] [-o OUTPUT] [--check]
+
+options:
+  -h, --help            show this help message and exit
+  -o OUTPUT, --output OUTPUT
+                        write here instead of stdout
+  --check               re-verify invariants and abort on the first violation
+""",
+    "identity-check": """\
+usage: hompoly identity-check [-h] [--n N] [--m M] [--target TARGET]
+                              [-o OUTPUT] [--check]
+                              {simplex_power,cube_bipyramid,cube_cross_swap}
+
+positional arguments:
+  {simplex_power,cube_bipyramid,cube_cross_swap}
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --m M
+  --target TARGET       target polytope as kind:size, e.g. regular_ngon:5
+  -o OUTPUT, --output OUTPUT
+                        write here instead of stdout
+  --check               re-verify invariants and abort on the first violation
+""",
+}
+
+
+@pytest.mark.skipif(
+    not (3, 10) <= sys.version_info[:2] < (3, 13),
+    reason="argparse formats options differently from Python 3.13 on",
+)
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_is_frozen(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (HELP[command], "")
 
 
 def test_worker_count_is_clamped(monkeypatch):
@@ -381,6 +512,41 @@ def test_oversized_simplex_power_fails_at_once(capsys):
     assert err == (
         "hompoly: ValueError: hom(simplex(3), target) has 12^4 = 20736"
         " vertices, above the vertex limit of 4096; refusing\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["construct", "cube", "26"],
+            "cube 26 has 2^26 vertices of 26 coordinates each",
+        ),
+        (
+            ["construct", "crosspolytope", "26"],
+            "crosspolytope 26 has 2^26 facets of 26 coordinates each",
+        ),
+        (
+            ["construct", "simplex", "20000"],
+            "simplex 20000 has 20001 vertices of 20000 coordinates each",
+        ),
+        (
+            ["identity-check", "simplex_power", "--n", "1", "--target",
+             "regular_ngon:1000000"],
+            "regular_ngon 1000000 has 1000000 vertices of 2 coordinates each",
+        ),
+    ],
+    ids=["cube", "crosspolytope", "simplex", "target"],
+)
+def test_oversized_construction_fails_at_once(argv, message, capsys):
+    start = time.monotonic()
+    code, out, err = run_cli(argv, capsys)
+    assert time.monotonic() - start < 2
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"hompoly: ValueError: {message}, above the limit of 65536"
+        " coordinates; refusing\n"
     )
 
 

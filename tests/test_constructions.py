@@ -1,5 +1,6 @@
 """Unit tests for stock polytopes and combinators."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,32 @@ def test_even_ngon_has_exactly_antipodal_vertices():
 def test_ngon_rejects_insufficient_digits():
     with pytest.raises(GeometryError):
         regular_ngon(1000, digits=2)
+
+
+def test_flattened_ngon_fails_within_a_few_turns():
+    # at 6 digits the rounded points around angle 0 are collinear; the
+    # turn there is checked before the other 999,997 points are made
+    start = time.monotonic()
+    with pytest.raises(GeometryError, match="not strictly convex at 6 digits"):
+        regular_ngon(10**6)
+    assert time.monotonic() - start < 1
+
+
+def test_standard_refuses_oversized_descriptions_before_building():
+    # largest accepted: 2^12 * 12 and 256 * 255 coordinates
+    assert standard("cube", 12).n_vertices == 4096
+    assert standard("simplex", 255).n_vertices == 256
+    start = time.monotonic()
+    for kind, n in [
+        ("cube", 13),
+        ("crosspolytope", 13),
+        ("simplex", 256),
+        ("regular_ngon", 32769),
+        ("cube", 10**12),
+    ]:
+        with pytest.raises(ValueError, match="above the limit of 65536 coordinates"):
+            standard(kind, n)
+    assert time.monotonic() - start < 1
 
 
 def test_join_of_segment_and_square():
