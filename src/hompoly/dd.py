@@ -17,10 +17,12 @@ nonzero keeps exactly that question, in one dimension fewer.
 
 Vertex enumeration runs on integers: input rows are scaled to
 primitive integer form and every ray is kept as a primitive integer
-vector.  Entries are bounded by minors of the input (Cramer), which
-Python integers absorb without ceremony.  :func:`extreme_rays` takes
-its scalar arithmetic from its caller, so the polygon survey runs the
-same engine over a real number field (:mod:`hompoly.numfield`).
+vector, from the initial simplicial generators (a fraction-free solve,
+with no inverse matrix in ``Fraction``) onwards.  Entries are bounded
+by minors of the input (Cramer), which Python integers absorb without
+ceremony.  :func:`extreme_rays` takes its scalar arithmetic from its
+caller, so the polygon survey runs the same engine over a real number
+field (:mod:`hompoly.numfield`).
 
 Activity of rays against already-processed rows is tracked in bitmasks
 (bit i set means row i is tight), so the adjacency pre-filter is a
@@ -35,6 +37,7 @@ later incidence consumers (face lattices, simplicity tests) require.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from operator import mul
 
@@ -43,8 +46,8 @@ from .linalg import (
     Vector,
     independent_rows,
     integer_direction,
-    mat_inverse,
     nullspace_basis,
+    solve_directions,
 )
 
 IntRow = tuple[int, ...]
@@ -88,12 +91,14 @@ def _initial_generators(rows: list, arithmetic) -> tuple[list[int], list[tuple]]
     """The greedily picked basis rows and the rays of their simplicial cone.
 
     Over a field of degree D each row is given as its block of D rational
-    rows, so the basis and the inverse come from ``linalg`` on those.
+    rows, so the basis and the generators come from ``linalg`` on those.
     A row is independent of the rows before it exactly when its whole
-    block is kept.  If M stacks the picked blocks, the generators are
-    the columns of M^{-1} that answer the first row of each block: such
-    a column has value 1 on its own row and 0 on every other picked row,
-    which is exactly a simplicial ray configuration.
+    block is kept.  If M stacks the picked blocks, the generators solve
+    M g = e for the first unit column e of each block: such a g has
+    value 1 on its own row and 0 on every other picked row, which is
+    exactly a simplicial ray configuration.  The solve is fraction-free
+    and returns each g as a primitive integer vector, so M^{-1} is never
+    formed.
     """
     d = arithmetic.degree
     flat = rows if d == 1 else [r for block in rows for r in block]
@@ -101,8 +106,10 @@ def _initial_generators(rows: list, arithmetic) -> tuple[list[int], list[tuple]]
     picked = [i for i in range(len(rows)) if all(i * d + k in kept for k in range(d))]
     if len(picked) * d < len(flat[0]):
         raise ConeDegenerateError("inequality rows do not span")
-    inv = mat_inverse(tuple(r for i in picked for r in flat[i * d:(i + 1) * d]))
-    return picked, [integer_direction(col) for col in list(zip(*inv))[::d]]
+    n = len(picked) * d
+    units = [[int(k == j) for k in range(n)] for j in range(0, n, d)]
+    basis = [r for i in picked for r in flat[i * d:(i + 1) * d]]
+    return picked, solve_directions(basis, units)
 
 
 def extreme_rays(rows: list, arithmetic) -> list[tuple[tuple, int]]:
@@ -142,23 +149,22 @@ def extreme_rays(rows: list, arithmetic) -> list[tuple[tuple, int]]:
         sgn = signs(vals)
         pos = [i for i, v in enumerate(sgn) if v > 0]
         neg = [i for i, v in enumerate(sgn) if v < 0]
+        masks = [m for _, m in rays]
+        negatives = [(iq, masks[iq]) for iq in neg]
         new_rays: list[tuple[tuple, int]] = []
         for ip in pos:
-            gp, mp = rays[ip]
-            vp = vals[ip]
-            for iq in neg:
-                gq, mq = rays[iq]
-                common = mp & mq
-                if common.bit_count() < need:
-                    continue
-                adjacent = True
-                for ir, (_, mr) in enumerate(rays):
-                    if ir != ip and ir != iq and (mr & common) == common:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                new_rays.append((combine(vp, gp, vals[iq], gq), common | (1 << k)))
+            mp = masks[ip]
+            candidates = [
+                (iq, common)
+                for iq, mq in negatives
+                if (common := mp & mq).bit_count() >= need
+            ]
+            for iq, common in candidates:
+                # adjacent: p and q are the only rays whose mask contains common
+                containing = (mr for mr in masks if mr & common == common)
+                if len(list(islice(containing, 3))) == 2:
+                    ray = combine(vals[ip], rays[ip][0], vals[iq], rays[iq][0])
+                    new_rays.append((ray, common | (1 << k)))
 
         kept = [
             (g, m | (1 << k)) if sgn[i] == 0 else (g, m)

@@ -12,7 +12,8 @@ fraction-free elimination, :func:`_echelon`, in the integer-preserving
 spirit of Bareiss: each row is scaled to integers, reduced against the
 rows kept so far by cross-multiplication, and divided by the gcd of its
 entries, so no ``Fraction`` is built until :func:`rref` normalizes its
-pivots.  :func:`mat_det` is the one exception; it runs Bareiss itself.
+pivots, and :func:`solve_directions` builds none at all.  :func:`mat_det`
+is the one exception; it runs Bareiss itself.
 
 The elimination chooses greedily in input order: a row is kept exactly
 when it is independent of the rows kept before it.  Every derived
@@ -139,16 +140,27 @@ def rref(m: Iterable[Sequence[Fraction | int]]) -> tuple[list[Vector], list[int]
     Back-substitution on :func:`_echelon`'s rows, bottom up, then each
     row is divided by its pivot entry.
     """
-    _, reduced = _echelon(m)
+    pivots, rows = _back_substitute(_echelon(m)[1])
+    return [
+        tuple(Fraction(e, x[pc]) for e in x) for pc, x in zip(pivots, rows)
+    ], pivots
+
+
+def _back_substitute(
+    reduced: list[tuple[int, list[int]]],
+) -> tuple[list[int], list[list[int]]]:
+    """Pivot columns and :func:`_echelon`'s rows cleared above every pivot.
+
+    Integer back-substitution, bottom up: each row stays primitive and
+    is zero in every pivot column but its own.
+    """
     pivots = [pc for pc, _ in reduced]
     rows = [x for _, x in reduced]
     for i in reversed(range(len(rows))):
         for pc, y in zip(pivots[i + 1 :], rows[i + 1 :]):
             if rows[i][pc]:
                 rows[i] = _cancel(rows[i], y, pc)
-    return [
-        tuple(Fraction(e, x[pc]) for e in x) for pc, x in zip(pivots, rows)
-    ], pivots
+    return pivots, rows
 
 
 def mat_rank(m: Matrix) -> int:
@@ -251,6 +263,32 @@ def solve_square(m: Matrix, rhs: Vector) -> Vector:
 def mat_inverse(m: Matrix) -> Matrix:
     """Inverse of a square invertible matrix: ``[m | I]`` reduced to ``[I | m^-1]``."""
     return tuple(_solve_columns(m, identity_matrix(len(m))))
+
+
+def solve_directions(
+    m: Sequence[Sequence[Fraction | int]],
+    columns: Sequence[Sequence[Fraction | int]],
+) -> list[tuple[int, ...]]:
+    """Primitive integer positive multiples of ``m^-1 @ c``, one per column c.
+
+    Fraction-free: :func:`_echelon` and integer back-substitution reduce
+    ``[m | columns]`` to rows ``p_i x_i = r_i``, and every solution is
+    scaled by the lcm of the pivots p_i, so no ``Fraction`` is built.
+    Equals :func:`integer_direction` of the rational solution; a zero
+    column gives the zero vector.  Raises ``ValueError`` when ``m`` is
+    singular.
+    """
+    n = len(m)
+    augmented = [list(row) + [c[i] for c in columns] for i, row in enumerate(m)]
+    pivots, rows = _back_substitute(_echelon(augmented)[1])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    scale = lcm(*(x[i] for i, x in enumerate(rows)))
+    factors = [scale // x[i] for i, x in enumerate(rows)]
+    return [
+        tuple(_primitive([f * x[j] for f, x in zip(factors, rows)]))
+        for j in range(n, n + len(columns))
+    ]
 
 
 def integer_direction(v: Vector) -> tuple[int, ...]:

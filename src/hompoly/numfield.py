@@ -16,9 +16,10 @@ algebraic integers, so the survey's rows and rays stay integral.
 Zero tests are exact.  A sign is decided from the exact floors
 F_k = ⌊2^P b_k⌋: the element Σ c_k b_k times 2^P differs from
 Σ c_k F_k by less than Σ |c_k|, so a sum that clears that bound has the
-element's sign; otherwise P doubles.  The floors come from exact
-bisection on the minimal polynomials and integer interval products, so
-no floating point is involved.
+element's sign; otherwise P doubles.  The floors come from bisection on
+the minimal polynomials in integers scaled by powers of two and from
+integer interval products, so neither floating point nor ``Fraction``
+is involved.
 
 A field is also the scalar arithmetic :func:`hompoly.dd.extreme_rays`
 runs on.  A row over K^d is given as its block: the D rational rows of
@@ -29,13 +30,12 @@ matrix-vector product.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd, lcm, prod
 from operator import add, mul
 
-from .linalg import integer_direction, solve_square
+from .linalg import solve_directions
 
 Element = tuple[int, ...]
 
@@ -98,31 +98,33 @@ def survey_degree(m: int, n: int) -> int:
     return prod(_totient(k) // 2 for k in survey_moduli(m, n))
 
 
-def _evaluate(poly: tuple[int, ...], x: Fraction) -> Fraction:
-    value = Fraction(0)
-    for c in reversed(poly):
-        value = value * x + c
-    return value
-
-
 def _root_floor(poly: tuple[int, ...], q: int) -> int:
-    """⌊2^q r⌋ for the largest root r of ``poly``, by exact bisection.
+    """⌊2^q r⌋ for the largest root r of ``poly``, by integer bisection.
 
     The roots of a minimal polynomial of 2cos(2π/n) are real and lie in
     (-2, 2).  For such a polynomial, x > r exactly when it and all its
     derivatives but the constant one are positive at x: every root of a
     derivative is at most r (Rolle), and when all of them are positive
-    Budan-Fourier leaves no root above x.
+    Budan-Fourier leaves no root above x.  At x = t/2^q a derivative d
+    of degree k has the sign of the integer 2^(qk) d(t/2^q), which
+    Horner's rule gives as Σ d_i t^i 2^(q(k-i)).
     """
     derivatives = []
     while len(poly) > 1:
         derivatives.append(poly)
         poly = tuple(i * c for i, c in enumerate(poly))[1:]
+
+    def positive(d: tuple[int, ...], t: int) -> bool:
+        value, shift = d[-1], q
+        for c in reversed(d[:-1]):
+            value = value * t + (c << shift)
+            shift += q
+        return value > 0
+
     lo, hi = -2 << q, 2 << q
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        x = Fraction(mid, 1 << q)
-        if all(_evaluate(d, x) > 0 for d in derivatives):
+        if all(positive(d, mid) for d in derivatives):
             hi = mid
         else:
             lo = mid
@@ -235,10 +237,6 @@ class Field:
                 return 1 if s > 0 else -1
             p *= 2
 
-    def inverse(self, x: Element) -> tuple[Fraction, ...]:
-        """x^-1, the solution y of x * y = 1."""
-        return solve_square(self.matrix(x), self.one)
-
     # -- the scalar arithmetic of dd.extreme_rays -------------------------
 
     def block(self, row: tuple[Element, ...]) -> tuple[tuple[int, ...], ...]:
@@ -261,7 +259,11 @@ class Field:
 
         The ray is multiplied by an integer multiple u of e^-1, where e is
         its first nonzero entry, with u positive in the real embedding so
-        the direction is kept; then divided by its integer content.
+        the direction is kept; then divided by its integer content.  The
+        coordinates of e^-1 solve M_e y = 1 for the multiplication matrix
+        M_e of e, and N(e) e^-1 = adj(M_e) 1 is integral; u is the
+        primitive integer multiple of that solution, from a fraction-free
+        solve, so no fraction is built.
         """
         d = self.degree
         mp, mq = self.matrix(vp), self.matrix(vq)
@@ -272,7 +274,8 @@ class Field:
                 sum(map(mul, rp, b)) - sum(map(mul, rq, a)) for rp, rq in zip(mp, mq)
             ]
         first = next(j for j in range(0, len(flat), d) if any(flat[j:j + d]))
-        u = integer_direction(self.inverse(tuple(flat[first:first + d])))
+        lead = tuple(flat[first:first + d])
+        u = solve_directions(self.matrix(lead), [self.one])[0]
         if self.sign(u) < 0:
             u = tuple(-e for e in u)
         mu = self.matrix(u)

@@ -25,7 +25,7 @@ from math import isqrt
 
 from . import dd
 from .linalg import Scalar, Vector
-from .numfield import survey_degree, survey_field
+from .numfield import Field, survey_degree, survey_field
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,10 @@ def check_survey_size(m: int, n: int) -> None:
         )
 
 
-def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
-    """Count the vertices of Hom(P_m, P_n) exactly, by rank.
+def survey_cone(
+    m: int, n: int
+) -> tuple[Field, list, Field | dd.IntegerArithmetic]:
+    """The field K_m·K_n, and the rows and scalars of Hom(P_m, P_n)'s cone.
 
     Vertex k of the model n-gon is (C_k(β), S_k(β)) with β = 2cos 2π/n
     (:meth:`Field.chebyshev <hompoly.numfield.Field.chebyshev>`): the
@@ -262,11 +264,10 @@ def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
     ``b x0 - a.(L v + t) >= 0``, one per source vertex v and target edge
     ``a.x <= b``, plus ``x0 >= 0``, cut out a pointed cone whose extreme
     rays are the vertex maps (x0 > 0, since the hom-polytope is
-    bounded).  A map has rank 0 when L = 0, rank 2 when det L != 0, and
-    rank 1 otherwise.  When the field is Q the models are integral and
-    the engine runs on integers.
+    bounded).  The rows and scalars are what :func:`dd.extreme_rays`
+    takes: when the field is Q the models are integral and the engine
+    runs on integers, otherwise on the field's blocks.
     """
-    check_survey_size(m, n)
     field, alpha, beta = survey_field(m, n)
     source = field.chebyshev(alpha, m)
     target = field.chebyshev(beta, n)
@@ -283,10 +284,21 @@ def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
     rows.append((field.one,) + (zero,) * 6)
     blocks = [field.block(row) for row in rows]
     if field.degree == 1:
-        rays = dd.extreme_rays([blk[0] for blk in blocks], dd.INTEGERS)
-    else:
-        rays = dd.extreme_rays(blocks, field)
+        return field, [blk[0] for blk in blocks], dd.INTEGERS
+    return field, blocks, field
 
+
+def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
+    """Count the vertices of Hom(P_m, P_n) exactly, by rank.
+
+    The vertex maps are the extreme rays of :func:`survey_cone`.  A map
+    has rank 0 when L = 0, rank 2 when det L != 0, and rank 1 otherwise.
+    """
+    check_survey_size(m, n)
+    field, rows, arithmetic = survey_cone(m, n)
+    rays = dd.extreme_rays(rows, arithmetic)
+
+    mul, sub = field.mul, field.sub
     d = field.degree
     counts = {0: 0, 1: 0, 2: 0}
     for ray, _ in rays:

@@ -11,6 +11,7 @@ degenerate; dropping, lifting and contradicting rows make them
 unbounded, infeasible or lower-dimensional.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -19,8 +20,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hompoly import dd
+from hompoly.constructions import regular_ngon
 from hompoly.errors import InfeasibleError, UnboundedError
+from hompoly.hom import build_hom
 from hompoly.linalg import nullspace_basis, solve_affine_hull, vec_dot, vec_sub
+from hompoly.regular import survey_cone
 from test_acceptance import oracle_extreme_points
 
 small = st.integers(min_value=-3, max_value=3)
@@ -213,3 +217,36 @@ def test_lone_zero_normal_row_leaves_the_line_unbounded():
 def test_zero_normal_with_zero_offset_is_refused():
     with pytest.raises(ValueError, match="zero normal and zero offset"):
         enumerate_rows(SQUARE + [(ZERO_2D, Fraction(0))])
+
+
+# -- golden output: rays, masks and their order ------------------------------
+
+# SHA-256 of repr(dd.extreme_rays(...)) on survey cones, recorded from the
+# engine that normalized rays and built its initial generators in
+# ``Fraction``; the fraction-free engine must reproduce them exactly
+SURVEY_DIGESTS = {
+    (3, 5): "ea69dfcdb4347dd576d1da2a24e7cc090c2b9e8a658580e29be96f9a0c4483a3",
+    (5, 4): "6b17522cb5235206841d1da2adefc2254e6f73c2fb575a68d04f2543ab0e72bb",
+    (5, 6): "7eab4891fa08a0359521538c65996f418e143bf95e0402b6c3ddaa1bb0b5adf6",
+    (6, 6): "48573b69650408c9de20067beeca974946744634f0e4200d5ea03819584ea731",
+}
+HEXAGON_HOM_DIGEST = "f7fab1f25c0a770826e5c1c5ec10c03bf1b0762c85edfc0013b1f87e9ab53588"
+
+
+def _digest(found) -> str:
+    return hashlib.sha256(repr(found).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("pair", sorted(SURVEY_DIGESTS))
+def test_survey_rays_masks_and_order_are_unchanged(pair):
+    _, rows, arithmetic = survey_cone(*pair)
+    assert _digest(dd.extreme_rays(rows, arithmetic)) == SURVEY_DIGESTS[pair]
+
+
+def test_hexagon_hom_vertices_masks_and_order_are_unchanged():
+    hexagon = regular_ngon(6)
+    inequalities = build_hom(hexagon, hexagon).polytope.inequalities
+    found = dd.enumerate_vertices(
+        [iq.normal for iq in inequalities], [iq.offset for iq in inequalities]
+    )
+    assert _digest(found) == HEXAGON_HOM_DIGEST

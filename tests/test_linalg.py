@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hompoly.linalg import (
@@ -21,6 +21,7 @@ from hompoly.linalg import (
     nullspace_basis,
     rref,
     solve_affine_hull,
+    solve_directions,
     solve_square,
     vec,
     vec_sub,
@@ -301,3 +302,60 @@ def test_affine_hull_keeps_exactly_the_rank_raising_differences(sympy, points):
         if _to_sympy(sympy, tuple(kept) + (d,)).rank() > before:
             kept.append(d)
     assert basis == tuple(kept)
+
+
+# -- the fraction-free solve -------------------------------------------------
+
+
+@st.composite
+def invertible_systems(draw):
+    """A random invertible integer or rational matrix and nonzero integer
+    right-hand columns."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entries = draw(st.sampled_from((st.integers(-9, 9), small_fractions)))
+    m = tuple(
+        tuple(Fraction(e) for e in draw(st.lists(entries, min_size=n, max_size=n)))
+        for _ in range(n)
+    )
+    assume(mat_det(m) != 0)
+    column = st.lists(st.integers(-9, 9), min_size=n, max_size=n).filter(any)
+    return m, draw(st.lists(column, min_size=1, max_size=3))
+
+
+@given(invertible_systems())
+@settings(max_examples=150, deadline=None)
+def test_solve_directions_match_the_rational_solutions(system):
+    m, columns = system
+    found = solve_directions(m, columns)
+    assert found == [integer_direction(solve_square(m, vec(*c))) for c in columns]
+    n = len(m)
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    inverse_columns = list(zip(*mat_inverse(m)))
+    assert solve_directions(m, units) == [integer_direction(c) for c in inverse_columns]
+    for x, c in zip(found, columns):
+        assert all(type(e) is int for e in x)
+        assert gcd(*x) == 1
+        # m x is a positive multiple of c
+        image = mat_vec(m, vec(*x))
+        ratios = {y / b for y, b in zip(image, c) if b}
+        assert len(ratios) == 1 and ratios.pop() > 0
+        assert all(y == 0 for y, b in zip(image, c) if not b)
+
+
+@given(rational_matrices(square=True))
+@settings(max_examples=100, deadline=None)
+def test_solve_directions_refuse_a_singular_matrix(m):
+    assume(m and mat_rank(m) < len(m))
+    with pytest.raises(ValueError, match="singular"):
+        solve_directions(m, [[1] * len(m)])
+
+
+def test_solve_directions_small_cases():
+    # m^-1 = [[3, -1], [-5, 2]], so m^-1 (1, 0) = (3, -5) and m^-1 (1, 1) = (2, -3)
+    assert solve_directions(mat([2, 1], [5, 3]), [[1, 0], [1, 1]]) == [(3, -5), (2, -3)]
+    # a negative pivot scales by a positive factor: -2 x = 4 gives x = -2
+    assert solve_directions(((-2,),), [[4]]) == [(-1,)]
+    with pytest.raises(ValueError, match="singular"):
+        solve_directions(((1, 2), (2, 4)), [[1, 0]])
+    with pytest.raises(ValueError, match="singular"):
+        solve_directions(((0, 0), (0, 1)), [[1, 0]])

@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 
+from hompoly.linalg import solve_directions
 from hompoly.numfield import (
     Field,
+    _root_floor,
     cyclotomic,
     minimal_polynomial,
     survey_degree,
@@ -143,13 +146,39 @@ def test_sign_escalates_precision_near_zero():
     assert 128 in field._floor_cache
 
 
-def test_element_times_inverse_is_one():
+def test_element_times_unit_is_a_positive_multiple_of_one():
+    """The unit combine scales by: the primitive integer solution u of
+    x * u = 1, up to a positive factor."""
     rng = random.Random(11)
     for m, n in PAIRS:
         field = survey_field(m, n)[0]
         for x in _elements(field, rng, 20):
             if any(x):
-                assert field.mul(x, field.inverse(x)) == field.one
+                u = solve_directions(field.matrix(x), [field.one])[0]
+                product = field.mul(x, u)
+                assert product[0] > 0 and not any(product[1:]), (m, n, x)
+                assert gcd(*u) == 1
+            else:
+                with pytest.raises(ValueError, match="singular"):
+                    solve_directions(field.matrix(x), [field.one])
+
+
+# 2cos(2π/k) is rational only for these k (Niven), and then an integer
+RATIONAL_COSINES = {3: -1, 4: 0, 6: 1}
+
+
+@mpmath.workdps(120)
+def test_root_floors_match_high_precision_cosines():
+    for k in range(3, 41):
+        for q in (64, 128, 256):
+            if k in RATIONAL_COSINES:
+                expected = RATIONAL_COSINES[k] << q
+            else:
+                value = mpmath.ldexp(2 * mpmath.cos(2 * mpmath.pi / k), q)
+                # 400 bits of precision leave a wide margin around 2^256
+                assert abs(value - mpmath.nint(value)) > mpmath.mpf(2) ** -40
+                expected = int(mpmath.floor(value))
+            assert _root_floor(minimal_polynomial(k), q) == expected, (k, q)
 
 
 @mpmath.workdps(100)
