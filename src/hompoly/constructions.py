@@ -6,11 +6,11 @@ nothing is enumerated twice.  Builders whose facet structure is the
 interesting part (join, tensor, rounded regular polygons) provide
 vertices only and let the kernel complete them on demand.
 
-Regular n-gons are the one place exactness meets rounding: vertex
-coordinates are computed with mpmath at generous precision and rounded
-half-away-from-zero to a fixed number of decimal digits.  Rounding that
-way is odd-symmetric, so antipodal vertex pairs stay exactly antipodal
-and even-gons keep exactly parallel opposite edges, which the counting
+Regular n-gons are the one place exactness meets rounding: coordinates
+are rounded half away from zero to a fixed number of decimals, exactly,
+from :func:`hompoly.numfield.cos_bounds`.  Rounding that way is
+odd-symmetric, so antipodal vertex pairs stay exactly antipodal and
+even-gons keep exactly parallel opposite edges, which the counting
 layers depend on.
 """
 
@@ -19,10 +19,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-import mpmath
-
 from .errors import GeometryError
 from .linalg import Vector, vec_dot, vec_sub, zero_vector
+from .numfield import cos_bounds
 from .polytope import Inequality, Polytope, barycenter
 
 
@@ -94,27 +93,22 @@ def cross_polytope(n: int) -> Polytope:
     )
 
 
-def _round_decimal(value: mpmath.mpf, digits: int) -> Fraction:
-    """Round to ``digits`` decimals, half away from zero, exactly.
+def _round_cos(a: int, b: int, digits: int) -> Fraction:
+    """cos(2π a / b) rounded half away from zero to ``digits`` decimals.
 
-    A guard rejects values suspiciously close to a rounding tie, where
-    the result would depend on working precision.  The exactly rational
-    trigonometric values (0, half, one) sit safely away from ties on any
-    decimal grid, so the guard never fires on legitimate input.
+    Rounding is monotone, so both ends of a :func:`cos_bounds` interval
+    rounding alike decide it; by Niven's theorem no cosine is a tie (a
+    rational one is 0, ±1/2 or ±1), so doubling q gets there.
     """
-    if value < 0:
-        return -_round_decimal(-value, digits)
-    scale = 10 ** digits
-    scaled = value * scale
-    nearest = mpmath.floor(scaled + mpmath.mpf("0.5"))
-    frac = scaled + mpmath.mpf("0.5") - nearest
-    tol = mpmath.mpf("1e-12")
-    if frac < tol or frac > 1 - tol:
-        raise GeometryError(
-            "coordinate falls on a rounding tie at this precision; "
-            "use a different digit count"
+    scale, q = 10**digits, 10 * digits // 3 + 16  # 2^q > 2^15 · 10^digits
+    while True:
+        lo, hi = (
+            (1 if t >= 0 else -1) * ((2 * scale * abs(t) + (1 << q)) >> (q + 1))
+            for t in cos_bounds(a, b, q)
         )
-    return Fraction(int(nearest), scale)
+        if lo == hi:
+            return Fraction(lo, scale)
+        q *= 2
 
 
 def regular_ngon(n: int, digits: int = 6) -> Polytope:
@@ -133,9 +127,8 @@ def regular_ngon(n: int, digits: int = 6) -> Polytope:
         raise ValueError("digits must be positive")
 
     def vertex(k: int) -> Vector:
-        x = mpmath.cospi(mpmath.mpf(2 * k) / n)
-        y = mpmath.sinpi(mpmath.mpf(2 * k) / n)
-        return (_round_decimal(x, digits), _round_decimal(y, digits))
+        # sin(2πk/n) = cos(2π(4k - n) / 4n)
+        return (_round_cos(k, n, digits), _round_cos(4 * k - n, 4 * n, digits))
 
     def turn(a: Vector, b: Vector, c: Vector) -> None:
         u = vec_sub(b, a)
@@ -146,13 +139,12 @@ def regular_ngon(n: int, digits: int = 6) -> Polytope:
                 "increase digits"
             )
 
-    with mpmath.workdps(digits + 30):
-        last = vertex(n - 1)
-        points = [vertex(0), vertex(1)]
-        turn(last, *points)
-        for k in range(2, n):
-            points.append(last if k == n - 1 else vertex(k))
-            turn(*points[-3:])
+    last = vertex(n - 1)
+    points = [vertex(0), vertex(1)]
+    turn(last, *points)
+    for k in range(2, n):
+        points.append(last if k == n - 1 else vertex(k))
+        turn(*points[-3:])
     turn(points[-2], last, points[0])
     return Polytope.from_vertices(points)
 
@@ -270,12 +262,17 @@ def bipyramid(p: Polytope) -> Polytope:
 # facets); cube 26 ran into a 2 GB memory cap after 55 s.
 COORDINATE_LIMIT = 2**16
 
+# Largest sides x 2 x digits^2 of a regular_ngon that :func:`standard` builds.
+# A coordinate costs ~30 us up to 24 digits, then grows like digits^2.6 (4.5 ms
+# at 1000); at the limit, the box above takes 2.6 s for 32768 sides at 32 digits.
+DIGIT_LIMIT = 2**26
 
-def _check_size(kind: str, n: int) -> None:
+
+def _check_size(kind: str, n: int, digits: int) -> None:
     """Refuse a stock polytope whose larger description is too big.
 
-    That is its vertices, or the 2^n facets of a cross-polytope.  The
-    count 2^n is compared through its exponent, never formed for large n.
+    That is its vertices, the 2^n facets of a cross-polytope or a polygon's
+    digits.  The count 2^n is compared through its exponent, never formed.
     """
     if n < 1 or kind not in ("simplex", "cube", "crosspolytope", "regular_ngon"):
         return  # the builders refuse or accept these themselves
@@ -291,6 +288,11 @@ def _check_size(kind: str, n: int) -> None:
             f"{kind} {n} has {rows} {what} of {dim} coordinates each, above the"
             f" limit of {COORDINATE_LIMIT} coordinates; refusing"
         )
+    if kind == "regular_ngon" and 2 * n * digits**2 > DIGIT_LIMIT:
+        raise ValueError(
+            f"regular_ngon {n} at {digits} digits has sides x 2 x digits^2 ="
+            f" {2 * n * digits**2}, above the limit of {DIGIT_LIMIT}; refusing"
+        )
 
 
 def standard(kind: str, n: int | None = None, digits: int = 6) -> Polytope:
@@ -300,12 +302,12 @@ def standard(kind: str, n: int | None = None, digits: int = 6) -> Polytope:
     ``regular_ngon``.  ``n`` is the dimension (or vertex count for the
     polygon); ``digits`` only applies to ``regular_ngon``.  A request
     whose vertex or facet description would hold more than
-    :data:`COORDINATE_LIMIT` coordinates is refused before anything is
-    built.
+    :data:`COORDINATE_LIMIT` coordinates, or a polygon above
+    :data:`DIGIT_LIMIT`, is refused before anything is built.
     """
     if n is None:
         raise ValueError("standard constructions need a size parameter")
-    _check_size(kind, n)
+    _check_size(kind, n, digits)
     if kind == "simplex":
         return simplex(n)
     if kind == "cube":

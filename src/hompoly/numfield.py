@@ -7,8 +7,8 @@ K_m·K_n.  Since Q(ζ_m) ∩ Q(ζ_n) = Q(ζ_gcd(m,n)) (Washington,
 gcd(m, n) is 1, 2, 3, 4 or 6, and the compositum is then the tensor
 product K_m ⊗ K_n.  Otherwise it is K_lcm(m,n), which contains both.
 
-A :class:`Field` is generated by one or two such cosines, each given by
-its minimal polynomial.  An element is the tuple of its integer (or
+A :class:`Field` is generated by one or two such cosines, given by
+their moduli k.  An element is the tuple of its integer (or
 rational) coordinates over the monomial basis b_k, products of powers
 of the generators below their degrees; b_0 = 1.  The generators are
 algebraic integers, so the survey's rows and rays stay integral.
@@ -16,10 +16,10 @@ algebraic integers, so the survey's rows and rays stay integral.
 Zero tests are exact.  A sign is decided from the exact floors
 F_k = ⌊2^P b_k⌋: the element Σ c_k b_k times 2^P differs from
 Σ c_k F_k by less than Σ |c_k|, so a sum that clears that bound has the
-element's sign; otherwise P doubles.  The floors come from bisection on
-the minimal polynomials in integers scaled by powers of two and from
-integer interval products, so neither floating point nor ``Fraction``
-is involved.
+element's sign; otherwise P doubles.  The floors are integer interval
+products of the generators' enclosures by :func:`cos_bounds`, which
+also rounds :func:`~hompoly.constructions.regular_ngon`, so neither
+floating point nor ``Fraction`` is involved.
 
 A field is also the scalar arithmetic :func:`hompoly.dd.extreme_rays`
 runs on.  A row over K^d is given as its block: the D rational rows of
@@ -84,51 +84,65 @@ def minimal_polynomial(n: int) -> tuple[int, ...]:
     return tuple(result)
 
 
-def _totient(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-
-
 def survey_moduli(m: int, n: int) -> tuple[int, ...]:
     """The orders k whose fields K_k, tensored together, give K_m·K_n."""
     return (m, n) if gcd(m, n) in (1, 2, 3, 4, 6) else (lcm(m, n),)
 
 
 def survey_degree(m: int, n: int) -> int:
-    """Degree of K_m·K_n over Q; [K_k : Q] = φ(k)/2 for k >= 3."""
-    return prod(_totient(k) // 2 for k in survey_moduli(m, n))
+    """Degree of K_m·K_n over Q: the product of its generators' degrees."""
+    return prod(len(minimal_polynomial(k)) - 1 for k in survey_moduli(m, n))
 
 
-def _root_floor(poly: tuple[int, ...], q: int) -> int:
-    """⌊2^q r⌋ for the largest root r of ``poly``, by integer bisection.
+@cache
+def _pi_bounds(w: int) -> tuple[int, int]:
+    """(p, e) with |2^w π - p| <= e, by Machin's formula; see :func:`cos_bounds`."""
+    total = error = 0
+    for n, weight in ((5, 16), (239, -4)):
+        power, j = (1 << w) // n, 0
+        while power:
+            total += (-1) ** j * weight * (power // (2 * j + 1))
+            power //= n * n
+            j += 1
+        error += abs(weight) * (j + 1)
+    return total, error
 
-    The roots of a minimal polynomial of 2cos(2π/n) are real and lie in
-    (-2, 2).  For such a polynomial, x > r exactly when it and all its
-    derivatives but the constant one are positive at x: every root of a
-    derivative is at most r (Rolle), and when all of them are positive
-    Budan-Fourier leaves no root above x.  At x = t/2^q a derivative d
-    of degree k has the sign of the integer 2^(qk) d(t/2^q), which
-    Horner's rule gives as Σ d_i t^i 2^(q(k-i)).
+
+def cos_bounds(a: int, b: int, q: int) -> tuple[int, int]:
+    """Integers lo <= 2^q cos(2π a / b) <= hi with hi - lo <= 2, for b >= 1.
+
+    Symmetry reduces the angle to θ = 2π a / b with a / b in [0, 1/4].
+    The sums are integers at w = q + g bits, g = bitlength(q) + 8 >= 8.
+    Term j of atan(1/n) = Σ (-1)^j / ((2j+1) n^(2j+1)) is taken as
+    ⌊⌊2^w / n^(2j+1)⌋ / (2j+1)⌋, the exact floor of 2^w times it, up to
+    the first J with ⌊2^w / n^(2J+1)⌋ = 0; the floors and the alternating
+    tail leave it within J + 1 <= w/4 + 2, so Machin's π = 16 atan(1/5)
+    - 4 atan(1/239) gives 2^w π within E <= 5w + 40 of p, and
+    x = ⌊2a (p - E) / b⌋ has 0 <= x <= 2^w θ <= x + E + 1.  The Taylor
+    terms T_j = 2^w y^(2j) / (2j)! of 2^w cos y, y = x / 2^w <= π/2, have
+    ratios r_j = y² / ((2j-1) 2j) <= 1/2 for j >= 2; their floors
+    t_0 = T_0, t_j = ⌊t_(j-1) r_j⌋ (one per step) keep 0 <= T_j - t_j <
+    (T_(j-1) - t_(j-1)) r_j + 1 <= 2.  Summed up to the first J with
+    t_J = 0, where T_J < 2 bounds the tail, they give s within e = 2J <=
+    2w + 6 of 2^w cos y (t_1 <= 3 · 2^w, then the terms halve).  As cos
+    decreases on [0, π] with |cos'| <= 1, 2^w cos θ lies in
+    [s - e - E - 1, s + e], at most 9w + 53 < 2^g wide: shifted down g
+    bits, outward, it is less than 3 wide.
     """
-    derivatives = []
-    while len(poly) > 1:
-        derivatives.append(poly)
-        poly = tuple(i * c for i, c in enumerate(poly))[1:]
-
-    def positive(d: tuple[int, ...], t: int) -> bool:
-        value, shift = d[-1], q
-        for c in reversed(d[:-1]):
-            value = value * t + (c << shift)
-            shift += q
-        return value > 0
-
-    lo, hi = -2 << q, 2 << q
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if all(positive(d, mid) for d in derivatives):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    a = min(a % b, -a % b)  # cos is even and 2π-periodic
+    if 4 * a > b:  # cos(π - θ) = -cos θ
+        lo, hi = cos_bounds(b - 2 * a, 2 * b, q)
+        return -hi, -lo
+    g = q.bit_length() + 8
+    w = q + g
+    pi, error = _pi_bounds(w)
+    x2 = (2 * a * (pi - error) // b) ** 2
+    term, s, j = 1 << w, 1 << w, 0
+    while term:
+        j += 1
+        term = (term * x2 >> 2 * w) // ((2 * j - 1) * 2 * j)
+        s += (-1) ** j * term
+    return (s - 2 * j - error - 1) >> g, -(-(s + 2 * j) >> g)
 
 
 def _reduced_power(poly: tuple[int, ...], e: int) -> list[int]:
@@ -143,11 +157,11 @@ def _reduced_power(poly: tuple[int, ...], e: int) -> list[int]:
 
 
 class Field:
-    """The field generated by 2cos(2π/k), one generator per minimal polynomial."""
+    """The field generated by 2cos(2π/k), one generator per modulus k >= 3."""
 
-    def __init__(self, polys: tuple[tuple[int, ...], ...]):
-        self.polys = polys
-        self.exponents = list(product(*(range(len(f) - 1) for f in polys)))
+    def __init__(self, moduli: tuple[int, ...]):
+        self.moduli, self.polys = moduli, tuple(minimal_polynomial(k) for k in moduli)
+        self.exponents = list(product(*(range(len(f) - 1) for f in self.polys)))
         self.degree = len(self.exponents)
         rng = range(self.degree)
         table = [
@@ -205,24 +219,20 @@ class Field:
 
     def _floors(self, p: int) -> tuple[int, ...]:
         """⌊2^p b_k⌋ for every basis element, from interval products at 2^q."""
-        if p not in self._floor_cache:
-            q = 2 * p
-            while True:
-                roots = [_root_floor(f, q) for f in self.polys]
-                floors = []
-                for basis in self.exponents:
-                    lo = hi = 1 << q
-                    for r, e in zip(roots, basis):
-                        for _ in range(e):
-                            ends = (lo * r, lo * (r + 1), hi * r, hi * (r + 1))
-                            lo, hi = min(ends) >> q, -(-max(ends) >> q)
-                    if lo >> (q - p) != hi >> (q - p):
-                        break
-                    floors.append(lo >> (q - p))
-                else:
-                    self._floor_cache[p] = tuple(floors)
-                    break
-                q *= 2
+        q = 2 * p
+        while p not in self._floor_cache:
+            gens = [cos_bounds(1, k, q + 1) for k in self.moduli]  # 2^q·2cos(2π/k)
+            ends = []
+            for basis in self.exponents:
+                lo = hi = 1 << q
+                for (glo, ghi), e in zip(gens, basis):
+                    for _ in range(e):
+                        prods = (lo * glo, lo * ghi, hi * glo, hi * ghi)
+                        lo, hi = min(prods) >> q, -(-max(prods) >> q)
+                ends.append((lo >> (q - p), hi >> (q - p)))
+            if all(lo == hi for lo, hi in ends):
+                self._floor_cache[p] = tuple(lo for lo, _ in ends)
+            q *= 2
         return self._floor_cache[p]
 
     def sign(self, x: Element) -> int:
@@ -294,7 +304,7 @@ def survey_field(m: int, n: int) -> tuple[Field, Element, Element]:
     For a side s and the modulus k it divides, 2cos(2π/s) = C_(k/s)(2cos(2π/k)).
     """
     moduli = survey_moduli(m, n)
-    field = Field(tuple(minimal_polynomial(k) for k in moduli))
+    field = Field(moduli)
 
     def cosine(side: int) -> Element:
         i = next(i for i, k in enumerate(moduli) if k % side == 0)

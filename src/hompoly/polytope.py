@@ -59,9 +59,6 @@ class Inequality:
     def value(self, x: Vector) -> Fraction:
         return vec_dot(self.normal, x)
 
-    def holds(self, x: Vector) -> bool:
-        return self.value(x) <= self.offset
-
     def tight(self, x: Vector) -> bool:
         return self.value(x) == self.offset
 
@@ -497,10 +494,6 @@ class Polytope:
         return self._dim
 
     @property
-    def vrep(self) -> VRep:
-        return VRep(self.ambient_dim, self.vertices)
-
-    @property
     def hrep(self) -> HRep:
         return HRep(self.ambient_dim, self.inequalities)
 
@@ -683,8 +676,3 @@ def chart_project(
     base, basis = solve_affine_hull(pts)
     chart = AffineChart(base, basis)
     return tuple(chart.project(p) for p in pts), chart
-
-
-def canonicalize_vertices(points: tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """Extreme points of conv(points), sorted lexicographically."""
-    return Polytope.from_points(points).vertices

@@ -550,6 +550,23 @@ def test_oversized_construction_fails_at_once(argv, message, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "size, digits, cost",
+    [("5", "100000", 10**11), ("32768", "33", 71368704)],
+    ids=["digits", "sides"],
+)
+def test_oversized_ngon_digits_fail_at_once(size, digits, cost, capsys):
+    start = time.monotonic()
+    code, out, err = run_cli(["construct", "regular_ngon", size, "--digits", digits], capsys)
+    assert time.monotonic() - start < 2
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"hompoly: ValueError: regular_ngon {size} at {digits} digits has sides x 2"
+        f" x digits^2 = {cost}, above the limit of 67108864; refusing\n"
+    )
+
+
 def test_rounded_ngon_says_so(capsys):
     code, pentagon, _ = run_cli(["construct", "regular_ngon", "5"], capsys)
     assert code == 0
@@ -574,3 +591,25 @@ def test_module_is_runnable():
     )
     assert result.returncode == 0
     assert result.stdout == "V 2 4\n1 0\n0 1\n-1 0\n0 -1\n"
+
+
+def test_runs_without_mpmath():
+    # a None entry in sys.modules makes `import mpmath` fail
+    src = str(Path(hompoly.polyio.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from hompoly.cli import main\n"
+        "assert main(['construct', 'regular_ngon', '7']) == 0\n"
+        "assert main(['table', '--m-range', '5', '--n-range', '5']) == 0\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("# coordinates rounded to 6 decimals")
+    assert "\n5\t5\t5\t100\t60\t165\t" in result.stdout

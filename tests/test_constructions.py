@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hompoly.constructions import (
@@ -98,6 +99,44 @@ def test_even_ngon_has_exactly_antipodal_vertices():
             assert verts[k] == tuple(-e for e in verts[k + n // 2])
 
 
+def _round_decimal(value, digits):
+    """Half away from zero at ``digits`` decimals: the mpmath rounding
+    ``regular_ngon`` once used, with its guard against rounding ties."""
+    if value < 0:
+        return -_round_decimal(-value, digits)
+    scale = 10**digits
+    nearest = mpmath.floor(value * scale + mpmath.mpf("0.5"))
+    frac = value * scale + mpmath.mpf("0.5") - nearest
+    assert mpmath.mpf("1e-12") < frac < 1 - mpmath.mpf("1e-12")
+    return Fraction(int(nearest), scale)
+
+
+def _reference_ngon(n, digits):
+    with mpmath.workdps(digits + 30):
+        return [
+            tuple(
+                _round_decimal(f(mpmath.mpf(2 * k) / n), digits)
+                for f in (mpmath.cospi, mpmath.sinpi)
+            )
+            for k in range(n)
+        ]
+
+
+@pytest.mark.parametrize("digits", [1, 3, 6, 9])
+def test_ngon_matches_mpmath_rounding(digits):
+    for n in [*range(3, 65), 360, 1024]:
+        points = _reference_ngon(n, digits)
+        turns = [
+            (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+            for a, b, c in zip(points[-2:] + points, points[-1:] + points, points)
+        ]
+        if min(turns) > 0:
+            assert regular_ngon(n, digits).vertices == tuple(points), (n, digits)
+        else:
+            with pytest.raises(GeometryError, match="not strictly convex"):
+                regular_ngon(n, digits)
+
+
 def test_ngon_rejects_insufficient_digits():
     with pytest.raises(GeometryError):
         regular_ngon(1000, digits=2)
@@ -126,6 +165,9 @@ def test_standard_refuses_oversized_descriptions_before_building():
     ]:
         with pytest.raises(ValueError, match="above the limit of 65536 coordinates"):
             standard(kind, n)
+    for n, digits in [(32768, 33), (3, 3345), (5, 10**6)]:
+        with pytest.raises(ValueError, match="above the limit of 67108864; refusing"):
+            standard("regular_ngon", n, digits)
     assert time.monotonic() - start < 1
 
 

@@ -10,7 +10,7 @@ import pytest
 from hompoly.linalg import solve_directions
 from hompoly.numfield import (
     Field,
-    _root_floor,
+    cos_bounds,
     cyclotomic,
     minimal_polynomial,
     survey_degree,
@@ -163,22 +163,32 @@ def test_element_times_unit_is_a_positive_multiple_of_one():
                     solve_directions(field.matrix(x), [field.one])
 
 
-# 2cos(2π/k) is rational only for these k (Niven), and then an integer
-RATIONAL_COSINES = {3: -1, 4: 0, 6: 1}
+@mpmath.workdps(400)
+def test_cos_bounds_enclose_high_precision_cosines():
+    # at 400 digits the scaled value is off by far less than the margin,
+    # which matters only for the rational cosines: their scaled values
+    # are integers that an end may equal
+    margin = mpmath.mpf(2) ** -200
+    for k in range(3, 41):
+        for q in (64, 128, 256):
+            for a in range(k):
+                lo, hi = cos_bounds(a, k, q)
+                value = mpmath.ldexp(mpmath.cos(2 * mpmath.pi * a / k), q)
+                assert lo - margin <= value <= hi + margin, (a, k, q)
+                assert hi - lo <= 2, (a, k, q)
 
 
 @mpmath.workdps(120)
-def test_root_floors_match_high_precision_cosines():
-    for k in range(3, 41):
-        for q in (64, 128, 256):
-            if k in RATIONAL_COSINES:
-                expected = RATIONAL_COSINES[k] << q
-            else:
-                value = mpmath.ldexp(2 * mpmath.cos(2 * mpmath.pi / k), q)
-                # 400 bits of precision leave a wide margin around 2^256
-                assert abs(value - mpmath.nint(value)) > mpmath.mpf(2) ** -40
-                expected = int(mpmath.floor(value))
-            assert _root_floor(minimal_polynomial(k), q) == expected, (k, q)
+def test_sign_floors_match_high_precision_values():
+    for m, n in PAIRS:
+        field = survey_field(m, n)[0]
+        moduli = survey_moduli(m, n)
+        units = [tuple(int(i == k) for i in range(field.degree)) for k in range(field.degree)]
+        for p in (64, 128):
+            expected = tuple(
+                int(mpmath.floor(mpmath.ldexp(_real(field, b, moduli), p))) for b in units
+            )
+            assert field._floors(p) == expected, (m, n, p)
 
 
 @mpmath.workdps(100)

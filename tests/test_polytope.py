@@ -22,7 +22,6 @@ from hompoly.polytope import (
     Inequality,
     Polytope,
     VRep,
-    canonicalize_vertices,
     chart_project,
     contains_point,
     face_lattice,
@@ -118,9 +117,9 @@ def test_point_at_the_center_is_on_no_facet():
     assert [mask for _, mask in facets] == [0b0011, 0b0101, 0b1010, 0b1100]
 
 
-def test_canonicalize_vertices_sorts_and_filters():
+def test_from_points_vertices_sort_and_filter():
     pts = (vec(1, 1), vec(0, 0), vec(2, 2), vec(0, 2), vec(2, 0))
-    assert canonicalize_vertices(pts) == (
+    assert Polytope.from_points(pts).vertices == (
         vec(0, 0),
         vec(0, 2),
         vec(2, 0),
