@@ -30,15 +30,21 @@ from pathlib import Path
 
 from .classify import classify_all
 from .coincidence import (
-    canonical_encoding,
     certify_nonvanishing,
     enumerate_graphs,
     reject_reason,
 )
-from .constructions import standard
+from .constructions import check_size, standard
 from .errors import GeometryError
 from .hom import HomPolytope, build_hom, enumerate_vertex_maps, hom_identity_check
-from .polyio import ParseError, read_polytope, write_hrep, write_labels, write_vrep
+from .polyio import (
+    MAX_SCALAR_LENGTH,
+    ParseError,
+    read_polytope,
+    write_hrep,
+    write_labels,
+    write_vrep,
+)
 from .polytope import Polytope, contains_point, polytope_dim
 from .regular import (
     CountRow,
@@ -50,6 +56,11 @@ from .regular import (
 
 _CONSTRUCTION_KINDS = ("simplex", "cube", "crosspolytope", "regular_ngon")
 _IDENTITY_KINDS = ("simplex_power", "cube_bipyramid", "cube_cross_swap")
+
+# A rounded coordinate is written as sign, at most D numerator digits,
+# "/" and the D + 1 digits of 10^D: 2D + 3 characters, which read_polytope
+# must accept.
+MAX_DIGITS = (MAX_SCALAR_LENGTH - 3) // 2
 
 
 class InvariantViolation(RuntimeError):
@@ -145,6 +156,13 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[Emission, int]:
         raise ValueError("--digits must be at least 1")
     if args.size < 1:
         raise ValueError("construct needs a positive size")
+    # the builder's own limits first, then what read_polytope takes back
+    check_size(args.kind, args.size, args.digits)
+    if args.digits > MAX_DIGITS:
+        raise ValueError(
+            f"--digits above {MAX_DIGITS} writes coordinates longer than the"
+            f" {MAX_SCALAR_LENGTH} characters a V-file may hold"
+        )
     text = write_vrep(standard(args.kind, args.size, args.digits))
     if args.kind == "regular_ngon" and args.size not in (3, 4, 6):
         text = (
@@ -242,13 +260,13 @@ def _cmd_table(args: argparse.Namespace) -> tuple[Emission, int]:
 def _cmd_graphs(args: argparse.Namespace) -> tuple[Emission, int]:
     lines = ["# graph\tstatus\tcertificate\tdeterminant"]
     for g in enumerate_graphs():
-        cert = certify_nonvanishing(g)
+        # decided before certifying: a rejected graph has no matrix
         status = reject_reason(g)
         if args.check and status != "accepted":
             raise InvariantViolation(
-                "enumerated-graphs-accepted",
-                f"{canonical_encoding(g)} came out {status}",
+                "enumerated-graphs-accepted", f"edges {g.edges} came out {status}"
             )
+        cert = certify_nonvanishing(g)
         if args.check and cert.det_value == 0:
             raise InvariantViolation(
                 "certificate-nonzero", f"{cert.encoding} certified zero"

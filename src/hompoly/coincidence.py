@@ -7,11 +7,15 @@ node of degree three or more on either side, no 4-cycle, no 6-cycle)
 precisely when the graph is a vertex-disjoint union of paths; there are
 exactly 31 such graphs up to isomorphism keeping the parts apart.
 
-The cycle rules are read off the connected components, not searched
-for.  Once the degree rules pass, every node has degree at most two, so
-each component is a path or a cycle, a cycle exactly when it has as
-many edges as nodes, and any cycle is a whole component.  That decides
-rules 3 and 4 exactly; seven edges leave no room for a longer cycle.
+The degree rules count one part at a time and stop at the first node
+of degree three, which is where most candidate patterns end.  The cycle
+rules are read off the connected components, not searched for; the
+components come from one union-find pass over the edges, each root
+carrying its A-node, B-node and edge counts.  Once the degree rules
+pass, every node has degree at most two, so each component is a path
+or a cycle, a cycle exactly when it has as many edges as nodes, and any
+cycle is a whole component.  That decides rules 3 and 4 exactly; seven
+edges leave no room for a longer cycle.
 
 For each surviving graph the seven equations assemble into a 7 by 7
 generic matrix whose determinant must not vanish identically.  A single
@@ -175,30 +179,43 @@ def enumerate_graphs() -> list[CoincidenceGraph]:
 
 
 def _components(g: CoincidenceGraph) -> list[tuple[int, int, int]]:
-    """A-node, B-node and edge counts of each connected component."""
-    adjacency: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for a, b in g.edges:
-        adjacency.setdefault(("A", a), []).append(("B", b))
-        adjacency.setdefault(("B", b), []).append(("A", a))
-    seen: set[tuple[str, int]] = set()
-    out = []
-    for start in adjacency:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        counts = {"A": 0, "B": 0}
-        degree_sum = 0
-        while stack:
-            node = stack.pop()
-            counts[node[0]] += 1
-            degree_sum += len(adjacency[node])
-            for neighbor in adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        out.append((counts["A"], counts["B"], degree_sum // 2))
-    return out
+    """A-node, B-node and edge counts of each connected component.
+
+    One union-find pass over the edges.  Sets are named by edge index and
+    each node points at the first edge that touched it.  Each edge starts
+    a set that absorbs the sets at its ends, so every root carries its
+    component's ``(a_count, b_count, edges)``; an edge whose ends already
+    share a root adds one edge and no node.
+    """
+    parent = list(range(len(g.edges)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    a_edge: dict[int, int] = {}
+    b_edge: dict[int, int] = {}
+    counts: dict[int, tuple[int, int, int]] = {}
+    for i, (a, b) in enumerate(g.edges):
+        roots = set()
+        a_count = b_count = edges = 1
+        if a in a_edge:
+            roots.add(find(a_edge[a]))
+            a_count = 0
+        else:
+            a_edge[a] = i
+        if b in b_edge:
+            roots.add(find(b_edge[b]))
+            b_count = 0
+        else:
+            b_edge[b] = i
+        for root in roots:
+            na, nb, ne = counts.pop(root)
+            a_count, b_count, edges = a_count + na, b_count + nb, edges + ne
+            parent[root] = i
+        counts[i] = (a_count, b_count, edges)
+    return list(counts.values())
 
 
 def reject_reason(g: CoincidenceGraph) -> str:
@@ -208,19 +225,23 @@ def reject_reason(g: CoincidenceGraph) -> str:
     degree three or more (2), a 4-cycle (3), a 6-cycle (4).  Graphs
     passing all four are exactly the disjoint unions of paths.
 
-    Rules 3 and 4 fire on a component with as many edges as nodes and
-    four or six edges: with every degree at most two, those components
-    are exactly the cycles.
+    The degree rules count one part at a time and stop at the first node
+    of degree three.  Rules 3 and 4 fire on a component with as many
+    edges as nodes and four or six edges: with every degree at most two,
+    those components are exactly the cycles.
     """
     a_degree: dict[int, int] = {}
+    for a, _ in g.edges:
+        degree = a_degree.get(a, 0) + 1
+        if degree == 3:
+            return "rejected(rule 1)"
+        a_degree[a] = degree
     b_degree: dict[int, int] = {}
-    for a, b in g.edges:
-        a_degree[a] = a_degree.get(a, 0) + 1
-        b_degree[b] = b_degree.get(b, 0) + 1
-    if any(d > 2 for d in a_degree.values()):
-        return "rejected(rule 1)"
-    if any(d > 2 for d in b_degree.values()):
-        return "rejected(rule 2)"
+    for _, b in g.edges:
+        degree = b_degree.get(b, 0) + 1
+        if degree == 3:
+            return "rejected(rule 2)"
+        b_degree[b] = degree
     cycle_lengths = {
         edges
         for a_count, b_count, edges in _components(g)

@@ -268,7 +268,7 @@ COORDINATE_LIMIT = 2**16
 DIGIT_LIMIT = 2**26
 
 
-def _check_size(kind: str, n: int, digits: int) -> None:
+def check_size(kind: str, n: int, digits: int) -> None:
     """Refuse a stock polytope whose larger description is too big.
 
     That is its vertices, the 2^n facets of a cross-polytope or a polygon's
@@ -307,7 +307,7 @@ def standard(kind: str, n: int | None = None, digits: int = 6) -> Polytope:
     """
     if n is None:
         raise ValueError("standard constructions need a size parameter")
-    _check_size(kind, n, digits)
+    check_size(kind, n, digits)
     if kind == "simplex":
         return simplex(n)
     if kind == "cube":

@@ -13,7 +13,8 @@ import pytest
 
 import hompoly.polyio
 import hompoly.cli
-from hompoly.cli import InvariantViolation, _check_hom, main, worker_count
+from hompoly.cli import MAX_DIGITS, InvariantViolation, _check_hom, main, worker_count
+from hompoly.coincidence import CoincidenceGraph
 from hompoly.constructions import cube, regular_ngon
 from hompoly.hom import IdentityCheckReport, build_hom
 from hompoly.polyio import (
@@ -436,6 +437,19 @@ def test_graphs_output_and_determinism(capsys):
     assert hashlib.sha256(first.encode()).hexdigest() == GRAPHS_SHA256
 
 
+def test_graphs_check_reaches_the_acceptance_invariant(monkeypatch, capsys):
+    # a 4-cycle beside three free edges has no generic matrix, so the
+    # status must be checked before a certificate is attempted
+    four_cycle = CoincidenceGraph(
+        ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3), (4, 4))
+    )
+    monkeypatch.setattr(hompoly.cli, "enumerate_graphs", lambda: [four_cycle])
+    code, out, err = run_cli(["graphs", "--check"], capsys)
+    assert (code, out) == (1, "")
+    assert "violated invariant enumerated-graphs-accepted" in err
+    assert "rejected(rule 3)" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -547,6 +561,26 @@ def test_oversized_construction_fails_at_once(argv, message, capsys):
     assert err == (
         f"hompoly: ValueError: {message}, above the limit of 65536"
         " coordinates; refusing\n"
+    )
+
+
+def test_construct_digits_stay_readable(tmp_path, capsys):
+    # one digit more and the 7-gon's longest coordinate no longer reads
+    one_more = write_vrep(regular_ngon(7, MAX_DIGITS + 1))
+    assert max(map(len, one_more.split())) > MAX_SCALAR_LENGTH
+    for n in (5, 7, 9):
+        path = tmp_path / f"p{n}.v"
+        argv = ["construct", "regular_ngon", str(n), "--digits", str(MAX_DIGITS)]
+        code, _, err = run_cli(argv + ["-o", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert read_polytope(path.read_text()).n_vertices == n
+    code, out, err = run_cli(
+        ["construct", "regular_ngon", "7", "--digits", str(MAX_DIGITS + 1)], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"hompoly: ValueError: --digits above {MAX_DIGITS} writes coordinates"
+        f" longer than the {MAX_SCALAR_LENGTH} characters a V-file may hold\n"
     )
 
 

@@ -142,6 +142,13 @@ def test_rules_apply_in_order():
     assert reject_reason(g) == "rejected(rule 1)"
 
 
+def test_b_rule_finishing_first_still_yields_rule_1():
+    # B-node 0 reaches degree three at the third edge, A-node 0 only at
+    # the sixth: the A part is still checked first
+    g = graph((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (4, 4))
+    assert reject_reason(g) == "rejected(rule 1)"
+
+
 def test_disjoint_edges_accepted():
     assert reject_reason(SEVEN_DISJOINT) == "accepted"
 
@@ -235,6 +242,18 @@ def test_reject_reason_matches_exhaustive_reference(g):
     assert reason == reference_reject_reason(g)
     if reason == "accepted":
         assert canonical_encoding(g) in EXPECTED_ENCODINGS
+
+
+@given(seven_edge_graphs(), st.permutations(range(7)))
+@settings(max_examples=200, deadline=None)
+def test_verdicts_ignore_labels_and_edge_order(g, order):
+    # large A labels, negative B labels, edges in another order
+    relabeled = [(10**9 + 7 * a, -b - 1) for a, b in g.edges]
+    h = CoincidenceGraph(tuple(relabeled[k] for k in order))
+    reason = reject_reason(g)
+    assert reject_reason(h) == reason
+    if reason == "accepted":
+        assert canonical_encoding(h) == canonical_encoding(g)
 
 
 # -- generic matrix -----------------------------------------------------
