@@ -13,7 +13,6 @@ from hompoly import (
     AffineMap,
     build_hom,
     classify_all,
-    f_vector,
     is_simple_vertex,
     regular_ngon,
 )
@@ -27,7 +26,7 @@ def main() -> None:
     print(f"map space dimension: {h.polytope.dim}  (2*2 + 2 = 6)")
     print(f"facets: {h.polytope.n_facets}  (4 vertices * 4 facets = 16)")
     print(f"vertices: {h.polytope.n_vertices}")
-    print(f"f-vector: {f_vector(h.polytope)}")
+    print(f"f-vector: {h.polytope.f_vector}")
     print()
 
     records, summary = classify_all(h)

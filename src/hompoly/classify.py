@@ -105,8 +105,8 @@ def surj_inj_factorize(f: AffineMap, p: Polytope) -> tuple[AffineMap, AffineMap]
     return f_surj, f_inj
 
 
-def _tight_masks(f: AffineMap, p: Polytope, q: Polytope) -> list[int] | None:
-    """Per vertex v of p, the bitmask of q's facets tight at f(v); None if outside q."""
+def _evaluated_masks(f: AffineMap, p: Polytope, q: Polytope) -> list[int] | None:
+    """Per vertex v of p, the bitmask of q's facets tight at f(v), evaluated; None if outside q."""
     masks = []
     for v in p.vertices:
         hit = contains_point(q, f.apply(v))
@@ -140,7 +140,7 @@ def surjective_onto(f: AffineMap, p: Polytope, q: Polytope) -> bool:
     A vertex of Q inside f(P), a subset of Q, is extreme in f(P), so it is
     the image of a vertex of P; no image hull is needed.
     """
-    masks = _tight_masks(f, p, q)
+    masks = _evaluated_masks(f, p, q)
     return masks is not None and len(_locate(masks, q)[1]) == q.n_vertices
 
 
@@ -153,7 +153,7 @@ def image_vertex_locations(
     vertex of q, ``interior`` or ``boundary`` otherwise.  Points outside
     q mean f is not in the hom-polytope and raise.
     """
-    masks = _tight_masks(f, p, q)
+    masks = _evaluated_masks(f, p, q)
     if masks is None:
         raise GeometryError("map does not send the source into the target")
     return _locate(masks, q)[0]
@@ -172,7 +172,7 @@ def is_deflation(
     """
     if map_rank(f) >= p.dim:
         return False
-    masks = _tight_masks(f, p, q)
+    masks = _evaluated_masks(f, p, q)
     if masks is None:
         return False
     locations, hit = _locate(masks, q)
@@ -280,7 +280,7 @@ def classify_all(
     record's map is a vertex of ``h.polytope`` by construction, so no
     vertex test is repeated here.  Hom facet (v, k) is tight at it
     exactly when target facet k is tight at f(v), so image locations,
-    surjectivity and deflation are read off its facet mask.
+    surjectivity and deflation are read off ``h.tight_masks``.
 
     The face-collapse verdict depends only on the kernel K of the linear
     part: fiber sets are cosets of K and the image vertices are the
@@ -295,17 +295,12 @@ def classify_all(
     simple_count = 0
     collapse_by_kernel: dict[tuple[Vector, ...], bool] = {}
     masks = h.polytope.vertex_masks
-    pairs = [(label.vertex_index, 1 << label.facet_index) for label in h.labels]
-    for index, point in enumerate(h.polytope.vertices):
-        f = AffineMap.from_point(point, p.ambient_dim, q.ambient_dim)
+    for index in range(h.polytope.n_vertices):
+        f = h.map_at_vertex(index)
         rank = map_rank(f)
         active = masks[index].bit_count()
         simple = active == h.polytope.dim
-        tight = [0] * p.n_vertices
-        for j, (v, bit) in enumerate(pairs):
-            if masks[index] >> j & 1:
-                tight[v] |= bit
-        locations, hit = _locate(tight, q)
+        locations, hit = _locate(h.tight_masks(index), q)
         surjective = len(hit) == q.n_vertices
         deflation = rank < p.dim and surjective and "boundary" not in locations
         if rank == f.source_dim:

@@ -30,13 +30,15 @@ from pathlib import Path
 
 from .classify import classify_all
 from .coincidence import (
+    build_generic_matrix,
     certify_nonvanishing,
     enumerate_graphs,
+    evaluate_matrix,
     reject_reason,
 )
 from .constructions import check_size, standard
-from .errors import GeometryError
-from .hom import HomPolytope, build_hom, enumerate_vertex_maps, hom_identity_check
+from .errors import GeometryError, LowerDimensionalError
+from .hom import HomPolytope, build_hom, hom_identity_check
 from .polyio import (
     MAX_SCALAR_LENGTH,
     ParseError,
@@ -45,7 +47,8 @@ from .polyio import (
     write_labels,
     write_vrep,
 )
-from .polytope import Polytope, contains_point, polytope_dim
+from .linalg import mat_rank
+from .polytope import Polytope, contains_point
 from .regular import (
     CountRow,
     TableDiagnostics,
@@ -76,10 +79,13 @@ class InvariantViolation(RuntimeError):
 
 def _check_hom(h: HomPolytope) -> None:
     dp, dq = h.source.ambient_dim, h.target.ambient_dim
-    if polytope_dim(h.polytope) != dp * dq + dq:
+    try:
+        dim = h.polytope.dim
+    except LowerDimensionalError as exc:
+        dim = exc.hull_dim
+    if dim != dp * dq + dq:
         raise InvariantViolation(
-            "hom-dimension-law",
-            f"dim {polytope_dim(h.polytope)} != {dp}*{dq}+{dq}",
+            "hom-dimension-law", f"dim {dim} != {dp}*{dq}+{dq}"
         )
     expected = h.source.n_vertices * h.target.n_facets
     if h.polytope.n_facets != expected:
@@ -98,17 +104,17 @@ def _check_hom(h: HomPolytope) -> None:
         )
     # classification reads the target facets tight at f(v) off the hom
     # facets tight at f; certify that reading against exact evaluation
-    for f, labels in enumerate_vertex_maps(h):
-        for v_index, v in enumerate(h.source.vertices):
+    for index in range(h.polytope.n_vertices):
+        f = h.map_at_vertex(index)
+        masks = h.tight_masks(index)
+        for v, mask in zip(h.source.vertices, masks, strict=True):
             hit = contains_point(h.target, f.apply(v))
             if hit.kind == "outside":
                 raise InvariantViolation(
                     "vertex-map-containment",
                     f"map {f.to_point()} sends {v} outside the target",
                 )
-            marked = {
-                label.facet_index for label in labels if label.vertex_index == v_index
-            }
+            marked = {k for k in range(h.target.n_facets) if mask >> k & 1}
             if hit.active != marked:
                 raise InvariantViolation(
                     "vertex-map-tight-pairs",
@@ -227,13 +233,12 @@ def _cmd_table(args: argparse.Namespace) -> tuple[Emission, int]:
             raise ValueError(f"--{name}-range must start at 3 or more")
         if hi < lo:
             raise ValueError(f"--{name}-range is empty")
-    specs = [
-        (m, n)
-        for m in range(args.m_range[0], args.m_range[1] + 1)
-        for n in range(args.n_range[0], args.n_range[1] + 1)
-    ]
-    for spec in specs:
-        check_survey_size(*spec)
+    # each pair is refused as it comes, so a huge range never builds its list
+    specs = []
+    for m in range(args.m_range[0], args.m_range[1] + 1):
+        for n in range(args.n_range[0], args.n_range[1] + 1):
+            check_survey_size(m, n)
+            specs.append((m, n))
     workers = worker_count(args.jobs, len(specs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -267,9 +272,14 @@ def _cmd_graphs(args: argparse.Namespace) -> tuple[Emission, int]:
                 "enumerated-graphs-accepted", f"edges {g.edges} came out {status}"
             )
         cert = certify_nonvanishing(g)
-        if args.check and cert.det_value == 0:
+        # a rank on the echelon kernel, independent of mat_det's Bareiss
+        if args.check and (
+            cert.det_value == 0
+            or mat_rank(evaluate_matrix(build_generic_matrix(g), cert.point)) != 7
+        ):
             raise InvariantViolation(
-                "certificate-nonzero", f"{cert.encoding} certified zero"
+                "certificate-nonzero",
+                f"{cert.encoding} is singular at its certificate point",
             )
         point = " ".join(
             f"{name}={value}"

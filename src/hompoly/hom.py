@@ -101,6 +101,20 @@ class HomPolytope:
             self.target.ambient_dim,
         )
 
+    def tight_masks(self, index: int) -> list[int]:
+        """Per source vertex v, the mask of target facets tight at f(v).
+
+        f is the map at hom vertex ``index``.  Hom facet (v, k) is tight
+        at f exactly when target facet k is tight at f(v), so the masks
+        are read off the vertex's hom facets and their labels, with no
+        arithmetic.
+        """
+        masks = [0] * self.source.n_vertices
+        for j in self.polytope.vertex_facet_indices(index):
+            label = self.labels[j]
+            masks[label.vertex_index] |= 1 << label.facet_index
+        return masks
+
 
 def build_hom(p: Polytope, q: Polytope) -> HomPolytope:
     """Assemble the polytope of affine maps sending p into q.
@@ -159,15 +173,13 @@ def enumerate_vertex_maps(
 
     Order follows the lexicographic order of the underlying hom points.
     """
-    dp = h.source.ambient_dim
-    dq = h.target.ambient_dim
-    out: list[tuple[AffineMap, frozenset[FacetLabel]]] = []
-    for index, point in enumerate(h.polytope.vertices):
-        tight = frozenset(
-            h.labels[j] for j in h.polytope.vertex_facet_indices(index)
+    return [
+        (
+            h.map_at_vertex(index),
+            frozenset(h.labels[j] for j in h.polytope.vertex_facet_indices(index)),
         )
-        out.append((AffineMap.from_point(point, dp, dq), tight))
-    return out
+        for index in range(h.polytope.n_vertices)
+    ]
 
 
 def is_vertex_map(f: AffineMap, h: HomPolytope) -> bool:

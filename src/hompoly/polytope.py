@@ -2,9 +2,13 @@
 
 A :class:`Polytope` is given one side, its vertices or its inequalities,
 and completes the other side on first use via the double description
-engine.  Vertex/facet incidence is recorded as bitmasks (facet mask bit
-v set means vertex v lies on that facet), which is the form the face
-lattice, simplicity tests, and the map classification layers consume.
+engine.  That is the only conversion route: the facets of a point set
+are ``Polytope.from_points(points).inequalities`` and the vertices of
+an inequality system are ``Polytope.from_inequalities(rows, d).vertices``.
+Vertex/facet incidence is recorded as bitmasks (facet mask bit v set
+means vertex v lies on that facet), which is the form the face lattice,
+simplicity tests, and the map classification layers consume.  The
+dimension, the faces and the f-vector are properties of the polytope.
 
 The given side is either checked or unchecked.  Checked input
 (:meth:`Polytope.from_vertices`, :meth:`Polytope.from_inequalities`
@@ -17,8 +21,10 @@ and duplicates are dropped and the vertices sorted; rows that do not
 define a facet, or repeat one, are dropped and the rest keep their
 order.  Both filters read the incidences the completion computes anyway.
 
-Conversions require full-dimensional input.  Lower-dimensional point
+Completion requires full-dimensional input.  Lower-dimensional point
 sets must go through :func:`chart_project` first; the error says so.
+``Polytope.from_points`` keeps the returned chart, which lifts the
+polytope's coordinates back to the original space.
 """
 
 from __future__ import annotations
@@ -65,18 +71,6 @@ class Inequality:
     def canonical(self) -> "Inequality":
         normal, offset = canonical_inequality(self.normal, self.offset)
         return Inequality(normal, offset)
-
-
-@dataclass(frozen=True)
-class VRep:
-    ambient_dim: int
-    points: tuple[Vector, ...]
-
-
-@dataclass(frozen=True)
-class HRep:
-    ambient_dim: int
-    inequalities: tuple[Inequality, ...]
 
 
 @dataclass(frozen=True)
@@ -143,13 +137,6 @@ class AffineChart:
                 for i, e in enumerate(direction):
                     out[i] += c * e
         return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AffineChart)
-            and self.base == other.base
-            and self.directions == other.directions
-        )
 
     def __repr__(self) -> str:
         return f"AffineChart(base={self.base!r}, dim={self.dim})"
@@ -236,18 +223,6 @@ def _facets_of_hull(
     ]
     results.sort(key=lambda item: (item[0].normal, item[0].offset))
     return results
-
-
-def vrep_to_hrep(v: VRep) -> HRep:
-    """Facet description of the convex hull of a full-dimensional point set."""
-    facets = _facets_of_hull(v.points, v.ambient_dim)
-    return HRep(v.ambient_dim, tuple(iq for iq, _ in facets))
-
-
-def hrep_to_vrep(h: HRep) -> VRep:
-    """Vertex description of a bounded full-dimensional inequality system."""
-    found = _vertices_of_system(h.inequalities, h.ambient_dim)
-    return VRep(h.ambient_dim, tuple(p for p, _ in found))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -361,7 +336,7 @@ class Polytope:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_vertices(cls, points: Iterable[Vector], *, chart: AffineChart | None = None) -> "Polytope":
+    def from_vertices(cls, points: Iterable[Vector]) -> "Polytope":
         """Polytope from points the caller asserts are exactly its vertices.
 
         Order is preserved verbatim.  Use :meth:`from_points` when the
@@ -370,7 +345,7 @@ class Polytope:
         pts = tuple(tuple(Fraction(e) for e in p) for p in points)
         if not pts:
             raise GeometryError("a polytope needs at least one point")
-        return cls(len(pts[0]), vertices=pts, chart=chart)
+        return cls(len(pts[0]), vertices=pts)
 
     @classmethod
     def from_points(cls, points: Iterable[Vector], *, chart: AffineChart | None = None) -> "Polytope":
@@ -494,10 +469,6 @@ class Polytope:
         return self._dim
 
     @property
-    def hrep(self) -> HRep:
-        return HRep(self.ambient_dim, self.inequalities)
-
-    @property
     def interior_point(self) -> Vector:
         """A strictly interior point (the vertex average unless preset)."""
         if self._interior_point is None:
@@ -569,11 +540,6 @@ class Polytope:
         return "Polytope(" + ", ".join(parts) + ")"
 
 
-def polytope_dim(p: Polytope) -> int:
-    """Dimension of the affine hull of the polytope."""
-    return p.dim
-
-
 def contains_point(p: Polytope, x: Vector) -> Containment:
     """Locate a point relative to the polytope: interior, boundary, outside.
 
@@ -641,23 +607,6 @@ def _face_lattice(p: Polytope) -> tuple[tuple[int, int], ...]:
         level = below
     lattice.extend((0, face) for face in level)
     return tuple(lattice)
-
-
-def face_lattice(p: Polytope) -> tuple[Face, ...]:
-    """Graded tuple of all faces, from the empty face to the polytope.
-
-    Sorted by dimension, then by sorted vertex list; the ``Face`` objects
-    are built from the graded masks on first request and cached.
-    """
-    return p.faces
-
-
-def f_vector(p: Polytope) -> tuple[int, ...]:
-    """Face counts by dimension, from vertices up to the polytope itself.
-
-    Counted from the graded masks alone, so no ``Face`` object is built.
-    """
-    return p.f_vector
 
 
 def chart_project(

@@ -58,16 +58,7 @@ from hompoly.hom import (
     is_vertex_map,
 )
 from hompoly.linalg import mat_det, mat_mul, mat_vec, vec_add
-from hompoly.polytope import (
-    Polytope,
-    VRep,
-    chart_project,
-    f_vector,
-    hrep_to_vrep,
-    is_simple_vertex,
-    polytope_dim,
-    vrep_to_hrep,
-)
+from hompoly.polytope import Polytope, chart_project, is_simple_vertex
 from hompoly.regular import closed_form_counts, divisibility_check, table_row
 
 _skip_unless_opted_in = pytest.mark.skipif(
@@ -309,7 +300,7 @@ def test_criterion_01_hom_dimension_law():
     start = time.monotonic()
     for p, q in random_pairs(20):
         h = build_hom(p, q)
-        assert polytope_dim(h.polytope) == p.dim * q.dim + q.dim
+        assert h.polytope.dim == p.dim * q.dim + q.dim
     assert time.monotonic() - start < 60
 
 
@@ -400,7 +391,7 @@ def test_criterion_06_f_vector_as_stated():
     """
     start = time.monotonic()
     h = build_hom(regular_ngon(4), regular_ngon(4))
-    result = f_vector(h.polytope)
+    result = h.polytope.f_vector
     assert time.monotonic() - start < 120
     assert result == (36, 144, 240, 204, 88, 16, 1)
 
@@ -415,9 +406,9 @@ def test_criterion_06_companion_computed_f_vector():
     two-faces, and the alternating sum checks out.
     """
     h = build_hom(regular_ngon(4), regular_ngon(4))
-    computed = f_vector(h.polytope)
+    computed = h.polytope.f_vector
     assert computed == (36, 144, 240, 204, 88, 16, 1)
-    octahedron = f_vector(cross_polytope(3))
+    octahedron = cross_polytope(3).f_vector
     convolution = [0] * 7
     for i, a in enumerate(octahedron):
         for j, b in enumerate(octahedron):
@@ -462,7 +453,7 @@ def test_criterion_08_classification_fixtures():
     assert not is_face_collapse(projection, wedge)
 
     h_oct = build_hom(cross_polytope(3), simplex(2))
-    assert polytope_dim(h_oct.polytope) == 8
+    assert h_oct.polytope.dim == 8
     assert h_oct.polytope.n_facets == 18
     _, summary = classify_all(h_oct)
     assert summary.rank_count(2) == 0
@@ -589,8 +580,9 @@ def test_criterion_11_kernel_round_trip():
             assert expected == {()}
             continue
         hull_dim = len(projected[0])
-        back = hrep_to_vrep(vrep_to_hrep(VRep(hull_dim, tuple(distinct))))
-        assert set(back.points) == expected
+        facets = Polytope.from_points(distinct).inequalities
+        back = Polytope.from_inequalities(facets, hull_dim)
+        assert set(back.vertices) == expected
     assert time.monotonic() - start < 300
 
 

@@ -26,7 +26,7 @@ from hompoly.constructions import (
     simplex,
 )
 from hompoly.errors import GeometryError, OutsideHullError
-from hompoly.hom import AffineMap, build_hom, is_vertex_map
+from hompoly.hom import AffineMap, HomPolytope, build_hom, is_vertex_map
 from hompoly.linalg import (
     mat_mul,
     mat_rank,
@@ -653,6 +653,19 @@ def test_classify_all_tests_collapse_once_per_kernel(monkeypatch):
         if r.rank < r.map.source_dim
     }
     assert len(calls) == len(row_spaces) == 4
+
+
+def test_classify_all_reads_tight_pairs_through_the_hom(monkeypatch):
+    h = build_hom(cube(2), simplex(2))
+    decode, read = HomPolytope.tight_masks, []
+
+    def counting(self, index):
+        read.append(index)
+        return decode(self, index)
+
+    monkeypatch.setattr(HomPolytope, "tight_masks", counting)
+    records, _ = classify_all(h)
+    assert read == list(range(len(records))) == list(range(h.polytope.n_vertices))
 
 
 def _tally(h, records):

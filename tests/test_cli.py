@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,9 +15,10 @@ import pytest
 import hompoly.polyio
 import hompoly.cli
 from hompoly.cli import MAX_DIGITS, InvariantViolation, _check_hom, main, worker_count
-from hompoly.coincidence import CoincidenceGraph
-from hompoly.constructions import cube, regular_ngon
-from hompoly.hom import IdentityCheckReport, build_hom
+from hompoly.coincidence import Certificate, CoincidenceGraph
+from hompoly.constructions import cube, regular_ngon, simplex
+from hompoly.hom import HomPolytope, IdentityCheckReport, build_hom
+from hompoly.polytope import Inequality, Polytope
 from hompoly.polyio import (
     MAX_DECIMAL_EXPONENT,
     MAX_SCALAR_LENGTH,
@@ -394,6 +396,37 @@ def test_check_rejects_labels_that_misplace_tight_pairs():
     assert caught.value.property_name == "vertex-map-tight-pairs"
 
 
+def test_check_rejects_a_decoder_that_drops_a_tight_pair(monkeypatch):
+    h = build_hom(regular_ngon(3), regular_ngon(3))
+    decode = HomPolytope.tight_masks
+
+    def drop_one(self, index):
+        masks = decode(self, index)
+        v = next(v for v, mask in enumerate(masks) if mask)
+        masks[v] &= masks[v] - 1  # clear the lowest tight facet
+        return masks
+
+    monkeypatch.setattr(HomPolytope, "tight_masks", drop_one)
+    with pytest.raises(InvariantViolation) as caught:
+        _check_hom(h)
+    assert caught.value.property_name == "vertex-map-tight-pairs"
+
+
+def test_check_names_the_dimension_law_for_a_flat_hom():
+    # a row and its negation pin the hom to a hyperplane
+    h = build_hom(simplex(2), simplex(2))
+    row = h.polytope.inequalities[0]
+    negated = Inequality(tuple(-e for e in row.normal), -row.offset)
+    flat = Polytope.from_inequalities(
+        h.polytope.inequalities + (negated,), h.ambient_dim, assume_irredundant=True
+    )
+    flat_hom = dataclasses.replace(h, polytope=flat, labels=h.labels + h.labels[:1])
+    with pytest.raises(InvariantViolation) as caught:
+        _check_hom(flat_hom)
+    assert caught.value.property_name == "hom-dimension-law"
+    assert "dim 5 != 2*2+2" in str(caught.value)
+
+
 def test_table_rows_and_determinism(capsys):
     argv = ["table", "--m-range", "3..3", "--n-range", "3..4"]
     code, first, err = run_cli(argv, capsys)
@@ -448,6 +481,24 @@ def test_graphs_check_reaches_the_acceptance_invariant(monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert "violated invariant enumerated-graphs-accepted" in err
     assert "rejected(rule 3)" in err
+
+
+def test_graphs_check_confirms_the_certificate_without_its_determinant(
+    monkeypatch, capsys
+):
+    # at the all-ones point every row reads (1, 1, 1, 1, 1, 1, -1): the
+    # matrix has rank 1 whatever determinant the certificate claims
+    def all_ones(g):
+        variables = tuple(f"{x}{b}" for b in g.b_nodes for x in "st") + tuple(
+            f"{x}{a}" for a in g.a_nodes for x in "uv"
+        )
+        return Certificate("forged", variables, (1,) * len(variables), Fraction(1), 1)
+
+    monkeypatch.setattr(hompoly.cli, "certify_nonvanishing", all_ones)
+    code, out, err = run_cli(["graphs", "--check"], capsys)
+    assert (code, out) == (1, "")
+    assert "violated invariant certificate-nonzero" in err
+    assert "forged" in err
 
 
 @pytest.mark.parametrize(
@@ -512,6 +563,23 @@ def test_oversized_table_fails_at_once(capsys):
         "hompoly: ValueError: survey pair (3,40): a 40-gon is above the"
         " limit of 10 sides; refusing\n"
     )
+
+
+def test_oversized_table_range_is_refused_before_its_pairs_are_built(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            ["table", "--m-range", "3..1000", "--n-range", "3..1000"], capsys
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == (
+        "hompoly: ValueError: survey pair (3,11): a 11-gon is above the"
+        " limit of 10 sides; refusing\n"
+    )
+    assert peak < 1 << 20
 
 
 def test_oversized_simplex_power_fails_at_once(capsys):

@@ -20,7 +20,7 @@ from hompoly.constructions import (
 )
 from hompoly.errors import GeometryError
 from hompoly.linalg import vec, vec_dot
-from hompoly.polytope import Polytope, contains_point, f_vector
+from hompoly.polytope import Polytope, contains_point
 
 
 def convolve(a, b):
@@ -37,14 +37,14 @@ def test_simplex_counts():
         assert s.n_vertices == n + 1
         assert s.n_facets == n + 1
         assert s.dim == n
-    assert f_vector(simplex(2)) == (3, 3, 1)
+    assert simplex(2).f_vector == (3, 3, 1)
 
 
 def test_cube_counts_and_incidence():
     c = cube(3)
     assert c.n_vertices == 8
     assert c.n_facets == 6
-    assert f_vector(c) == (8, 12, 6, 1)
+    assert c.f_vector == (8, 12, 6, 1)
     for j, iq in enumerate(c.inequalities):
         for v in c.facet_vertex_indices(j):
             assert iq.tight(c.vertices[v])
@@ -55,7 +55,7 @@ def test_cross_polytope_counts():
     o = cross_polytope(3)
     assert o.n_vertices == 6
     assert o.n_facets == 8
-    assert f_vector(o) == (6, 12, 8, 1)
+    assert o.f_vector == (6, 12, 8, 1)
 
 
 def test_cube_is_dual_of_cross_polytope():
@@ -182,7 +182,7 @@ def test_join_of_segment_and_square():
 
 def test_join_of_two_segments_is_tetrahedron():
     j = join(cube(1), cube(1))
-    assert f_vector(j) == (4, 6, 4, 1)
+    assert j.f_vector == (4, 6, 4, 1)
 
 
 def test_product_fvector_is_convolution():
@@ -190,8 +190,8 @@ def test_product_fvector_is_convolution():
     tri = simplex(2)
     prod = product(sq, tri)
     assert prod.ambient_dim == 4
-    assert f_vector(prod) == convolve(f_vector(sq), f_vector(tri))
-    assert f_vector(prod) == (12, 24, 19, 7, 1)
+    assert prod.f_vector == convolve(sq.f_vector, tri.f_vector)
+    assert prod.f_vector == (12, 24, 19, 7, 1)
 
 
 def test_product_incidence_is_trustworthy():
@@ -209,14 +209,14 @@ def test_tensor_of_segments():
     assert t.ambient_dim == 3
     assert t.n_vertices == 4
     assert t.dim == 3
-    assert f_vector(t) == (4, 6, 4, 1)
+    assert t.f_vector == (4, 6, 4, 1)
 
 
 def test_bipyramid_over_square():
     b = bipyramid(cube(2))
     assert b.n_vertices == 6
     assert b.n_facets == 8
-    assert f_vector(b) == (6, 12, 8, 1)
+    assert b.f_vector == (6, 12, 8, 1)
     assert contains_point(b, vec(0, 0, 0)).kind == "interior"
 
 

@@ -120,6 +120,22 @@ def test_facet_inequality_matches_label_semantics():
             assert facet.tight(f.apply(v))
 
 
+def test_tight_masks_decode_the_tight_labels_and_match_evaluation():
+    p, q = simplex(2), cube(2)
+    h = build_hom(p, q)
+    for index, (f, tight) in enumerate(enumerate_vertex_maps(h)):
+        masks = h.tight_masks(index)
+        assert len(masks) == p.n_vertices
+        for v_index, v in enumerate(p.vertices):
+            from_labels = sum(
+                1 << label.facet_index
+                for label in tight
+                if label.vertex_index == v_index
+            )
+            evaluated = sum(1 << k for k in contains_point(q, f.apply(v)).active)
+            assert masks[v_index] == from_labels == evaluated
+
+
 def test_identity_simplex_power_segment_into_square():
     report = hom_identity_check("simplex_power", n=1, p=cube(2))
     assert report.match

@@ -18,18 +18,11 @@ from hompoly import dd
 from hompoly.hom import build_hom
 from hompoly.linalg import solve_affine_hull, vec
 from hompoly.polytope import (
-    HRep,
     Inequality,
     Polytope,
-    VRep,
     chart_project,
     contains_point,
-    face_lattice,
-    f_vector,
-    hrep_to_vrep,
     is_simple_vertex,
-    polytope_dim,
-    vrep_to_hrep,
 )
 
 
@@ -66,19 +59,19 @@ def test_square_facets_from_vertices():
 
 
 def test_roundtrip_conversions_match():
-    v = VRep(2, (vec(0, 0), vec(2, 0), vec(0, 2)))
-    h = vrep_to_hrep(v)
-    assert len(h.inequalities) == 3
-    back = hrep_to_vrep(h)
-    assert back.points == (vec(0, 0), vec(0, 2), vec(2, 0))
+    facets = Polytope.from_points((vec(0, 0), vec(2, 0), vec(0, 2))).inequalities
+    assert len(facets) == 3
+    back = Polytope.from_inequalities(facets, 2)
+    assert back.vertices == (vec(0, 0), vec(0, 2), vec(2, 0))
 
 
 def test_cube_roundtrip_3d():
     pts = [vec(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
     p = Polytope.from_vertices(pts)
     assert p.n_facets == 6
-    again = hrep_to_vrep(p.hrep)
-    assert set(again.points) == set(pts)
+    again = Polytope.from_inequalities(p.inequalities, 3)
+    assert set(again.vertices) == set(pts)
+    assert again.inequalities == p.inequalities
 
 
 def test_redundant_inequality_dropped():
@@ -178,7 +171,7 @@ def test_point_system_is_lower_dimensional():
 
 def test_lower_dimensional_points_rejected_by_conversion():
     with pytest.raises(LowerDimensionalError) as err:
-        vrep_to_hrep(VRep(3, (vec(0, 0, 0), vec(1, 1, 1))))
+        Polytope.from_points((vec(0, 0, 0), vec(1, 1, 1))).inequalities
     assert err.value.hull_dim == 1
     assert err.value.ambient_dim == 3
 
@@ -207,8 +200,8 @@ def test_incidence_masks_are_consistent():
 
 def test_triangle_face_lattice():
     p = Polytope.from_vertices([vec(0, 0), vec(1, 0), vec(0, 1)])
-    faces = face_lattice(p)
-    assert f_vector(p) == (3, 3, 1)
+    faces = p.faces
+    assert p.f_vector == (3, 3, 1)
     dims = sorted(face.dim for face in faces)
     assert dims == [-1, 0, 0, 0, 1, 1, 1, 2]
     empty = faces[0]
@@ -224,7 +217,7 @@ def test_octahedron_counts():
     ]]
     p = Polytope.from_vertices(pts)
     assert p.n_facets == 8
-    assert f_vector(p) == (6, 12, 8, 1)
+    assert p.f_vector == (6, 12, 8, 1)
 
 
 def test_simple_vertices():
@@ -258,9 +251,9 @@ def test_chart_rejects_points_off_hull():
 
 
 def test_polytope_dim_variants():
-    assert polytope_dim(Polytope.from_vertices([vec(3, 4)])) == 0
-    assert polytope_dim(Polytope.from_vertices([vec(0, 0), vec(1, 2)])) == 1
-    assert polytope_dim(Polytope.from_inequalities(square_hrep(), 2)) == 2
+    assert Polytope.from_vertices([vec(3, 4)]).dim == 0
+    assert Polytope.from_vertices([vec(0, 0), vec(1, 2)]).dim == 1
+    assert Polytope.from_inequalities(square_hrep(), 2).dim == 2
 
 
 def test_dim_via_interior_witness_skips_enumeration():
@@ -499,7 +492,7 @@ def full_dimensional_point_sets(draw):
 def test_faces_match_closure_graded_by_affine_hull(pts):
     p = Polytope.from_points(pts)
     assert _face_triples(p) == _reference_faces(p)
-    assert f_vector(p) == _counts_of_faces(p)
+    assert p.f_vector == _counts_of_faces(p)
 
 
 NON_SIMPLE = {
@@ -516,7 +509,7 @@ def test_non_simple_faces_match_closure_graded_by_affine_hull(name):
     p = NON_SIMPLE[name]()
     assert not all(is_simple_vertex(p, v) for v in range(p.n_vertices))
     assert _face_triples(p) == _reference_faces(p)
-    assert f_vector(p) == _counts_of_faces(p)
+    assert p.f_vector == _counts_of_faces(p)
 
 
 @pytest.mark.parametrize("name", sorted(NON_SIMPLE))
@@ -556,7 +549,7 @@ def test_f_vector_builds_no_face(name, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(polytope_module, "Face", no_face)
         p = NON_SIMPLE[name]()
-        counts = f_vector(p)
+        counts = p.f_vector
     # the faces come later from the same grading, which runs once
     assert _counts_of_faces(p) == counts
     assert len(gradings) == 1
