@@ -26,6 +26,7 @@ import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from pathlib import Path
 
 from .classify import classify_all
@@ -328,7 +329,9 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"ranges look like 3..6 or a single number, got {text!r}")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hompoly",
         description="Polytopes of affine maps: construction, "

@@ -37,18 +37,27 @@ class InfeasibleError(GeometryError):
 class LowerDimensionalError(GeometryError):
     """The feasible set or point set is not full-dimensional.
 
-    Carries the dimension of the affine hull; the usual fix is to
-    project onto a chart of the hull first.
+    Carries the dimension of the affine hull.  For a point set the usual
+    fix is to project onto a chart of the hull first; for an inequality
+    system, ``tight_row`` names a row that holds with equality at every
+    vertex (an implicit equality), which must be eliminated first.
     """
 
-    def __init__(self, hull_dim: int, ambient_dim: int):
+    def __init__(self, hull_dim: int, ambient_dim: int, tight_row: int | None = None):
+        if tight_row is None:
+            fix = "project onto a chart of the hull (chart_project)"
+        else:
+            fix = (
+                f"inequality {tight_row} (counting from 0) is tight at every"
+                " vertex, an implicit equality; eliminate it"
+            )
         super().__init__(
             f"set spans a {hull_dim}-dimensional affine hull in "
-            f"{ambient_dim}-dimensional space; project onto a chart of the "
-            "hull (chart_project) before converting"
+            f"{ambient_dim}-dimensional space; {fix} before converting"
         )
         self.hull_dim = hull_dim
         self.ambient_dim = ambient_dim
+        self.tight_row = tight_row
 
 
 class OutsideHullError(GeometryError):

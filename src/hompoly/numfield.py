@@ -26,16 +26,23 @@ runs on.  A row over K^d is given as its block: the D rational rows of
 its entries' multiplication matrices laid side by side, so its value on
 a ray, a flat integer vector of d·D coordinates, is one integer
 matrix-vector product.
+
+K is Galois over Q with an abelian group: the automorphism σ_a of K_k
+sends 2cos(2π/k) to 2cos(2πa/k) = C_a(2cos(2π/k)) for 1 <= a <= k/2
+with gcd(a, k) = 1, and a field of two generators takes one such a per
+generator.  Each σ is an integer D×D matrix, so the product u of an
+element e's D - 1 other conjugates is integral and e·u = N(e), its
+integer norm.  A new ray is normalized by u = N(e)/e for its lead
+entry e, with no linear solve; u is positive exactly when N(e) and e
+have one sign, and is negated otherwise.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 from math import gcd, lcm, prod
 from operator import add, mul
-
-from .linalg import solve_directions
 
 Element = tuple[int, ...]
 
@@ -172,8 +179,11 @@ class Field:
         self._by_entry = tuple(
             tuple(tuple(table[i][j][k] for i in rng) for j in rng) for k in rng
         )
+        # _structure[k][j*D + i] = _by_entry[k][j][i], the weight of x_i y_j in x*y
+        self._structure = tuple(tuple(c for row in k for c in row) for k in self._by_entry)
         self.one: Element = (1,) + (0,) * (self.degree - 1)
         self._floor_cache: dict[int, tuple[int, ...]] = {}
+        self.automorphisms = self._automorphisms()
 
     def _monomial(self, exps: tuple[int, ...]) -> Element:
         powers = [_reduced_power(f, e) for f, e in zip(self.polys, exps)]
@@ -184,6 +194,28 @@ class Field:
     def generator(self, index: int) -> Element:
         return self._monomial(tuple(int(i == index) for i in range(len(self.polys))))
 
+    def _automorphisms(self) -> tuple[tuple[Element, ...], ...]:
+        """The D - 1 automorphisms other than the identity, as integer matrices.
+
+        σ takes generator i to C_(a_i) of it, for one unit 1 <= a_i <= k_i/2
+        of each modulus; row r of its matrix holds coordinate r of σ(b_j)
+        over the basis elements b_j.
+        """
+        units = [[a for a in range(1, k // 2 + 1) if gcd(a, k) == 1] for k in self.moduli]
+        result = []
+        for exps in product(*units):
+            if all(a == 1 for a in exps):
+                continue
+            images = [
+                self.chebyshev(self.generator(i), a + 1)[-1][0] for i, a in enumerate(exps)
+            ]
+            columns = [
+                reduce(self.mul, (x for x, e in zip(images, basis) for _ in range(e)), self.one)
+                for basis in self.exponents
+            ]
+            result.append(tuple(zip(*columns)))
+        return tuple(result)
+
     # -- ring operations ------------------------------------------------
 
     def matrix(self, x: Element) -> tuple[Element, ...]:
@@ -193,7 +225,8 @@ class Field:
         )
 
     def mul(self, x: Element, y: Element) -> Element:
-        return tuple(sum(map(mul, row, y)) for row in self.matrix(x))
+        terms = [a * b for b in y for a in x]
+        return tuple(sum(map(mul, k, terms)) for k in self._structure)
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple(map(add, x, y))
@@ -262,40 +295,50 @@ class Field:
     def signs(self, values: list[Element]) -> list[int]:
         return [self.sign(v) for v in values]
 
+    def unit(self, x: Element) -> Element:
+        """±N(x)/x for x != 0, with the sign that makes it positive.
+
+        N(x)/x is the product u of x's D - 1 other conjugates, so it is
+        integral, and x·u = N(x) is an integer, read off the constant
+        coordinate.  u is positive in the real embedding exactly when
+        N(x) and x have one sign; otherwise -u is returned.
+        """
+        conjugates = [tuple(sum(map(mul, row, x)) for row in s) for s in self.automorphisms]
+        u = reduce(self.mul, conjugates) if conjugates else self.one
+        norm = self.mul(x, u)[0]
+        return u if (norm > 0) == (self.sign(x) > 0) else tuple(-c for c in u)
+
     def combine(
         self, vp: Element, gp: tuple[int, ...], vq: Element, gq: tuple[int, ...]
     ) -> tuple[int, ...]:
         """The ray ``vp * gq - vq * gp``, normalized.
 
-        The ray is multiplied by an integer multiple u of e^-1, where e is
-        its first nonzero entry, with u positive in the real embedding so
-        the direction is kept; then divided by its integer content.  The
-        coordinates of e^-1 solve M_e y = 1 for the multiplication matrix
-        M_e of e, and N(e) e^-1 = adj(M_e) 1 is integral; u is the
-        primitive integer multiple of that solution, from a fraction-free
-        solve, so no fraction is built.
+        The ray is multiplied by u = ±N(e)/e from :meth:`unit`, where e is
+        its first nonzero entry, and then divided by its integer content.
+        The sign is + exactly when N(e) and e have one sign, which makes u
+        positive, so the direction is kept; any positive rational multiple
+        of e^-1 gives this one primitive vector.  The factor u goes into
+        vp and vq before the entries are formed.
         """
         d = self.degree
-        mp, mq = self.matrix(vp), self.matrix(vq)
+        for j in range(0, len(gp), d):
+            lead = self.sub(self.mul(vp, gq[j:j + d]), self.mul(vq, gp[j:j + d]))
+            if any(lead):
+                break
+        u = self.unit(lead)
+        # row k of [M_(u vp) | M_(-u vq)] against (b, a) is coordinate k of u (vp b - vq a)
+        rows = [
+            rp + rq
+            for rp, rq in zip(
+                self.matrix(self.mul(u, vp)), self.matrix(self.mul(u, tuple(-c for c in vq)))
+            )
+        ]
         flat: list[int] = []
         for j in range(0, len(gp), d):
-            a, b = gp[j:j + d], gq[j:j + d]
-            flat += [
-                sum(map(mul, rp, b)) - sum(map(mul, rq, a)) for rp, rq in zip(mp, mq)
-            ]
-        first = next(j for j in range(0, len(flat), d) if any(flat[j:j + d]))
-        lead = tuple(flat[first:first + d])
-        u = solve_directions(self.matrix(lead), [self.one])[0]
-        if self.sign(u) < 0:
-            u = tuple(-e for e in u)
-        mu = self.matrix(u)
-        scaled = [
-            sum(map(mul, row, flat[j:j + d]))
-            for j in range(0, len(flat), d)
-            for row in mu
-        ]
-        g = gcd(*scaled)
-        return tuple(e // g for e in scaled)
+            ba = gq[j:j + d] + gp[j:j + d]
+            flat += [sum(map(mul, row, ba)) for row in rows]
+        g = gcd(*flat)
+        return tuple(e // g for e in flat)
 
 
 def survey_field(m: int, n: int) -> tuple[Field, Element, Element]:

@@ -23,6 +23,8 @@ order.  Both filters read the incidences the completion computes anyway.
 
 Completion requires full-dimensional input.  Lower-dimensional point
 sets must go through :func:`chart_project` first; the error says so.
+For an inequality system the error names a row that is tight at every
+vertex instead.
 ``Polytope.from_points`` keeps the returned chart, which lifts the
 polytope's coordinates back to the original space.
 """
@@ -191,7 +193,11 @@ def _vertices_of_system(
     for _, mask in found:
         implicit &= mask
     if implicit:
-        raise LowerDimensionalError(_affine_rank(p for p, _ in found), ambient_dim)
+        raise LowerDimensionalError(
+            _affine_rank(p for p, _ in found),
+            ambient_dim,
+            next(_bits(implicit)),
+        )
     return found
 
 

@@ -695,6 +695,42 @@ def test_module_is_runnable():
     assert result.stdout == "V 2 4\n1 0\n0 1\n-1 0\n0 -1\n"
 
 
+def _run_alone(argv):
+    """(status, stdout, stderr) of ``argv`` in a fresh process."""
+    src = str(Path(hompoly.polyio.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-m", "hompoly.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch, capsys):
+    """main builds its parser once; a call, a usage error included, leaves
+    nothing behind that changes the next one."""
+    monkeypatch.setenv("COLUMNS", "80")
+    triangle = tmp_path / "p3.poly"
+    triangle.write_text("V 2 3\n0 0\n1 0\n0 1\n")
+    table = ["table", "--m-range", "3", "--n-range", "3..4"]
+    calls = [table, ["table", "--jobs"], ["classify", str(triangle), str(triangle)], table]
+    hompoly.cli._build_parser.cache_clear()
+    results = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exited:
+            code = exited.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert hompoly.cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in results] == [0, 2, 0, 0]
+    assert "expected one argument" in results[1][2]
+    assert results == [_run_alone(argv) for argv in calls]
+
+
 def test_runs_without_mpmath():
     # a None entry in sys.modules makes `import mpmath` fail
     src = str(Path(hompoly.polyio.__file__).parents[1])

@@ -1,5 +1,6 @@
 """The survey's number fields against sympy and high-precision evaluation."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -32,9 +33,11 @@ MINIMAL = {
 }
 
 
-def _real(field: Field, x, moduli) -> mpmath.mpf:
-    """x in the embedding where generator i is 2cos(2π/moduli[i])."""
-    gens = [2 * mpmath.cos(2 * mpmath.pi / k) for k in moduli]
+def _real(field: Field, x, moduli, units=None) -> mpmath.mpf:
+    """x in the embedding where generator i is 2cos(2π units[i] / moduli[i]),
+    by default with every unit 1."""
+    units = units or (1,) * len(moduli)
+    gens = [2 * mpmath.cos(2 * mpmath.pi * a / k) for a, k in zip(units, moduli)]
     return mpmath.fsum(
         mpmath.mpf(c.numerator) / c.denominator
         * mpmath.fprod(g**e for g, e in zip(gens, basis))
@@ -161,6 +164,70 @@ def test_element_times_unit_is_a_positive_multiple_of_one():
             else:
                 with pytest.raises(ValueError, match="singular"):
                     solve_directions(field.matrix(x), [field.one])
+
+
+def _apply(sigma, x):
+    return tuple(sum(c * e for c, e in zip(row, x)) for row in sigma)
+
+
+def test_automorphisms_are_the_nontrivial_ring_automorphisms():
+    rng = random.Random(19)
+    for m, n in PAIRS:
+        field = survey_field(m, n)[0]
+        d = field.degree
+        identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        assert len(field.automorphisms) == d - 1, (m, n)
+        assert len(set(field.automorphisms)) == d - 1, (m, n)
+        assert identity not in field.automorphisms, (m, n)
+        elements = list(_elements(field, rng, 6))
+        for sigma in field.automorphisms:
+            assert all(isinstance(c, int) for row in sigma for c in row)
+            assert _apply(sigma, field.one) == field.one
+            for x in elements:
+                for y in elements:
+                    assert _apply(sigma, field.mul(x, y)) == field.mul(
+                        _apply(sigma, x), _apply(sigma, y)
+                    ), (m, n, x, y)
+
+
+@mpmath.workdps(100)
+def test_conjugate_product_is_the_norm():
+    """x times its other conjugates is N(x)·1, and N(x) is the product of
+    x's D real embeddings."""
+    rng = random.Random(23)
+    for m, n in PAIRS:
+        field = survey_field(m, n)[0]
+        moduli = survey_moduli(m, n)
+        embeddings = list(
+            itertools.product(
+                *([a for a in range(1, k // 2 + 1) if gcd(a, k) == 1] for k in moduli)
+            )
+        )
+        assert len(embeddings) == field.degree
+        for x in _elements(field, rng, 10):
+            if not any(x):
+                continue
+            norm = x
+            for sigma in field.automorphisms:
+                norm = field.mul(norm, _apply(sigma, x))
+            assert norm[0] != 0 and not any(norm[1:]), (m, n, x)
+            exact = mpmath.fprod(_real(field, x, moduli, units) for units in embeddings)
+            assert abs(exact - norm[0]) < mpmath.mpf(10) ** -50 * (1 + abs(exact)), (m, n, x)
+
+
+def test_unit_is_positive_and_inverts_up_to_an_integer():
+    """The unit combine scales by is ±N(x)/x, positive in the real embedding."""
+    rng = random.Random(29)
+    for m, n in PAIRS:
+        field = survey_field(m, n)[0]
+        for x in _elements(field, rng, 20):
+            if not any(x):
+                continue
+            u = field.unit(x)
+            assert field.sign(u) == 1, (m, n, x)
+            product = field.mul(x, u)
+            assert product[0] != 0 and not any(product[1:]), (m, n, x)
+            assert (product[0] > 0) == (field.sign(x) > 0), (m, n, x)
 
 
 @mpmath.workdps(400)

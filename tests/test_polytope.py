@@ -174,6 +174,29 @@ def test_lower_dimensional_points_rejected_by_conversion():
         Polytope.from_points((vec(0, 0, 0), vec(1, 1, 1))).inequalities
     assert err.value.hull_dim == 1
     assert err.value.ambient_dim == 3
+    assert err.value.tight_row is None
+    assert str(err.value) == (
+        "set spans a 1-dimensional affine hull in 3-dimensional space; project"
+        " onto a chart of the hull (chart_project) before converting"
+    )
+
+
+def test_implicit_equality_is_named_in_the_error():
+    """An inequality system with an implicit equality names a tight row,
+    not chart_project, which takes points."""
+    triangle = simplex(2)
+    rows = list(build_hom(triangle, triangle).polytope.inequalities)
+    rows.append(Inequality(tuple(-e for e in rows[0].normal), -rows[0].offset))
+    with pytest.raises(LowerDimensionalError) as err:
+        Polytope.from_inequalities(rows, 6).vertices
+    assert (err.value.hull_dim, err.value.ambient_dim) == (5, 6)
+    assert err.value.tight_row == 0
+    assert str(err.value) == (
+        "set spans a 5-dimensional affine hull in 6-dimensional space;"
+        " inequality 0 (counting from 0) is tight at every vertex, an implicit"
+        " equality; eliminate it before converting"
+    )
+    assert "chart_project" not in str(err.value)
 
 
 def test_contains_point_cases():
