@@ -37,7 +37,7 @@ from .coincidence import (
     evaluate_matrix,
     reject_reason,
 )
-from .constructions import check_size, standard
+from .constructions import STOCK, check_size, standard
 from .errors import GeometryError, LowerDimensionalError
 from .hom import HomPolytope, build_hom, hom_identity_check
 from .polyio import (
@@ -58,7 +58,6 @@ from .regular import (
     table_row,
 )
 
-_CONSTRUCTION_KINDS = ("simplex", "cube", "crosspolytope", "regular_ngon")
 _IDENTITY_KINDS = ("simplex_power", "cube_bipyramid", "cube_cross_swap")
 
 # A rounded coordinate is written as sign, at most D numerator digits,
@@ -356,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         " so the polygon is not an affine image of the regular N-gon; the"
         " file says so in a # line.",
     )
-    p.add_argument("kind", choices=_CONSTRUCTION_KINDS)
+    p.add_argument("kind", choices=tuple(STOCK))
     p.add_argument("size", type=int, help="dimension, or vertex count for regular_ngon")
     p.add_argument(
         "--digits", type=int, default=6, help="decimals of a rounded regular_ngon"

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
 from math import prod
 
 from .linalg import mat_det
@@ -64,54 +63,31 @@ class CoincidenceGraph:
 # -- enumeration --------------------------------------------------------
 
 # a path component is typed by its edge count and, when that count is
-# even, by the part holding both endpoints; odd paths are symmetric
-_FLAVOR_RANK = {None: 0, "A": 1, "B": 2}
-
+# even, by the part holding both endpoints; odd paths are symmetric.
+# Listed in encoding order: longer first, then odd, A, B.
 PathType = tuple[int, str | None]
+_PATH_TYPES: tuple[PathType, ...] = tuple(
+    (edges, flavor)
+    for edges in range(7, 0, -1)
+    for flavor in ((None,) if edges % 2 else ("A", "B"))
+)
 
 
-def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]:
-    if largest is None:
-        largest = total
+def _typed_multisets(total: int, first: int = 0) -> list[tuple[PathType, ...]]:
+    """All multisets of typed paths with the given total edge count.
+
+    Each multiset lists its types in :data:`_PATH_TYPES` order, drawn
+    from position ``first`` on, and the multisets come out in the
+    lexicographic order of those lists, which is encoding order.
+    """
     if total == 0:
         return [()]
-    out = []
-    for part in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - part, part):
-            out.append((part,) + rest)
-    return out
-
-
-def _typed_multisets(total: int) -> list[tuple[PathType, ...]]:
-    """All multisets of typed paths with the given total edge count."""
-    results = []
-    for partition in _partitions(total):
-        groups: dict[int, int] = {}
-        for part in partition:
-            groups[part] = groups.get(part, 0) + 1
-        per_value: list[list[tuple[PathType, ...]]] = []
-        for value in sorted(groups, reverse=True):
-            count = groups[value]
-            if value % 2:
-                per_value.append([((value, None),) * count])
-            else:
-                per_value.append(
-                    [
-                        tuple((value, flavor) for flavor in chosen)
-                        for chosen in combinations_with_replacement(
-                            ("A", "B"), count
-                        )
-                    ]
-                )
-        for chosen in product(*per_value):
-            multiset = tuple(
-                sorted(
-                    (t for group in chosen for t in group),
-                    key=lambda t: (-t[0], _FLAVOR_RANK[t[1]]),
-                )
-            )
-            results.append(multiset)
-    return results
+    return [
+        (path,) + rest
+        for i, path in enumerate(_PATH_TYPES[first:], first)
+        if path[0] <= total
+        for rest in _typed_multisets(total - path[0], i)
+    ]
 
 
 def _materialize(multiset: tuple[PathType, ...]) -> CoincidenceGraph:
@@ -151,7 +127,7 @@ def path_multiset(g: CoincidenceGraph) -> tuple[PathType, ...]:
         (edges, None if edges % 2 else ("A" if a_count > b_count else "B"))
         for a_count, b_count, edges in _components(g)
     ]
-    return tuple(sorted(types, key=lambda t: (-t[0], _FLAVOR_RANK[t[1]])))
+    return tuple(sorted(types, key=_PATH_TYPES.index))
 
 
 def canonical_encoding(g: CoincidenceGraph) -> str:
@@ -168,11 +144,7 @@ def enumerate_graphs() -> list[CoincidenceGraph]:
     Generated directly as typed path multisets, so the count (31) is an
     output of the combinatorics, not an input.
     """
-    multisets = sorted(
-        _typed_multisets(7),
-        key=lambda ms: tuple((-e, _FLAVOR_RANK[f]) for e, f in ms),
-    )
-    return [_materialize(ms) for ms in multisets]
+    return [_materialize(ms) for ms in _typed_multisets(7)]
 
 
 # -- rejection rules ----------------------------------------------------

@@ -17,6 +17,7 @@ layers depend on.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import GeometryError
@@ -38,31 +39,26 @@ def simplex(n: int) -> Polytope:
 
 
 def cube(n: int) -> Polytope:
-    """The cube [-1, 1]^n with both representations attached."""
+    """The cube [-1, 1]^n: the n-fold product of the segment [-1, 1].
+
+    Vertices come in ``itertools.product((-1, 1), repeat=n)`` order, and
+    facet 2i is x_i <= 1, facet 2i + 1 is -x_i <= 1.
+    """
     if n < 1:
         raise ValueError("cube dimension must be positive")
-    vertices = tuple(
-        tuple(Fraction(s) for s in signs)
-        for signs in itertools.product((-1, 1), repeat=n)
+    segment = Polytope(
+        1,
+        vertices=((Fraction(-1),), (Fraction(1),)),
+        inequalities=(
+            Inequality((Fraction(1),), Fraction(1)),
+            Inequality((Fraction(-1),), Fraction(1)),
+        ),
+        facet_masks=(0b10, 0b01),
     )
-    inequalities = []
-    masks = []
-    for i in range(n):
-        for sign in (1, -1):
-            normal = [Fraction(0)] * n
-            normal[i] = Fraction(sign)
-            inequalities.append(Inequality(tuple(normal), Fraction(1)))
-            mask = 0
-            for v, vertex in enumerate(vertices):
-                if vertex[i] == sign:
-                    mask |= 1 << v
-            masks.append(mask)
-    return Polytope(
-        n,
-        vertices=vertices,
-        inequalities=tuple(inequalities),
-        facet_masks=tuple(masks),
-    )
+    result = segment
+    for _ in range(n - 1):
+        result = product(result, segment)
+    return result
 
 
 def cross_polytope(n: int) -> Polytope:
@@ -256,6 +252,15 @@ def bipyramid(p: Polytope) -> Polytope:
     return Polytope.from_vertices(points)
 
 
+# The stock kinds by name, each built from a size and a digit count that
+# only regular_ngon reads; `construct --help` lists them in this order.
+STOCK: dict[str, Callable[[int, int], Polytope]] = {
+    "simplex": lambda n, digits: simplex(n),
+    "cube": lambda n, digits: cube(n),
+    "crosspolytope": lambda n, digits: cross_polytope(n),
+    "regular_ngon": lambda n, digits: regular_ngon(n, digits),
+}
+
 # Largest vertex or facet description, in coordinates (rows x dimension),
 # that :func:`standard` builds.  On a 2-vCPU Xeon box, `construct` at the
 # limit takes 0.1 s for cube 12 and 5 s for crosspolytope 12 (2^12
@@ -274,7 +279,7 @@ def check_size(kind: str, n: int, digits: int) -> None:
     That is its vertices, the 2^n facets of a cross-polytope or a polygon's
     digits.  The count 2^n is compared through its exponent, never formed.
     """
-    if n < 1 or kind not in ("simplex", "cube", "crosspolytope", "regular_ngon"):
+    if n < 1 or kind not in STOCK:
         return  # the builders refuse or accept these themselves
     if kind in ("cube", "crosspolytope"):
         rows, dim = f"2^{n}", n
@@ -296,24 +301,17 @@ def check_size(kind: str, n: int, digits: int) -> None:
 
 
 def standard(kind: str, n: int | None = None, digits: int = 6) -> Polytope:
-    """Dispatch to a stock construction by name.
+    """Dispatch to a stock construction by name, one of :data:`STOCK`.
 
-    Recognized kinds: ``simplex``, ``cube``, ``crosspolytope``,
-    ``regular_ngon``.  ``n`` is the dimension (or vertex count for the
-    polygon); ``digits`` only applies to ``regular_ngon``.  A request
-    whose vertex or facet description would hold more than
-    :data:`COORDINATE_LIMIT` coordinates, or a polygon above
-    :data:`DIGIT_LIMIT`, is refused before anything is built.
+    ``n`` is the dimension (or vertex count for the polygon); ``digits``
+    only applies to ``regular_ngon``.  A request whose vertex or facet
+    description would hold more than :data:`COORDINATE_LIMIT`
+    coordinates, or a polygon above :data:`DIGIT_LIMIT`, is refused
+    before anything is built.
     """
     if n is None:
         raise ValueError("standard constructions need a size parameter")
     check_size(kind, n, digits)
-    if kind == "simplex":
-        return simplex(n)
-    if kind == "cube":
-        return cube(n)
-    if kind == "crosspolytope":
-        return cross_polytope(n)
-    if kind == "regular_ngon":
-        return regular_ngon(n, digits)
-    raise ValueError(f"unknown construction kind {kind!r}")
+    if kind not in STOCK:
+        raise ValueError(f"unknown construction kind {kind!r}")
+    return STOCK[kind](n, digits)

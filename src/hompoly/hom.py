@@ -24,7 +24,7 @@ from fractions import Fraction
 from .constructions import bipyramid, cross_polytope, cube, product, simplex
 from .errors import GeometryError
 from .linalg import Matrix, Vector, mat_rank, mat_vec, vec_add, zero_vector
-from .polytope import Inequality, Polytope
+from .polytope import Inequality, Polytope, contains_point
 
 
 @dataclass(frozen=True)
@@ -190,17 +190,13 @@ def is_vertex_map(f: AffineMap, h: HomPolytope) -> bool:
     polytope are rejected with an error rather than a False, since that
     is always a caller bug.
     """
-    point = f.to_point()
-    tight_normals = []
-    for iq in h.polytope.inequalities:
-        value = iq.value(point)
-        if value > iq.offset:
-            raise GeometryError("map does not send the source into the target")
-        if value == iq.offset:
-            tight_normals.append(iq.normal)
-    if len(tight_normals) < h.polytope.ambient_dim:
+    hit = contains_point(h.polytope, f.to_point())
+    if hit.kind == "outside":
+        raise GeometryError("map does not send the source into the target")
+    if len(hit.active) < h.polytope.ambient_dim:
         return False
-    return mat_rank(tuple(tight_normals)) == h.polytope.ambient_dim
+    normals = tuple(h.polytope.inequalities[j].normal for j in hit.active)
+    return mat_rank(normals) == h.polytope.ambient_dim
 
 
 @dataclass(frozen=True)

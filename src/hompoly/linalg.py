@@ -61,11 +61,6 @@ def mat_vec(m: Matrix, x: Vector) -> Vector:
     return tuple(vec_dot(row, x) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b, strict=True))
-    return tuple(tuple(vec_dot(row, col) for col in cols) for row in a)
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))

@@ -252,8 +252,9 @@ def _transpose(masks: Iterable[int], width: int) -> tuple[int, ...]:
 def _maximal_masks(masks: Iterable[int]) -> set[int]:
     """The distinct masks that are not strictly inside another one."""
     kept: list[int] = []
-    # largest first: a strict superset has more bits, so it is kept already
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+    # largest first: a strict superset has more bits, so it is kept already,
+    # and a repeated mask lies inside its first copy, so it is dropped
+    for m in sorted(masks, key=int.bit_count, reverse=True):
         for big in kept:
             if m & big == m:
                 break
@@ -600,16 +601,7 @@ def _face_lattice(p: Polytope) -> tuple[tuple[int, int], ...]:
             candidates = {face & fm for fm in masks}
             candidates.discard(face)
             candidates.discard(0)
-            # largest first, so a candidate need only be tested against
-            # the kept sets, which are the facets of this face so far
-            kept: list[int] = []
-            for sub in sorted(candidates, key=int.bit_count, reverse=True):
-                for big in kept:
-                    if sub & big == sub:
-                        break
-                else:
-                    kept.append(sub)
-            below.update(kept)
+            below.update(_maximal_masks(candidates))
         level = below
     lattice.extend((0, face) for face in level)
     return tuple(lattice)

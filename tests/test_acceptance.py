@@ -57,9 +57,10 @@ from hompoly.hom import (
     hom_identity_check,
     is_vertex_map,
 )
-from hompoly.linalg import mat_det, mat_mul, mat_vec, vec_add
+from hompoly.linalg import mat_det, mat_vec, vec_add
 from hompoly.polytope import Polytope, chart_project, is_simple_vertex
 from hompoly.regular import closed_form_counts, divisibility_check, table_row
+from test_linalg import mat_mul
 
 _skip_unless_opted_in = pytest.mark.skipif(
     os.environ.get("HOMPOLY_STRETCH") != "1",

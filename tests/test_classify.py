@@ -28,7 +28,6 @@ from hompoly.constructions import (
 from hompoly.errors import GeometryError, OutsideHullError
 from hompoly.hom import AffineMap, HomPolytope, build_hom, is_vertex_map
 from hompoly.linalg import (
-    mat_mul,
     mat_rank,
     mat_vec,
     nullspace_basis,
@@ -38,6 +37,7 @@ from hompoly.linalg import (
     vec_sub,
 )
 from hompoly.polytope import Polytope, contains_point, is_simple_vertex
+from test_linalg import mat_mul
 
 
 def drop_last_axis(source_dim: int, target_dim: int) -> AffineMap:

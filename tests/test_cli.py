@@ -14,11 +14,19 @@ import pytest
 
 import hompoly.polyio
 import hompoly.cli
-from hompoly.cli import MAX_DIGITS, InvariantViolation, _check_hom, main, worker_count
+from hompoly.cli import (
+    MAX_DIGITS,
+    InvariantViolation,
+    _check_hom,
+    _check_row,
+    main,
+    worker_count,
+)
 from hompoly.coincidence import Certificate, CoincidenceGraph
 from hompoly.constructions import cube, regular_ngon, simplex
 from hompoly.hom import HomPolytope, IdentityCheckReport, build_hom
 from hompoly.polytope import Inequality, Polytope
+from hompoly.regular import divisibility_check, table_row
 from hompoly.polyio import (
     MAX_DECIMAL_EXPONENT,
     MAX_SCALAR_LENGTH,
@@ -425,6 +433,74 @@ def test_check_names_the_dimension_law_for_a_flat_hom():
         _check_hom(flat_hom)
     assert caught.value.property_name == "hom-dimension-law"
     assert "dim 5 != 2*2+2" in str(caught.value)
+
+
+def test_check_counts_the_facets_against_the_sides():
+    # a triangle's nine hom facets, claimed for a square source
+    h = build_hom(simplex(2), simplex(2))
+    with pytest.raises(InvariantViolation) as caught:
+        _check_hom(dataclasses.replace(h, source=cube(2)))
+    assert caught.value.property_name == "hom-facet-count"
+    assert "9 facets, expected 12" in str(caught.value)
+
+
+def test_check_finds_redundant_hom_rows():
+    # a target row trusted as a facet but implied by the others lends
+    # each source vertex a redundant hom row; the count still agrees
+    triangle = simplex(2).inequalities
+    loose = Inequality((Fraction(1), Fraction(0)), Fraction(10))
+    target = Polytope.from_inequalities(triangle + (loose,), 2, assume_irredundant=True)
+    h = build_hom(simplex(2), target)
+    assert h.polytope.n_facets == 12
+    with pytest.raises(InvariantViolation) as caught:
+        _check_hom(h)
+    assert caught.value.property_name == "hom-facet-irredundancy"
+    assert "kept 9 of 12" in str(caught.value)
+
+
+def test_check_rejects_a_map_that_leaves_the_target():
+    # the hom's vertex maps reach the corners of [-1, 1]^2, outside a
+    # target shrunk to half its size with the same four facets
+    h = build_hom(simplex(2), cube(2))
+    half = Polytope.from_vertices([(x / 2, y / 2) for x, y in cube(2).vertices])
+    with pytest.raises(InvariantViolation) as caught:
+        _check_hom(dataclasses.replace(h, target=half))
+    assert caught.value.property_name == "vertex-map-containment"
+
+
+@pytest.fixture(scope="module")
+def row_4_4():
+    row, diag = table_row(4, 4)
+    _check_row(row, diag)
+    assert (row.rank0, row.rank1, row.rank2, row.total) == (4, 24, 8, 36)
+    return row, diag
+
+
+def _miscounted(row, diag, **cells):
+    """The row with ``cells`` replaced and its diagnostics rederived."""
+    bad = dataclasses.replace(row, **cells)
+    return bad, dataclasses.replace(
+        diag,
+        divisibility=divisibility_check(bad.total, bad.m, bad.n),
+        closed_form_mismatches=tuple(
+            (cell, getattr(row, cell), value) for cell, value in cells.items()
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "cells, name",
+    [
+        ({"total": 37}, "table-total-sum"),
+        ({"rank0": 5, "rank2": 7}, "table-low-rank-closed-forms"),
+        ({"rank2": 9, "total": 37}, "table-divisibility"),
+        ({"rank2": 12, "total": 40}, "table-closed-form-match"),
+    ],
+)
+def test_table_check_names_each_miscount(row_4_4, cells, name):
+    with pytest.raises(InvariantViolation) as caught:
+        _check_row(*_miscounted(*row_4_4, **cells))
+    assert caught.value.property_name == name
 
 
 def test_table_rows_and_determinism(capsys):

@@ -1,5 +1,6 @@
 """Unit tests for stock polytopes and combinators."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -49,6 +50,25 @@ def test_cube_counts_and_incidence():
         for v in c.facet_vertex_indices(j):
             assert iq.tight(c.vertices[v])
         assert len(c.facet_vertex_indices(j)) == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cube_pins_vertex_and_facet_order(n):
+    # a hom with a cube side writes its rows and labels in this order
+    c = cube(n)
+    signs = list(itertools.product((-1, 1), repeat=n))
+    assert c.vertices == tuple(tuple(map(Fraction, s)) for s in signs)
+    assert all(type(e) is Fraction for v in c.vertices for e in v)
+    expected = []
+    for i in range(n):
+        for sign in (1, -1):  # facet 2i is x_i <= 1, facet 2i + 1 is -x_i <= 1
+            normal = tuple(Fraction(sign if k == i else 0) for k in range(n))
+            mask = sum(1 << v for v, s in enumerate(signs) if s[i] == sign)
+            expected.append((normal, Fraction(1), mask))
+    assert [
+        (iq.normal, iq.offset, mask)
+        for iq, mask in zip(c.inequalities, c.facet_masks, strict=True)
+    ] == expected
 
 
 def test_cross_polytope_counts():
