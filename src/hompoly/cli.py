@@ -39,7 +39,7 @@ from .coincidence import (
 )
 from .constructions import STOCK, check_size, standard
 from .errors import GeometryError, LowerDimensionalError
-from .hom import HomPolytope, build_hom, hom_identity_check
+from .hom import IDENTITY_KINDS, HomPolytope, build_hom, hom_identity_check
 from .polyio import (
     MAX_SCALAR_LENGTH,
     ParseError,
@@ -57,8 +57,6 @@ from .regular import (
     closed_form_counts,
     table_row,
 )
-
-_IDENTITY_KINDS = ("simplex_power", "cube_bipyramid", "cube_cross_swap")
 
 # A rounded coordinate is written as sign, at most D numerator digits,
 # "/" and the D + 1 digits of 10^D: 2D + 3 characters, which read_polytope
@@ -383,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_graphs)
 
     p = sub.add_parser("identity-check", help="compare f-vectors across a hom identity")
-    p.add_argument("kind", choices=_IDENTITY_KINDS)
+    p.add_argument("kind", choices=IDENTITY_KINDS)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--target", help="target polytope as kind:size, e.g. regular_ngon:5")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .constructions import bipyramid, cross_polytope, cube, product, simplex
 from .errors import GeometryError
@@ -122,13 +123,15 @@ def build_hom(p: Polytope, q: Polytope) -> HomPolytope:
     Both arguments must be full-dimensional in their ambient spaces
     (project lower-dimensional input onto a chart first); otherwise the
     space of maps is degenerate in these coordinates and none of the
-    facet structure survives.  A hom dimension above ``_HOM_DIM_LIMIT``
-    is refused with a ``ValueError`` before anything is enumerated.
+    facet structure survives.  A hom or source dimension above
+    ``_HOM_DIM_LIMIT`` is refused with a ``ValueError`` before anything
+    is enumerated.
     """
     dp, dq = p.ambient_dim, q.ambient_dim
     hom_dim = dp * dq + dq
-    _guard_hom_dim(
-        hom_dim,
+    _guard_side(
+        dp,
+        dq,
         f"hom of a {dp}-dimensional source into a {dq}-dimensional target",
         _HOM_DIM_LIMIT,
     )
@@ -215,24 +218,33 @@ class IdentityCheckReport:
 
 
 # Largest hom dimension build_hom accepts, and the tighter one the
-# identity checks accept, since they enumerate every face of both sides.
-# simplex_power also bounds each side's vertex count |V(p)|^(n+1): at
-# 4096 vertices (n = 2 on a 16-gon, n = 3 on an octagon) one check takes
-# 5-7 s on a 2-vCPU Xeon box, and the 12-gon at n = 3 (20,736) ran
-# past 30 s.
+# identity checks accept, since they enumerate every face of both sides;
+# an identity side's source dimension is held to it too, since a
+# zero-dimensional target leaves the hom dimension at 0 whatever the
+# source.  simplex_power also bounds each side's vertex count
+# |V(p)|^(n+1): at 4096 vertices (n = 2 on a 16-gon, n = 3 on an
+# octagon) one check takes 5-7 s on a 2-vCPU Xeon box, and the 12-gon at
+# n = 3 (20,736) ran past 30 s.
 _HOM_DIM_LIMIT = 12
 _IDENTITY_DIM_LIMIT = 8
 _IDENTITY_VERTEX_LIMIT = 4096
 
+IDENTITY_KINDS = ("simplex_power", "cube_bipyramid", "cube_cross_swap")
 
-def _guard_hom_dim(
-    dim: int, description: str, limit: int = _IDENTITY_DIM_LIMIT
+
+def _guard_side(
+    source_dim: int, target_dim: int, description: str, limit: int = _IDENTITY_DIM_LIMIT
 ) -> None:
-    if dim > limit:
-        raise ValueError(
-            f"{description} lives in hom dimension {dim}, above the "
-            f"enumeration limit of {limit}; refusing"
-        )
+    """Refuse a hom side whose hom or source dimension is above ``limit``."""
+    for what, dim in (
+        ("lives in hom dimension", source_dim * target_dim + target_dim),
+        ("has source dimension", source_dim),
+    ):
+        if dim > limit:
+            raise ValueError(
+                f"{description} {what} {dim}, above the "
+                f"enumeration limit of {limit}; refusing"
+            )
 
 
 def hom_identity_check(
@@ -255,16 +267,15 @@ def hom_identity_check(
     ``cube_cross_swap``: for m = n, maps from the m-cube to the n-cross-
     polytope match maps from the (m-1)-cube to the (n+1)-cross-polytope.
 
-    Each side must stay within hom dimension 8, and a ``simplex_power``
-    side within 4096 vertices (|V(p)|^(n+1)); larger requests are
-    refused before anything is built, with the exceeded value in the
-    message.
+    Each side must stay within hom dimension 8 and source dimension 8,
+    and a ``simplex_power`` side within 4096 vertices (|V(p)|^(n+1));
+    larger requests are refused before anything is built, with the
+    exceeded value in the message.  The left side is built first.
     """
     if kind == "simplex_power":
         if n is None or p is None:
             raise ValueError("simplex_power needs n and a target polytope p")
-        lhs_dim = n * p.dim + p.dim
-        _guard_hom_dim(lhs_dim, f"hom(simplex({n}), target)")
+        _guard_side(n, p.dim, f"hom(simplex({n}), target)")
         vertex_count = p.n_vertices ** (n + 1)
         if vertex_count > _IDENTITY_VERTEX_LIMIT:
             raise ValueError(
@@ -272,50 +283,29 @@ def hom_identity_check(
                 f"{vertex_count} vertices, above the vertex limit of "
                 f"{_IDENTITY_VERTEX_LIMIT}; refusing"
             )
+        lhs_description = f"maps from the {n}-simplex into the target"
         lhs = build_hom(simplex(n), p).polytope
-        rhs = p
-        for _ in range(n):
-            rhs = product(rhs, p)
-        return IdentityCheckReport(
-            kind,
-            f"maps from the {n}-simplex into the target",
-            f"{n + 1}-fold product of the target",
-            lhs.f_vector,
-            rhs.f_vector,
-        )
-    if kind == "cube_bipyramid":
+        rhs_description = f"{n + 1}-fold product of the target"
+        rhs = reduce(product, [p] * (n + 1))
+    elif kind == "cube_bipyramid":
         if m is None or n is None:
             raise ValueError("cube_bipyramid needs source dim m and target dim n")
-        lhs_dim = m * n + n
-        _guard_hom_dim(lhs_dim, f"hom(cube({m}), cube({n}))")
+        _guard_side(m, n, f"hom(cube({m}), cube({n}))")
+        lhs_description = f"maps from the {m}-cube into the {n}-cube"
         lhs = build_hom(cube(m), cube(n)).polytope
-        factor = bipyramid(cross_polytope(m))
-        rhs = factor
-        for _ in range(n - 1):
-            rhs = product(rhs, factor)
-        return IdentityCheckReport(
-            kind,
-            f"maps from the {m}-cube into the {n}-cube",
-            f"{n}-fold product of the bipyramid over the {m}-cross-polytope",
-            lhs.f_vector,
-            rhs.f_vector,
-        )
-    if kind == "cube_cross_swap":
+        rhs_description = f"{n}-fold product of the bipyramid over the {m}-cross-polytope"
+        rhs = reduce(product, [bipyramid(cross_polytope(m))] * n)
+    elif kind == "cube_cross_swap":
         if m is None or n is None:
             raise ValueError("cube_cross_swap needs source dim m and target dim n")
-        lhs_dim = m * n + n
-        rhs_dim = (m - 1) * (n + 1) + (n + 1)
-        _guard_hom_dim(lhs_dim, f"hom(cube({m}), crosspolytope({n}))")
-        _guard_hom_dim(rhs_dim, f"hom(cube({m - 1}), crosspolytope({n + 1}))")
+        _guard_side(m, n, f"hom(cube({m}), crosspolytope({n}))")
+        _guard_side(m - 1, n + 1, f"hom(cube({m - 1}), crosspolytope({n + 1}))")
         if m < 2:
             raise ValueError("cube_cross_swap needs source dimension at least 2")
+        lhs_description = f"maps from the {m}-cube into the {n}-cross-polytope"
         lhs = build_hom(cube(m), cross_polytope(n)).polytope
+        rhs_description = f"maps from the {m - 1}-cube into the {n + 1}-cross-polytope"
         rhs = build_hom(cube(m - 1), cross_polytope(n + 1)).polytope
-        return IdentityCheckReport(
-            kind,
-            f"maps from the {m}-cube into the {n}-cross-polytope",
-            f"maps from the {m - 1}-cube into the {n + 1}-cross-polytope",
-            lhs.f_vector,
-            rhs.f_vector,
-        )
-    raise ValueError(f"unknown identity kind {kind!r}")
+    else:
+        raise ValueError(f"unknown identity kind {kind!r}")
+    return IdentityCheckReport(kind, lhs_description, rhs_description, lhs.f_vector, rhs.f_vector)

@@ -673,6 +673,25 @@ def test_oversized_simplex_power_fails_at_once(capsys):
     )
 
 
+def test_oversized_identity_source_is_refused_before_it_is_built(capsys):
+    # a zero-dimensional target leaves the hom dimension at 0, so only the
+    # source bound stops the 2^30 cube vertices
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            ["identity-check", "cube_bipyramid", "--m", "30", "--n", "0"], capsys
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == (
+        "hompoly: ValueError: hom(cube(30), cube(0)) has source dimension 30,"
+        " above the enumeration limit of 8; refusing\n"
+    )
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -78,6 +78,26 @@ def test_cross_polytope_counts():
     assert o.f_vector == (6, 12, 8, 1)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cross_polytope_incidences_match_evaluation(n):
+    # a hom with a cross-polytope side writes its rows and labels in this order
+    o = cross_polytope(n)
+    units = [
+        tuple(Fraction(sign if k == i else 0) for k in range(n))
+        for i in range(n)
+        for sign in (1, -1)  # vertex 2i is e_i, vertex 2i + 1 is -e_i
+    ]
+    assert o.vertices == tuple(units)
+    normals = [tuple(map(Fraction, s)) for s in itertools.product((1, -1), repeat=n)]
+    assert [(iq.normal, iq.offset) for iq in o.inequalities] == [
+        (normal, Fraction(1)) for normal in normals
+    ]
+    assert o.facet_masks == tuple(
+        sum(1 << v for v, u in enumerate(units) if vec_dot(normal, u) == 1)
+        for normal in normals
+    )
+
+
 def test_cube_is_dual_of_cross_polytope():
     c = dual(cross_polytope(3))
     assert set(c.vertices) == set(cube(3).vertices)

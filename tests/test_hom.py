@@ -169,6 +169,32 @@ def test_identity_vertex_guard_refuses_before_building(monkeypatch):
         hom_identity_check("simplex_power", n=1, p=regular_ngon(200))
 
 
+@pytest.mark.parametrize(
+    "kind, size, zero_dim_target",
+    [
+        ("cube_bipyramid", {"m": 30, "n": 0}, False),
+        ("cube_cross_swap", {"m": 30, "n": 0}, False),
+        ("simplex_power", {"n": 10**5}, True),
+    ],
+    ids=["cube_bipyramid", "cube_cross_swap", "simplex_power"],
+)
+def test_identity_guard_bounds_the_source_dimension(kind, size, zero_dim_target, monkeypatch):
+    # a zero-dimensional target keeps the hom dimension at 0 for any source
+    target = simplex(0) if zero_dim_target else None
+
+    def build(*args):
+        raise AssertionError("a side was built")
+
+    for name in ("build_hom", "product", "cube", "simplex"):
+        monkeypatch.setattr(hom, name, build)
+    source_dim = size.get("m", size["n"])
+    limit = hom._IDENTITY_DIM_LIMIT
+    with pytest.raises(
+        ValueError, match=f"source dimension {source_dim}, above the enumeration limit of {limit}"
+    ):
+        hom_identity_check(kind, p=target, **size)
+
+
 def test_identity_unknown_kind():
     with pytest.raises(ValueError):
         hom_identity_check("moebius_flip", n=1, m=1)

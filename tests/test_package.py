@@ -72,3 +72,63 @@ def test_the_unused_import_check_sees_a_leftover():
         "    return None\n"
     )
     assert _unused_imports(source) == {"product": 1, "os": 2}
+
+
+def _unread_private_names(sources):
+    """Module-level private names that no module in ``sources`` reads.
+
+    ``sources`` maps module stems to their text.  A function, class or
+    constant whose name starts with ``_`` (dunders aside) counts as read
+    where any module loads it as a name, imports it, or names it as an
+    attribute.
+    """
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    defined[module, name] = node.lineno
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return {key: line for key, line in defined.items() if key[1] not in read}
+
+
+def test_every_private_name_is_read():
+    sources = {
+        path.stem: path.read_text()
+        for path in sorted(Path(hompoly.__file__).parent.glob("*.py"))
+    }
+    assert [
+        f"{module}.py:{line} {name}"
+        for (module, name), line in _unread_private_names(sources).items()
+    ] == []
+
+
+def test_the_private_name_check_sees_a_leftover():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_STALE: int = 4\n"
+            "class _Row:\n"
+            "    pass\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def __getattr__(name):\n"
+            "    return name\n"
+        ),
+        "b": "from .a import _Row\n",
+    }
+    assert _unread_private_names(sources) == {("a", "_STALE"): 2, ("a", "_helper"): 5}
