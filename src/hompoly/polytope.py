@@ -495,7 +495,9 @@ class Polytope:
     def _graded(self) -> tuple[tuple[int, int], ...]:
         """The face lattice as ``(dim, vertex mask)`` pairs, computed once."""
         if self._lattice is None:
-            self._lattice = _face_lattice(self)
+            self._lattice = _face_lattice(
+                self.facet_masks, len(self.vertices), self.dim
+            )
         return self._lattice
 
     @property
@@ -576,32 +578,40 @@ def is_simple_vertex(p: Polytope, vertex: int | Vector) -> bool:
     return len(p.vertex_facet_indices(index)) == p.dim
 
 
-def _face_lattice(p: Polytope) -> tuple[tuple[int, int], ...]:
+def _face_lattice(
+    facet_masks: tuple[int, ...], n_vertices: int, dim: int
+) -> tuple[tuple[int, int], ...]:
     """All faces as ``(dim, vertex mask)`` pairs, graded top-down.
 
-    The grading reads the vertex-facet incidences alone.  The facets of
-    a face G of dimension k >= 1 are exactly the inclusion-maximal sets
-    among the nonempty intersections of G with the facets of P other
-    than G itself (Kaibel and Pfetsch, "Computing the face lattice of a
-    polytope from its vertex-facet incidences", Comput. Geom. 23, 2002).
-    Starting from the full vertex set at level ``p.dim``, each level is
-    the union of the facets of the level above, down to the vertices at
-    level 0.  The empty face comes first as ``(-1, 0)``, then the levels
-    from the top; within a level the order is unspecified.  No
-    arithmetic is done on coordinates, so the grading holds over any
-    ordered field.
+    The grading reads the vertex-facet incidences alone: ``facet_masks``
+    are the vertex sets of the facets of a ``dim``-polytope with
+    ``n_vertices`` vertices.  The facets of a face G of dimension
+    k >= 1 are exactly the inclusion-maximal sets among the nonempty
+    intersections of G with facets other than G itself (Kaibel and
+    Pfetsch, "Computing the face lattice of a polytope from its
+    vertex-facet incidences", Comput. Geom. 23, 2002), and the facets
+    of any one face F just above G suffice: by the diamond property
+    each ridge of F lies in exactly two facets of F (Ziegler,
+    *Lectures on Polytopes*, Thm 2.7), so each facet of G is G ∩ K for
+    a facet K of F.  Each level maps its faces to the facets of such an
+    F, starting from the full vertex set at level ``dim`` with the
+    polytope's facets, down to the vertices at level 0.  The empty face
+    comes first as ``(-1, 0)``, then the levels from the top; within a
+    level the order is unspecified.  No arithmetic is done on
+    coordinates, so the grading holds over any ordered field.
     """
-    masks = p.facet_masks
     lattice = [(-1, 0)]
-    level = {(1 << len(p.vertices)) - 1}
-    for dim in range(p.dim, 0, -1):
-        lattice.extend((dim, face) for face in level)
-        below: set[int] = set()
-        for face in level:
-            candidates = {face & fm for fm in masks}
+    level = {(1 << n_vertices) - 1: facet_masks}
+    for k in range(dim, 0, -1):
+        lattice.extend((k, face) for face in level)
+        below: dict[int, tuple[int, ...]] = {}
+        for face, above in level.items():
+            candidates = {face & fm for fm in above}
             candidates.discard(face)
             candidates.discard(0)
-            below.update(_maximal_masks(candidates))
+            facets = tuple(_maximal_masks(candidates))
+            for h in facets:
+                below.setdefault(h, facets)
         level = below
     lattice.extend((0, face) for face in level)
     return tuple(lattice)

@@ -148,6 +148,14 @@ def test_identity_cube_bipyramid_small():
     assert report.lhs_f_vector == (6, 12, 8, 1)
 
 
+def test_identity_cube_bipyramid_heaviest_benchmark_item():
+    # the square, by the product rule, of the 4-cross-polytope's (8, 24, 32, 16, 1)
+    report = hom_identity_check("cube_bipyramid", m=3, n=2)
+    assert report.match
+    expected = (64, 384, 1088, 1792, 1808, 1072, 320, 32, 1)
+    assert report.lhs_f_vector == report.rhs_f_vector == expected
+
+
 def test_identity_cube_cross_swap_2_2():
     report = hom_identity_check("cube_cross_swap", m=2, n=2)
     assert report.match

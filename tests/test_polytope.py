@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hompoly.polytope as polytope_module
-from hompoly.constructions import cross_polytope, cube, product, simplex
+from hompoly.constructions import bipyramid, cross_polytope, cube, product, simplex
 from hompoly.errors import (
     InfeasibleError,
     LowerDimensionalError,
@@ -524,6 +524,12 @@ NON_SIMPLE = {
     "octahedron x segment": lambda: product(cross_polytope(3), simplex(1)),
     "hom(square, segment)": lambda: build_hom(cube(2), simplex(1)).polytope,
     "hom(square, square)": lambda: build_hom(cube(2), cube(2)).polytope,
+    "octahedral bipyramid x square": lambda: product(
+        bipyramid(cross_polytope(3)), cube(2)
+    ),
+    "hom(square, square) x segment": lambda: product(
+        build_hom(cube(2), cube(2)).polytope, simplex(1)
+    ),
 }
 
 
@@ -561,9 +567,9 @@ def test_f_vector_builds_no_face(name, monkeypatch):
     gradings = []
     grade = polytope_module._face_lattice
 
-    def counted(p):
-        gradings.append(p)
-        return grade(p)
+    def counted(*args):
+        gradings.append(args)
+        return grade(*args)
 
     def no_face(*args):
         raise AssertionError("a Face was built")
@@ -576,6 +582,21 @@ def test_f_vector_builds_no_face(name, monkeypatch):
     # the faces come later from the same grading, which runs once
     assert _counts_of_faces(p) == counts
     assert len(gradings) == 1
+
+
+@pytest.mark.parametrize("name", sorted(NON_SIMPLE))
+def test_only_the_polytope_itself_reads_every_facet_row(name):
+    """A proper face is cut from the facets of one face above it."""
+    p = NON_SIMPLE[name]()
+    reads = []
+
+    class Rows(tuple):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    polytope_module._face_lattice(Rows(p.facet_masks), p.n_vertices, p.dim)
+    assert len(reads) == 1
 
 
 def test_point_in_ambient_dimension_zero_has_two_faces():

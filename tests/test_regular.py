@@ -6,15 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hompoly import dd
 from hompoly.classify import classify_all
 from hompoly.hom import build_hom
-from hompoly.polytope import Polytope
+from hompoly.polytope import Polytope, _face_lattice, _transpose
 from hompoly.regular import (
     ClusterPartition,
     check_survey_size,
     closed_form_counts,
     cluster_vertices,
     divisibility_check,
+    survey_cone,
     table_row,
 )
 
@@ -265,3 +267,35 @@ def test_oversized_pairs_are_refused_before_enumeration():
         table_row(3, 40)
     with pytest.raises(ValueError, match=r"\(7,9\): field degree 9 is above the limit"):
         table_row(7, 9)
+
+
+# -- the exact survey's incidences, graded ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "m, n, known",
+    [
+        # criterion 6, Hom(square, square)
+        (4, 4, dict(enumerate((36, 144, 240, 204, 88, 16, 1)))),
+        (5, 5, {1: 685}),
+        (6, 6, {1: 984}),
+    ],
+)
+def test_face_lattice_grades_the_survey_incidences(m, n, known):
+    """Grade Hom(P_m, P_n) from the DD activity masks of the exact cone.
+
+    The hom rows come first in :func:`survey_cone`; transposing the
+    rays' masks over them gives each facet's vertex set.
+    """
+    _, rows, arithmetic = survey_cone(m, n)
+    rays = dd.extreme_rays(rows, arithmetic)
+    facet_masks = _transpose((mask for _, mask in rays), m * n)
+    counts = [0] * 7
+    for dim, _ in _face_lattice(facet_masks, len(rays), 6):
+        if dim >= 0:
+            counts[dim] += 1
+    assert counts[0] == len(rays)
+    assert counts[5] == m * n
+    assert {i: counts[i] for i in known} == known
+    # Euler–Poincaré for a 6-polytope: the proper faces sum to 0
+    assert sum((-1) ** i * c for i, c in enumerate(counts[:6])) == 0
