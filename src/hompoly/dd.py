@@ -24,20 +24,23 @@ ceremony.  :func:`extreme_rays` takes its scalar arithmetic from its
 caller, so the polygon survey runs the same engine over a real number
 field (:mod:`hompoly.numfield`).
 
-Activity of rays against already-processed rows is tracked in bitmasks
-(bit i set means row i is tight), so the adjacency pre-filter is a
-popcount and the exact adjacency test is a subset check.  The mask of a
-freshly combined ray is the intersection of its parents' masks plus
-the new row: the ray is a positive combination of two rays that are
-nonnegative on every processed row, so it is tight on such a row
-exactly when both parents are.  The masks are therefore exact, as the
-later incidence consumers (face lattices, simplicity tests) require.
+Activity is tracked in bitmasks both ways: a ray's mask has bit i set
+when the ray is tight on processed row i, and each processed row keeps
+the bitset of the rays tight on it, updated only as rays appear
+(Fukuda & Prodon's incidence sets).  The insertion step reads its
+candidate pairs and their adjacency off those row bitsets, with no
+test of every (positive, negative) pair; :func:`extreme_rays` gives the
+details.  The mask of a freshly combined ray is the intersection of its
+parents' masks plus the new row: the ray is a positive combination of
+two rays that are nonnegative on every processed row, so it is tight
+on such a row exactly when both parents are.  The masks are therefore
+exact, as the later incidence consumers (face lattices, simplicity
+tests) require.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 from operator import mul
 
@@ -112,6 +115,16 @@ def _initial_generators(rows: list, arithmetic) -> tuple[list[int], list[tuple]]
     return picked, solve_directions(basis, units)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def extreme_rays(rows: list, arithmetic) -> list[tuple[tuple, int]]:
     """Extreme rays of ``{x : r . x >= 0 for every row r}`` with activity masks.
 
@@ -128,51 +141,113 @@ def extreme_rays(rows: list, arithmetic) -> list[tuple[tuple, int]]:
     ``combine(vp, gp, vq, gq)``, the normalized ray ``vp gq - vq gp``.
     Rays are flat integer vectors of D coordinates per entry; for D > 1
     a row is its block, the D rational rows of its value on such a ray.
+
+    Each ray ever made takes the next slot, and the slot number is its
+    bit in two kinds of bitsets: ``current`` holds the live slots, and
+    ``tight[i]`` the slots tight on processed row i.  Slots are never
+    reused or compacted, so the live slots in ascending order are the
+    rays in insertion order: survivors keep their order and new rays
+    come last.  The bitsets change only where rays appear.  A new ray
+    sets its bit in ``tight[i]`` for each row i of its mask, and
+    processing row k sets ``tight[k]`` to its zero rays and its new
+    rays.  A dropped ray's bits stay behind; ANDing with ``current``
+    masks them.
+
+    A positive ray p and a negative ray q can be adjacent only when
+    they share ``need`` = (cone dimension - 2) tight rows, so p may miss
+    at most s - need of q's s rows.  Bit-sliced counters find those
+    positives: ``ok[j]`` holds the positives that miss at most j of
+    q's rows read so far, and each row costs one AND and one OR per
+    counter.  The pair is adjacent exactly when p and q are the only
+    live rays tight on every common row, which is the AND of those
+    rows' ``tight`` starting from ``current``; it stops as soon as only
+    the pair's two bits are left.  New rays are combined in (p, q) slot
+    order.
     """
     value, signs, combine = arithmetic.value, arithmetic.signs, arithmetic.combine
     picked, generators = _initial_generators(rows, arithmetic)
     picked_set = set(picked)
 
-    rays: list[tuple[tuple, int]] = []
-    for g in generators:
+    rays: list = list(generators)
+    masks: list[int] = []
+    tight = [0] * len(rows)
+    for slot, g in enumerate(generators):
         mask = 0
         for i, v in zip(picked, signs([value(rows[i], g) for i in picked])):
             if v == 0:
                 mask |= 1 << i
-        rays.append((g, mask))
+                tight[i] |= 1 << slot
+        masks.append(mask)
+    live = list(range(len(rays)))
+    current = (1 << len(rays)) - 1
 
     need = len(picked) - 2
     for k, row in enumerate(rows):
         if k in picked_set:
             continue
-        vals = [value(row, g) for g, _ in rays]
+        vals = [value(row, rays[s]) for s in live]
         sgn = signs(vals)
-        pos = [i for i, v in enumerate(sgn) if v > 0]
-        neg = [i for i, v in enumerate(sgn) if v < 0]
-        masks = [m for _, m in rays]
-        negatives = [(iq, masks[iq]) for iq in neg]
-        new_rays: list[tuple[tuple, int]] = []
-        for ip in pos:
-            mp = masks[ip]
-            candidates = [
-                (iq, common)
-                for iq, mq in negatives
-                if (common := mp & mq).bit_count() >= need
-            ]
-            for iq, common in candidates:
-                # adjacent: p and q are the only rays whose mask contains common
-                containing = (mr for mr in masks if mr & common == common)
-                if len(list(islice(containing, 3))) == 2:
-                    ray = combine(vals[ip], rays[ip][0], vals[iq], rays[iq][0])
-                    new_rays.append((ray, common | (1 << k)))
+        positive = zero = 0
+        negatives = []
+        for s, sg in zip(live, sgn):
+            if sg > 0:
+                positive |= 1 << s
+            elif sg == 0:
+                zero |= 1 << s
+                masks[s] |= 1 << k
+            else:
+                negatives.append(s)
 
-        kept = [
-            (g, m | (1 << k)) if sgn[i] == 0 else (g, m)
-            for i, (g, m) in enumerate(rays)
-            if sgn[i] >= 0
-        ]
-        rays = kept + new_rays
-    return rays
+        pairs = []
+        for q in negatives:
+            mq = masks[q]
+            q_rows = _bits(mq)
+            slack = len(q_rows) - need
+            if slack < 0:
+                continue
+            candidates = positive
+            if slack < len(q_rows):
+                ok = [positive] * (slack + 1)
+                for i in q_rows:
+                    t = tight[i]
+                    for j in range(slack, 0, -1):
+                        ok[j] = (ok[j] & t) | ok[j - 1]
+                    ok[0] &= t
+                    if not ok[slack]:
+                        break
+                candidates = ok[slack]
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                p = low.bit_length() - 1
+                mp = masks[p]
+                pair = low | 1 << q
+                rest = current
+                for i in q_rows:
+                    if mp >> i & 1:
+                        rest &= tight[i]
+                        if rest == pair:
+                            break
+                if rest == pair:
+                    pairs.append((p, q, mp & mq))
+
+        pairs.sort()
+        first = len(rays)
+        value_at = dict(zip(live, vals)) if pairs else None
+        for p, q, common in pairs:
+            bit = 1 << len(rays)
+            rays.append(combine(value_at[p], rays[p], value_at[q], rays[q]))
+            masks.append(common | 1 << k)
+            for i in _bits(common):
+                tight[i] |= bit
+        for q in negatives:
+            rays[q] = None
+        fresh = (1 << len(rays)) - (1 << first)
+        tight[k] = zero | fresh
+        current = positive | zero | fresh
+        live = [s for s, sg in zip(live, sgn) if sg >= 0]
+        live += range(first, len(rays))
+    return [(rays[s], masks[s]) for s in live]
 
 
 def _homogenize(normals: list[Vector], offsets: list[Fraction]) -> list[IntRow]:

@@ -8,7 +8,9 @@ acceptance suite's phase-1 simplex (a point is a vertex when no convex
 combination of the others reaches it), and each returned activity bit
 is checked against exact tightness.  Padding rows make the systems
 degenerate; dropping, lifting and contradicting rows make them
-unbounded, infeasible or lower-dimensional.
+unbounded, infeasible or lower-dimensional.  The engine's rays, masks
+and their order are compared with a reference copy of its former
+all-pairs insertion step, and pinned by golden digests.
 """
 
 import hashlib
@@ -24,8 +26,10 @@ from hompoly.constructions import regular_ngon
 from hompoly.errors import InfeasibleError, UnboundedError
 from hompoly.hom import build_hom
 from hompoly.linalg import nullspace_basis, solve_affine_hull, vec_dot, vec_sub
+from hompoly.polytope import Polytope
 from hompoly.regular import survey_cone
 from test_acceptance import oracle_extreme_points
+from test_polytope import PENTAGON, PENTAGON_EXTRA_POINTS
 
 small = st.integers(min_value=-3, max_value=3)
 positive = st.fractions(min_value=Fraction(1, 4), max_value=4)
@@ -84,11 +88,9 @@ def assert_recession_direction(rows, direction):
     assert all(vec_dot(normal, direction) <= 0 for normal, _ in rows)
 
 
-@given(hulls(), st.data())
-@settings(max_examples=80, deadline=None)
-def test_degenerate_systems_give_the_oracle_vertices(hull, data):
-    points, rows = hull
-    draw = data.draw
+def padded(points, rows, draw):
+    """The hull's rows with degenerate padding, in a drawn order: scaled
+    copies of rows, and positive combinations of rows through one point."""
     pick = st.sampled_from(rows)
     extra = []
     for _ in range(draw(st.integers(0, 3))):
@@ -111,7 +113,14 @@ def test_degenerate_systems_give_the_oracle_vertices(hull, data):
             if any(normal):
                 offset = sum((w * b for w, (_, b) in zip(weights, parts)), Fraction(0))
                 extra.append((normal, offset))
-    system = draw(st.permutations(rows + extra))
+    return draw(st.permutations(rows + extra))
+
+
+@given(hulls(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_degenerate_systems_give_the_oracle_vertices(hull, data):
+    points, rows = hull
+    system = padded(points, rows, data.draw)
     assert_vertices(system, enumerate_rows(system), oracle_extreme_points(points))
 
 
@@ -255,3 +264,119 @@ def test_hexagon_hom_vertices_masks_and_order_are_unchanged():
         [iq.normal for iq in inequalities], [iq.offset for iq in inequalities]
     )
     assert _digest(found) == HEXAGON_HOM_DIGEST
+
+
+# -- the all-pairs insertion step, as a reference ----------------------------
+
+
+def reference_extreme_rays(rows, arithmetic):
+    """``dd.extreme_rays`` with the insertion step it had before row bitsets:
+    every (positive, negative) pair passes a popcount of its common mask,
+    then a scan of every ray's mask decides adjacency."""
+    value, signs, combine = arithmetic.value, arithmetic.signs, arithmetic.combine
+    picked, generators = dd._initial_generators(rows, arithmetic)
+    rays = []
+    for g in generators:
+        mask = 0
+        for i, v in zip(picked, signs([value(rows[i], g) for i in picked])):
+            if v == 0:
+                mask |= 1 << i
+        rays.append((g, mask))
+
+    need = len(picked) - 2
+    for k, row in enumerate(rows):
+        if k in picked:
+            continue
+        vals = [value(row, g) for g, _ in rays]
+        sgn = signs(vals)
+        masks = [m for _, m in rays]
+        negatives = [(iq, masks[iq]) for iq, v in enumerate(sgn) if v < 0]
+        new_rays = []
+        for ip in (i for i, v in enumerate(sgn) if v > 0):
+            for iq, mq in negatives:
+                common = masks[ip] & mq
+                if common.bit_count() < need:
+                    continue
+                # adjacent: p and q are the only rays whose mask contains common
+                containing = (mr for mr in masks if mr & common == common)
+                if len(list(itertools.islice(containing, 3))) == 2:
+                    ray = combine(vals[ip], rays[ip][0], vals[iq], rays[iq][0])
+                    new_rays.append((ray, common | (1 << k)))
+        kept = [
+            (g, m | (1 << k)) if sgn[i] == 0 else (g, m)
+            for i, (g, m) in enumerate(rays)
+            if sgn[i] >= 0
+        ]
+        rays = kept + new_rays
+    return rays
+
+
+@given(hulls(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_the_all_pairs_reference(hull, data):
+    points, rows = hull
+    system = padded(points, rows, data.draw)
+    cone = dd._homogenize([n for n, _ in system], [b for _, b in system])
+    # x0 >= 0 anywhere in the row order, not only last
+    at = data.draw(st.integers(0, len(cone)))
+    cone.insert(at, (1,) + (0,) * len(points[0]))
+    assert repr(dd.extreme_rays(cone, dd.INTEGERS)) == repr(
+        reference_extreme_rays(cone, dd.INTEGERS)
+    )
+
+
+@pytest.mark.parametrize(
+    "pair", [(m, n) for m in range(3, 7) for n in range(3, 7)], ids="{0[0]}-{0[1]}".format
+)
+def test_survey_rays_match_the_all_pairs_reference(pair):
+    _, rows, arithmetic = survey_cone(*pair)
+    assert repr(dd.extreme_rays(rows, arithmetic)) == repr(
+        reference_extreme_rays(rows, arithmetic)
+    )
+
+
+# SHA-256 of the engine output, recorded from the all-pairs engine
+# (``reference_extreme_rays`` above)
+CUBE_HOM_DIGEST = "adb7f4087773c4ae9a055001c33db5a639792e28edbaba7fbd95a6f24b27188b"
+PENTAGON_HULL_DIGEST = "f16d6734e3fe30ceedf167ad0324479b565f48f77bb09fcf25af3b852970a432"
+
+
+def test_degenerate_cube_hom_vertices_masks_and_order_are_unchanged():
+    """Hom([-1, 1]^3, [-1, 1]^2) from the cubes' points, as ``classify``
+    reads them: its vertices are tight on more rows than the dimension
+    needs, so the candidate counters run with a slack above one."""
+
+    def cube(n):
+        return Polytope.from_points(
+            [tuple(map(Fraction, p)) for p in itertools.product((-1, 1), repeat=n)]
+        )
+
+    inequalities = build_hom(cube(3), cube(2)).polytope.inequalities
+    found = dd.enumerate_vertices(
+        [iq.normal for iq in inequalities], [iq.offset for iq in inequalities]
+    )
+    assert _digest(found) == CUBE_HOM_DIGEST
+
+
+def test_pentagon_hull_vertices_masks_and_order_are_unchanged(monkeypatch):
+    """The V->H pass of ``Polytope.from_points`` on a pentagon with an
+    interior, an edge and a repeated point."""
+    seen = []
+    enumerate_vertices = dd.enumerate_vertices
+
+    def recorded(normals, offsets):
+        seen.append(enumerate_vertices(normals, offsets))
+        return seen[-1]
+
+    monkeypatch.setattr(dd, "enumerate_vertices", recorded)
+    Polytope.from_points(PENTAGON_EXTRA_POINTS + PENTAGON).inequalities
+    assert len(seen) == 1
+    assert _digest(seen[0]) == PENTAGON_HULL_DIGEST
+
+
+def test_segment_cone_joins_rays_with_no_common_tight_row():
+    """x0 >= 0, x0 + x >= 0, x0 - x >= 0: the cone over -1 <= x <= 1 has
+    dimension 2, so ``need`` is 0, and the generators (1, -1) and (0, 1)
+    are adjacent though no row is tight on both."""
+    found = dd.extreme_rays([(1, 0), (1, 1), (1, -1)], dd.INTEGERS)
+    assert found == [((1, -1), 0b010), ((1, 1), 0b100)]
