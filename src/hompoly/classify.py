@@ -5,8 +5,12 @@ and deflation are read off the facets of Q tight at each f(v), which cut
 out the smallest face of Q containing f(v); for a vertex of the
 hom-polytope they are its tight (vertex, facet) pairs, so
 ``classify_all`` needs no arithmetic for them.  Factorization goes
-through an exact chart of the image's affine hull, and the face-collapse
-test reads the vertex images and the source's face lattice.
+through the pivot chart of the image's affine hull: its directions are
+the reduced row echelon basis of the image's directions and its
+coordinates are entries at their pivot columns, so the surjective
+factor is f read at the pivots and the injective factor is that basis
+placed at the basepoint.  The face-collapse test reads the vertex
+images in the same chart and the source's face lattice.
 
 The collapse test rests on three facts.  First, the directions of a
 face G of the source lie in K = ker L exactly when f is constant on G's
@@ -34,12 +38,10 @@ per kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import GeometryError
 from .hom import AffineMap, HomPolytope, is_vertex_map
 from .linalg import (
-    Matrix,
     Vector,
     integer_direction,
     mat_rank,
@@ -66,39 +68,31 @@ def image_polytope(f: AffineMap, p: Polytope) -> Polytope:
     to the target space.  A rank-zero map yields the zero-dimensional
     polytope whose chart basepoint is the image point.
     """
-    return _hull(tuple(f.apply(v) for v in p.vertices))
-
-
-def _hull(images: tuple[Vector, ...]) -> Polytope:
-    projected, chart = chart_project(images)
+    projected, chart = chart_project(tuple(f.apply(v) for v in p.vertices))
     return Polytope.from_points(projected, chart=chart)
 
 
 def surj_inj_factorize(f: AffineMap, p: Polytope) -> tuple[AffineMap, AffineMap]:
     """Split f into a surjection onto its image chart and an injection back.
 
-    ``f_surj`` maps source coordinates onto the chart coordinates of
-    f(P); ``f_inj`` embeds those chart coordinates into the target
-    space.  Their composite reproduces f exactly; this is asserted, and
-    a failure would be an internal bug, not bad input.
+    The chart of f(P) has the reduced row echelon basis of the image's
+    directions and reads coordinates at its pivots, so ``f_surj`` is f
+    read at the pivots: the rows of ``f.linear`` there, and
+    ``f.translation - base`` there.  ``f_inj`` embeds chart coordinates
+    into the target space: its columns are the echelon basis and its
+    translation is the chart's basepoint.  Their composite reproduces f
+    exactly; this is asserted, and a failure would be an internal bug,
+    not bad input.
     """
-    dp = f.source_dim
-    images = tuple(f.apply(v) for v in p.vertices)
-    _, chart = chart_project(images)
-    t_surj = chart.project(f.translation)
-    columns = []
-    for j in range(dp):
-        e = tuple(Fraction(1) if i == j else Fraction(0) for i in range(dp))
-        columns.append(vec_sub(chart.project(f.apply(e)), t_surj))
-    linear_surj: Matrix = tuple(
-        tuple(columns[j][i] for j in range(dp)) for i in range(chart.dim)
+    _, chart = chart_project(tuple(f.apply(v) for v in p.vertices))
+    f_surj = AffineMap(
+        tuple(f.linear[c] for c in chart.pivots),
+        tuple(f.translation[c] - chart.base[c] for c in chart.pivots),
     )
-    f_surj = AffineMap(linear_surj, t_surj)
-    linear_inj: Matrix = tuple(
-        tuple(chart.directions[j][i] for j in range(chart.dim))
-        for i in range(len(chart.base))
+    f_inj = AffineMap(
+        tuple(tuple(d[i] for d in chart.directions) for i in range(f.target_dim)),
+        chart.base,
     )
-    f_inj = AffineMap(linear_inj, chart.base)
     for v in p.vertices:
         if f_inj.apply(f_surj.apply(v)) != f.apply(v):
             raise RuntimeError("factorization failed to reproduce the map")
@@ -200,19 +194,16 @@ def is_face_collapse(f: AffineMap, p: Polytope) -> bool:
     kernel_dim = f.source_dim - map_rank(f)
     if kernel_dim == 0:
         return False
-    images = tuple(f.apply(v) for v in p.vertices)
+    projected, _ = chart_project(tuple(f.apply(v) for v in p.vertices))
     fibers: dict[Vector, frozenset[int]] = {}
-    for i, y in enumerate(images):
+    for i, y in enumerate(projected):
         fibers[y] = fibers.get(y, frozenset()) | {i}
     face_of = {face.vertices: face for face in p.faces}
-    image = _hull(images)
-    chart = image.chart
-    assert chart is not None
 
     # canonical family: fibers over image vertices with positive dimension
     family: list[Face] = []
-    for w in image.vertices:
-        match = face_of.get(fibers.get(chart.lift(w), frozenset()))
+    for w in Polytope.from_points(projected).vertices:
+        match = face_of.get(fibers.get(w, frozenset()))
         if match is None:
             raise RuntimeError(
                 "fiber of an image vertex is not a face of the source"

@@ -208,10 +208,8 @@ def solve_affine_hull(points: tuple[Vector, ...]) -> tuple[Vector, tuple[Vector,
     """Basepoint and a basis of direction vectors for the affine hull.
 
     The basepoint is the first input point and the basis is the greedy
-    selection, in input order, of difference vectors that raise the rank.
-    Keeping the original (unreduced) vectors in the basis makes charts
-    built on top of this readable in examples and stable under reordering
-    of later points.
+    selection, in input order, of difference vectors that raise the rank,
+    kept as they are (unreduced).
     """
     if not points:
         raise ValueError("affine hull of an empty point set is undefined")

@@ -26,14 +26,17 @@ sets must go through :func:`chart_project` first; the error says so.
 For an inequality system the error names a row that is tight at every
 vertex instead.
 ``Polytope.from_points`` keeps the returned chart, which lifts the
-polytope's coordinates back to the original space.
+polytope's coordinates back to the original space.  A chart's
+directions are the reduced row echelon basis of the hull's directions,
+so the chart is fixed by the hull and its basepoint, and a point's
+coordinates are its entries at the pivot columns minus the basepoint's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Literal
 
 from . import dd
 from .errors import (
@@ -46,11 +49,10 @@ from .errors import (
 from .linalg import (
     Vector,
     canonical_inequality,
-    independent_rows,
-    mat_inverse,
     # unused here: perfbench's tracer self-test looks the name up in this
     # module and checks that tracing rebinds it
     mat_rank,  # noqa: F401
+    rref,
     solve_affine_hull,
     vec_dot,
     vec_sub,
@@ -93,39 +95,29 @@ class Containment:
 
 
 class AffineChart:
-    """Exact coordinates on an affine subspace.
+    """Exact pivot coordinates on an affine subspace.
 
-    Built from a basepoint and an independent set of direction vectors.
-    ``project`` solves for the coordinates of an ambient point (raising
-    :class:`OutsideHullError` when the point is not in the subspace) and
-    ``lift`` maps chart coordinates back; the two are exact inverses.
+    Built from a basepoint and direction vectors that span the
+    subspace's directions; they may be dependent.  The chart keeps the
+    nonzero rows of their reduced row echelon form as ``directions`` and
+    those rows' pivot columns as ``pivots``, so it depends only on the
+    subspace and the basepoint.  Direction i is 1 at pivot i and 0 at
+    every other pivot, so the coordinates of a point x of the subspace
+    are ``x[c] - base[c]`` at the pivots c.  ``project`` reads them off
+    and checks that ``lift`` gives x back, raising
+    :class:`OutsideHullError` when x is not in the subspace; ``lift``
+    maps chart coordinates back, and the two are exact inverses.
     """
 
-    def __init__(self, base: Vector, directions: tuple[Vector, ...]):
+    def __init__(self, base: Vector, directions: Iterable[Vector]):
+        rows, self.pivots = rref(directions)
         self.base = base
-        self.directions = directions
+        self.directions = tuple(rows)
         self.ambient_dim = len(base)
-        self.dim = len(directions)
-        # pick self.dim independent coordinate rows of the direction
-        # matrix (directions as columns) and invert that square block,
-        # so projection is one matrix-vector product plus a lift check
-        coordinate_rows = tuple(zip(*directions))
-        picked = independent_rows(coordinate_rows)
-        if len(picked) < self.dim:
-            raise ValueError("chart directions are linearly dependent")
-        self._rows = tuple(picked)
-        block = tuple(coordinate_rows[r] for r in picked)
-        self._inverse = mat_inverse(block)
+        self.dim = len(rows)
 
     def project(self, x: Vector) -> Vector:
-        diff = vec_sub(x, self.base)
-        coords = tuple(
-            sum(
-                (self._inverse[i][k] * diff[self._rows[k]] for k in range(self.dim)),
-                Fraction(0),
-            )
-            for i in range(self.dim)
-        )
+        coords = tuple(x[c] - self.base[c] for c in self.pivots)
         if self.lift(coords) != x:
             raise OutsideHullError(
                 "point does not lie in the chart's affine subspace"
@@ -196,7 +188,7 @@ def _vertices_of_system(
         raise LowerDimensionalError(
             _affine_rank(p for p, _ in found),
             ambient_dim,
-            next(_bits(implicit)),
+            dd._bits(implicit)[0],
         )
     return found
 
@@ -231,20 +223,12 @@ def _facets_of_hull(
     return results
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _transpose(masks: Iterable[int], width: int) -> tuple[int, ...]:
     """Transpose an incidence matrix given as bitmask rows of ``width`` bits."""
     out = [0] * width
     for j, mask in enumerate(masks):
         bit = 1 << j
-        for i in _bits(mask):
+        for i in dd._bits(mask):
             out[i] |= bit
     return tuple(out)
 
@@ -512,14 +496,14 @@ class Polytope:
             every_facet = (1 << len(self.facet_masks)) - 1
             graded = []
             for dim, mask in self._graded():
-                vertices = tuple(_bits(mask))
+                vertices = tuple(dd._bits(mask))
                 incident = every_facet
                 for v in vertices:
                     incident &= vertex_masks[v]
                 graded.append((dim, vertices, incident))
             graded.sort(key=lambda item: item[:2])
             self._faces = tuple(
-                Face(dim, frozenset(vertices), frozenset(_bits(incident)))
+                Face(dim, frozenset(vertices), frozenset(dd._bits(incident)))
                 for dim, vertices, incident in graded
             )
         return self._faces
@@ -534,10 +518,10 @@ class Polytope:
         return tuple(counts)
 
     def facet_vertex_indices(self, j: int) -> tuple[int, ...]:
-        return tuple(_bits(self.facet_masks[j]))
+        return tuple(dd._bits(self.facet_masks[j]))
 
     def vertex_facet_indices(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.vertex_masks[v]))
+        return tuple(dd._bits(self.vertex_masks[v]))
 
     def __repr__(self) -> str:
         parts = [f"ambient_dim={self.ambient_dim}"]
@@ -620,16 +604,17 @@ def _face_lattice(
 def chart_project(
     points: tuple[Vector, ...]
 ) -> tuple[tuple[Vector, ...], AffineChart]:
-    """Project points onto exact coordinates of their affine hull.
+    """Project points onto exact pivot coordinates of their affine hull.
 
-    The chart basepoint is the first point and the basis is the greedy
-    difference-vector basis, so the projection is deterministic and the
-    first point maps to the origin.  Lifting the projected points through
-    the returned chart reproduces the input exactly.
+    The chart basepoint is the first point, which maps to the origin, and
+    its directions are the reduced row echelon basis of every difference
+    from it, so the chart does not depend on the order of the later
+    points.  Lifting the projected points through the returned chart
+    reproduces the input exactly.
     """
     pts = tuple(tuple(Fraction(e) for e in p) for p in points)
     if not pts:
         raise GeometryError("cannot build a chart from no points")
-    base, basis = solve_affine_hull(pts)
-    chart = AffineChart(base, basis)
+    base = pts[0]
+    chart = AffineChart(base, (vec_sub(p, base) for p in pts[1:]))
     return tuple(chart.project(p) for p in pts), chart

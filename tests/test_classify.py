@@ -125,6 +125,22 @@ def test_factorization_reproduces_projection():
         assert f_inj.apply(f_surj.apply(v)) == f.apply(v)
 
 
+def test_surjective_factor_is_the_map_read_at_the_chart_pivots():
+    p = cube(2)
+    # rank 1 into Q^3: the image is the segment from (0, 2, -1) to (4, 2, 3)
+    f = AffineMap(
+        tuple(tuple(map(Fraction, row)) for row in ((1, 1), (0, 0), (1, 1))),
+        tuple(map(Fraction, (2, 2, 1))),
+    )
+    f_surj, f_inj = surj_inj_factorize(f, p)
+    chart = image_polytope(f, p).chart
+    assert chart.pivots == [0]
+    assert f_surj.linear == tuple(f.linear[c] for c in chart.pivots)
+    assert f_surj.translation == (f.translation[0] - chart.base[0],)
+    assert f_inj.linear == tuple((d,) for d in chart.directions[0])
+    assert f_inj.translation == chart.base
+
+
 def test_factorization_of_constant_map():
     p = cube(2)
     f = AffineMap.constant(2, (Fraction(1, 2), Fraction(1, 3)))

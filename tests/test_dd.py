@@ -235,12 +235,15 @@ def test_zero_normal_with_zero_offset_is_refused():
 # ``Fraction``; the fraction-free engine must reproduce them exactly.
 # (3, 7) (degree 3) and (8, 5) (degree 4) were recorded from the engine
 # that normalized by a fraction-free linear solve, before the unit became
-# the product of the lead entry's Galois conjugates
+# the product of the lead entry's Galois conjugates.  (5, 7) (degree 6)
+# was recorded from the engine with per-row tight-ray bitsets, so that any
+# change to the degree-6 arithmetic in ``numfield`` is checked against it
 SURVEY_DIGESTS = {
     (3, 5): "ea69dfcdb4347dd576d1da2a24e7cc090c2b9e8a658580e29be96f9a0c4483a3",
     (3, 7): "f655852ac94913630f9e1b4b201662ea07b5d2961eb2e0bbe53313a786e17914",
     (5, 4): "6b17522cb5235206841d1da2adefc2254e6f73c2fb575a68d04f2543ab0e72bb",
     (5, 6): "7eab4891fa08a0359521538c65996f418e143bf95e0402b6c3ddaa1bb0b5adf6",
+    (5, 7): "6bf2ba1f85acb9331e92e1c1edcf2ca845ec931b616ade0056d54db6fff0b5e9",
     (6, 6): "48573b69650408c9de20067beeca974946744634f0e4200d5ea03819584ea731",
     (8, 5): "0103448b7b947967d3395527d7edbbd19c7995ab29916f4019b59bacc1dbe488",
 }

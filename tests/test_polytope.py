@@ -18,6 +18,7 @@ from hompoly import dd
 from hompoly.hom import build_hom
 from hompoly.linalg import solve_affine_hull, vec
 from hompoly.polytope import (
+    AffineChart,
     Inequality,
     Polytope,
     chart_project,
@@ -271,6 +272,54 @@ def test_chart_rejects_points_off_hull():
     _, chart = chart_project(pts)
     with pytest.raises(OutsideHullError):
         chart.project(vec(1, 0, 0))
+
+
+@st.composite
+def points_on_a_flat(draw):
+    """Points base + D z in Q^4 for a drawn direction matrix D, some repeated."""
+    d = draw(st.integers(1, 4))
+    small = st.integers(-3, 3)
+    base = tuple(draw(small) for _ in range(4))
+    directions = [[draw(small) for _ in range(4)] for _ in range(d)]
+    points = [base]
+    for _ in range(draw(st.integers(1, 6))):
+        z = [draw(small) for _ in range(d)]
+        points.append(
+            tuple(b + sum(zi * col[i] for zi, col in zip(z, directions))
+                  for i, b in enumerate(base))
+        )
+    return tuple(vec(*p) for p in points)
+
+
+@given(points_on_a_flat(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_chart_does_not_depend_on_the_order_of_later_points(points, rng):
+    later = list(points[1:])
+    rng.shuffle(later)
+    shuffled = (points[0], *later)
+    projected, chart = chart_project(points)
+    shuffled_projected, shuffled_chart = chart_project(shuffled)
+    assert shuffled_chart.directions == chart.directions
+    assert shuffled_chart.pivots == chart.pivots
+    assert dict(zip(shuffled, shuffled_projected)) == dict(zip(points, projected))
+
+
+def test_chart_coordinates_are_pivot_entries_minus_the_base():
+    pts = (vec(1, 2, 3, 4), vec(3, 2, 5, 4), vec(1, 3, 4, 5), vec(2, 4, 6, 6))
+    projected, chart = chart_project(pts)
+    assert chart.pivots == [0, 1]
+    assert chart.directions == (vec(1, 0, 1, 0), vec(0, 1, 1, 1))
+    assert projected == (vec(0, 0), vec(2, 0), vec(0, 1), vec(1, 2))
+
+
+def test_chart_accepts_dependent_spanning_directions():
+    base = vec(1, 0, 2)
+    chart = AffineChart(
+        base, (vec(1, 1, 0), vec(0, 0, 0), vec(2, 2, 0), vec(0, 1, 1), vec(1, 2, 1))
+    )
+    assert chart.dim == 2
+    point = vec(4, 5, 4)  # base + 3 (1, 1, 0) + 2 (0, 1, 1)
+    assert chart.lift(chart.project(point)) == point
 
 
 def test_polytope_dim_variants():
