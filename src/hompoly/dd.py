@@ -12,17 +12,20 @@ insertion step is a single positive combination.
 
 When the normals do not span, every inequality is constant along a
 common kernel direction w, so the solution set is either empty or a
-union of lines parallel to w.  Dropping one coordinate where w is
-nonzero keeps exactly that question, in one dimension fewer.
+union of lines parallel to w.  The engine then runs on the cone modulo
+its lineality space, the (0, w): its rays say whether the system is
+feasible, and w is then a recession direction.
 
 Vertex enumeration runs on integers: input rows are scaled to
 primitive integer form and every ray is kept as a primitive integer
-vector, from the initial simplicial generators (a fraction-free solve,
-with no inverse matrix in ``Fraction``) onwards.  Entries are bounded
-by minors of the input (Cramer), which Python integers absorb without
-ceremony.  :func:`extreme_rays` takes its scalar arithmetic from its
-caller, so the polygon survey runs the same engine over a real number
-field (:mod:`hompoly.numfield`).
+vector, from the simplicial start onwards.  The start comes from the
+engine's own arithmetic, by lineality elimination: each independent
+row turns one coordinate line into its ray and moves the other lines
+into its kernel, with no second elimination kernel.  Entries are
+bounded by minors of the input (Cramer), which Python integers absorb
+without ceremony.  :func:`extreme_rays` takes its scalar arithmetic
+from its caller, so the polygon survey runs the same engine over a real
+number field (:mod:`hompoly.numfield`).
 
 Activity is tracked in bitmasks both ways: a ray's mask has bit i set
 when the ray is tight on processed row i, and each processed row keeps
@@ -45,19 +48,21 @@ from math import gcd
 from operator import mul
 
 from .errors import InfeasibleError, UnboundedError
-from .linalg import (
-    Vector,
-    independent_rows,
-    integer_direction,
-    nullspace_basis,
-    solve_directions,
-)
+from .linalg import Vector, integer_direction
 
 IntRow = tuple[int, ...]
 
 
 class ConeDegenerateError(Exception):
-    """The rows do not span: the cone has a lineality space."""
+    """The rows do not span: the cone has a lineality space.
+
+    Every row is 0 on the nonzero vector ``line``; ``rays`` are the
+    extreme rays, with masks, of the cone modulo the lineality space.
+    """
+
+    def __init__(self, line: tuple, rays: list[tuple[tuple, int]]):
+        super().__init__("inequality rows do not span")
+        self.line, self.rays = line, rays
 
 
 def _reduce(entries: list[int]) -> IntRow:
@@ -86,33 +91,52 @@ class IntegerArithmetic:
     def combine(vp: int, gp: IntRow, vq: int, gq: IntRow) -> IntRow:
         return _reduce([vp * b - vq * a for a, b in zip(gp, gq)])
 
+    @staticmethod
+    def normalize(row: IntRow, ray: IntRow) -> IntRow:
+        # a primitive integer ray positive on the row is its own normal form
+        return ray
+
 
 INTEGERS = IntegerArithmetic()
 
 
-def _initial_generators(rows: list, arithmetic) -> tuple[list[int], list[tuple]]:
-    """The greedily picked basis rows and the rays of their simplicial cone.
+def _simplicial_start(rows: list, arithmetic) -> tuple[list[int], list[tuple], list[tuple]]:
+    """The greedily picked basis rows, their simplicial rays, and the lines left.
 
-    Over a field of degree D each row is given as its block of D rational
-    rows, so the basis and the generators come from ``linalg`` on those.
-    A row is independent of the rows before it exactly when its whole
-    block is kept.  If M stacks the picked blocks, the generators solve
-    M g = e for the first unit column e of each block: such a g has
-    value 1 on its own row and 0 on every other picked row, which is
-    exactly a simplicial ray configuration.  The solve is fraction-free
-    and returns each g as a primitive integer vector, so M^{-1} is never
-    formed.
+    The start is one line per coordinate (per block of D over a field of
+    degree D).  A row that is nonzero on a remaining line is picked: the
+    first such line, turned positive on it, becomes its ray, and
+    ``combine`` moves every other line and ray into its kernel, keeping
+    each ray positive on its own row.  So the picked rows are the first
+    basis in row order, each ray is 0 on every picked row but its own,
+    and the lines left span the lineality space.  ``normalize`` then
+    gives each ray the one form whose value on its own row is a positive
+    rational, which the rows alone fix when they span.
     """
+    value, signs, combine = arithmetic.value, arithmetic.signs, arithmetic.combine
     d = arithmetic.degree
-    flat = rows if d == 1 else [r for block in rows for r in block]
-    kept = set(independent_rows(flat))
-    picked = [i for i in range(len(rows)) if all(i * d + k in kept for k in range(d))]
-    if len(picked) * d < len(flat[0]):
-        raise ConeDegenerateError("inequality rows do not span")
-    n = len(picked) * d
-    units = [[int(k == j) for k in range(n)] for j in range(0, n, d)]
-    basis = [r for i in picked for r in flat[i * d:(i + 1) * d]]
-    return picked, solve_directions(basis, units)
+    width = len(rows[0]) if d == 1 else len(rows[0][0])
+    lines = [tuple(int(i == j) for i in range(width)) for j in range(0, width, d)]
+    picked: list[int] = []
+    rays: list[tuple] = []
+    for k, row in enumerate(rows):
+        vals = [value(row, g) for g in lines]
+        sgn = signs(vals)
+        j = next((j for j, s in enumerate(sgn) if s), None)
+        if j is None:
+            continue
+        ray = lines[j] if sgn[j] > 0 else tuple(-e for e in lines[j])
+        v = value(row, ray)
+        others = rays + lines[:j] + lines[j + 1:]
+        vals = [value(row, g) for g in rays] + vals[:j] + vals[j + 1:]
+        moved = [
+            combine(v, ray, vg, g) if s else g for vg, s, g in zip(vals, signs(vals), others)
+        ]
+        rays, lines = moved[:len(rays)] + [ray], moved[len(rays):]
+        picked.append(k)
+        if not lines:
+            break
+    return picked, [arithmetic.normalize(rows[i], g) for i, g in zip(picked, rays)], lines
 
 
 def _bits(mask: int) -> list[int]:
@@ -128,19 +152,23 @@ def _bits(mask: int) -> list[int]:
 def extreme_rays(rows: list, arithmetic) -> list[tuple[tuple, int]]:
     """Extreme rays of ``{x : r . x >= 0 for every row r}`` with activity masks.
 
-    The cone must be pointed (rows span), otherwise
-    :class:`ConeDegenerateError` is raised; :func:`enumerate_vertices`
-    appends the row ``x0 >= 0``, so its cone is pointed exactly when the
-    normals span.  Each result is a ray together with a bitmask of the
-    input rows it is tight on.  Rays are returned in an implementation
-    order; callers sort.
+    Each result is a ray together with a bitmask of the input rows it
+    is tight on.  Rays are returned in an implementation order; callers
+    sort.  When the rows do not span, the cone is not pointed: the same
+    steps find its extreme rays modulo its lineality space, which every
+    row is 0 on, and :class:`ConeDegenerateError` carries them with a
+    line of that space.  :func:`enumerate_vertices` appends the row
+    ``x0 >= 0``, so its cone is pointed exactly when the normals span.
 
     The scalars come from ``arithmetic``: :data:`INTEGERS` here, a
     :class:`hompoly.numfield.Field` for the polygon survey.  It gives
-    ``degree`` D, ``value(row, ray)``, ``signs(values)`` and
-    ``combine(vp, gp, vq, gq)``, the normalized ray ``vp gq - vq gp``.
-    Rays are flat integer vectors of D coordinates per entry; for D > 1
-    a row is its block, the D rational rows of its value on such a ray.
+    ``degree`` D, ``value(row, ray)``, ``signs(values)`` (possibly
+    ``values`` itself, as for :data:`INTEGERS`: mutate neither list
+    while reading the other), ``combine(vp, gp, vq, gq)``, the
+    normalized ray ``vp gq - vq gp``, and ``normalize(row, ray)``, a
+    start ray's normal form.  Rays are flat integer vectors of D
+    coordinates per entry; for D > 1 a row is its block, the D rational
+    rows of its value on such a ray.
 
     Each ray ever made takes the next slot, and the slot number is its
     bit in two kinds of bitsets: ``current`` holds the live slots, and
@@ -165,21 +193,17 @@ def extreme_rays(rows: list, arithmetic) -> list[tuple[tuple, int]]:
     order.
     """
     value, signs, combine = arithmetic.value, arithmetic.signs, arithmetic.combine
-    picked, generators = _initial_generators(rows, arithmetic)
+    picked, rays, lines = _simplicial_start(rows, arithmetic)
     picked_set = set(picked)
-
-    rays: list = list(generators)
-    masks: list[int] = []
+    # each start ray is tight on every picked row but its own
+    full = (1 << len(rays)) - 1
+    basis = sum(1 << i for i in picked)
+    masks = [basis ^ 1 << i for i in picked]
     tight = [0] * len(rows)
-    for slot, g in enumerate(generators):
-        mask = 0
-        for i, v in zip(picked, signs([value(rows[i], g) for i in picked])):
-            if v == 0:
-                mask |= 1 << i
-                tight[i] |= 1 << slot
-        masks.append(mask)
+    for slot, i in enumerate(picked):
+        tight[i] = full ^ 1 << slot
     live = list(range(len(rays)))
-    current = (1 << len(rays)) - 1
+    current = full
 
     need = len(picked) - 2
     for k, row in enumerate(rows):
@@ -247,7 +271,10 @@ def extreme_rays(rows: list, arithmetic) -> list[tuple[tuple, int]]:
         current = positive | zero | fresh
         live = [s for s, sg in zip(live, sgn) if sg >= 0]
         live += range(first, len(rays))
-    return [(rays[s], masks[s]) for s in live]
+    found = [(rays[s], masks[s]) for s in live]
+    if lines:
+        raise ConeDegenerateError(lines[0], found)
+    return found
 
 
 def _homogenize(normals: list[Vector], offsets: list[Fraction]) -> list[IntRow]:
@@ -273,11 +300,10 @@ def enumerate_vertices(
     are in the engine's order; mask bit i refers to input inequality i.
 
     The extreme rays of the homogenization cone with the row ``x0 >= 0``
-    appended decide everything when the normals span.  Otherwise a
-    kernel vector w of the normals is a recession direction of any
-    solution, and the system with a coordinate where w is nonzero
-    dropped (solutions slide along w to that coordinate's zero) says
-    whether there is one.
+    appended decide everything.  When the normals do not span, they are
+    the rays modulo the cone's lineality space, whose lines (0, w) have
+    every normal 0 on w: the system is feasible exactly when one of the
+    rays has x0 > 0, and then w is a recession direction.
     """
     if not normals:
         raise ValueError("no inequality rows given")
@@ -285,22 +311,16 @@ def enumerate_vertices(
     rows = _homogenize(normals, offsets)
     try:
         rays = extreme_rays(rows + [(1,) + (0,) * d], INTEGERS)
-    except ConeDegenerateError:
-        w = nullspace_basis(tuple(normals))[0]
-        c = next(i for i, e in enumerate(w) if e != 0)
-        # an InfeasibleError of the reduced system propagates as ours
-        try:
-            enumerate_vertices([n[:c] + n[c + 1:] for n in normals], offsets)
-        except UnboundedError:
-            pass
-        raise UnboundedError(tuple(Fraction(e) for e in integer_direction(w)))
+        directions = [g for g, _ in rays if g[0] == 0]
+    except ConeDegenerateError as err:
+        # every row is 0 on the line, so a nonempty solution set holds lines along it
+        rays, directions = err.rays, [err.line]
 
     vertices = [
         (tuple(Fraction(e, g[0]) for e in g[1:]), mask) for g, mask in rays if g[0]
     ]
     if not vertices:
         raise InfeasibleError("inequality system is infeasible")
-    for g, _ in rays:
-        if g[0] == 0:
-            raise UnboundedError(tuple(Fraction(e) for e in g[1:]))
+    if directions:
+        raise UnboundedError(tuple(Fraction(e) for e in directions[0][1:]))
     return vertices

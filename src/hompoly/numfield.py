@@ -34,7 +34,8 @@ generator.  Each σ is an integer D×D matrix, so the product u of an
 element e's D - 1 other conjugates is integral and e·u = N(e), its
 integer norm.  A new ray is normalized by u = N(e)/e for its lead
 entry e, with no linear solve; u is positive exactly when N(e) and e
-have one sign, and is negated otherwise.
+have one sign, and is negated otherwise.  A start ray is normalized by
+the unit of its value v on its own row instead, which makes v rational.
 """
 
 from __future__ import annotations
@@ -337,6 +338,14 @@ class Field:
         for j in range(0, len(gp), d):
             ba = gq[j:j + d] + gp[j:j + d]
             flat += [sum(map(mul, row, ba)) for row in rows]
+        g = gcd(*flat)
+        return tuple(e // g for e in flat)
+
+    def normalize(self, block: tuple[Element, ...], ray: tuple[int, ...]) -> tuple[int, ...]:
+        """``ray`` times the :meth:`unit` of its value v > 0 on ``block``, made
+        primitive: the one such positive multiple with a rational value there."""
+        u, d = self.unit(self.value(block, ray)), self.degree
+        flat = [c for j in range(0, len(ray), d) for c in self.mul(u, ray[j:j + d])]
         g = gcd(*flat)
         return tuple(e // g for e in flat)
 

@@ -8,9 +8,9 @@ acceptance suite's phase-1 simplex (a point is a vertex when no convex
 combination of the others reaches it), and each returned activity bit
 is checked against exact tightness.  Padding rows make the systems
 degenerate; dropping, lifting and contradicting rows make them
-unbounded, infeasible or lower-dimensional.  The engine's rays, masks
-and their order are compared with a reference copy of its former
-all-pairs insertion step, and pinned by golden digests.
+unbounded, infeasible or lower-dimensional.  The engine's start, rays,
+masks and their order are compared with a reference copy of its former
+set-up and all-pairs insertion step, and pinned by golden digests.
 """
 
 import hashlib
@@ -25,9 +25,17 @@ from hompoly import dd
 from hompoly.constructions import regular_ngon
 from hompoly.errors import InfeasibleError, UnboundedError
 from hompoly.hom import build_hom
-from hompoly.linalg import nullspace_basis, solve_affine_hull, vec_dot, vec_sub
+from hompoly.linalg import (
+    independent_rows,
+    integer_direction,
+    nullspace_basis,
+    rref,
+    solve_affine_hull,
+    vec_dot,
+    vec_sub,
+)
 from hompoly.polytope import Polytope
-from hompoly.regular import survey_cone
+from hompoly.regular import check_survey_size, survey_cone
 from test_acceptance import oracle_extreme_points
 from test_polytope import PENTAGON, PENTAGON_EXTRA_POINTS
 
@@ -272,12 +280,36 @@ def test_hexagon_hom_vertices_masks_and_order_are_unchanged():
 # -- the all-pairs insertion step, as a reference ----------------------------
 
 
+def reference_start(rows, arithmetic):
+    """The simplicial start as the engine built it before lineality
+    elimination: the lexicographically first basis of the flattened
+    blocks, and for each picked row the primitive integer direction of
+    the rational solution of M g = e, where M stacks the picked blocks
+    and e is the first unit column of the row's block."""
+    d = arithmetic.degree
+    flat = rows if d == 1 else [r for block in rows for r in block]
+    kept = set(independent_rows(flat))
+    picked = [i for i in range(len(rows)) if all(i * d + k in kept for k in range(d))]
+    basis = [tuple(r) for i in picked for r in flat[i * d:(i + 1) * d]]
+    n = len(basis)
+    assert n == len(flat[0]), "the rows do not span"
+    firsts = range(0, n, d)
+    reduced, pivots = rref(
+        [row + tuple(int(i == j) for j in firsts) for i, row in enumerate(basis)]
+    )
+    assert pivots == list(range(n))
+    columns = zip(*(row[n:] for row in reduced))
+    return picked, [integer_direction(c) for c in columns]
+
+
 def reference_extreme_rays(rows, arithmetic):
-    """``dd.extreme_rays`` with the insertion step it had before row bitsets:
-    every (positive, negative) pair passes a popcount of its common mask,
-    then a scan of every ray's mask decides adjacency."""
+    """``dd.extreme_rays`` with the set-up and the insertion step it had
+    before row bitsets: the start of :func:`reference_start`, masks read
+    off its values, then every (positive, negative) pair passes a
+    popcount of its common mask, and a scan of every ray's mask decides
+    adjacency."""
     value, signs, combine = arithmetic.value, arithmetic.signs, arithmetic.combine
-    picked, generators = dd._initial_generators(rows, arithmetic)
+    picked, generators = reference_start(rows, arithmetic)
     rays = []
     for g in generators:
         mask = 0
@@ -323,9 +355,41 @@ def test_engine_matches_the_all_pairs_reference(hull, data):
     # x0 >= 0 anywhere in the row order, not only last
     at = data.draw(st.integers(0, len(cone)))
     cone.insert(at, (1,) + (0,) * len(points[0]))
+    assert dd._simplicial_start(cone, dd.INTEGERS) == (
+        *reference_start(cone, dd.INTEGERS),
+        [],
+    )
     assert repr(dd.extreme_rays(cone, dd.INTEGERS)) == repr(
         reference_extreme_rays(cone, dd.INTEGERS)
     )
+
+
+def test_survey_start_matches_the_reference():
+    """Every pair the survey accepts up to 10 sides, degrees 1 to 6."""
+    for m, n in itertools.product(range(3, 11), repeat=2):
+        try:
+            check_survey_size(m, n)
+        except ValueError:
+            continue
+        _, rows, arithmetic = survey_cone(m, n)
+        picked, rays, lines = dd._simplicial_start(rows, arithmetic)
+        assert (picked, rays) == reference_start(rows, arithmetic), (m, n)
+        assert lines == [], (m, n)
+
+
+def test_cone_with_a_line_raises_with_the_line_and_the_rays():
+    """x - z >= 0, y - z >= 0, x - y >= 0: every row is 0 on (1, 1, 1), and
+    modulo that line the cone is spanned by (1, 0, 0) and (1, 1, 0)."""
+    rows = [(1, 0, -1), (0, 1, -1), (1, -1, 0)]
+    with pytest.raises(dd.ConeDegenerateError) as err:
+        dd.extreme_rays(rows, dd.INTEGERS)
+    line, found = err.value.line, err.value.rays
+    assert any(line) and all(dd._dot(row, line) == 0 for row in rows)
+    for ray, mask in found:
+        assert all(dd._dot(row, ray) >= 0 for row in rows)
+        assert mask == sum(1 << i for i, row in enumerate(rows) if dd._dot(row, ray) == 0)
+    assert found == [((1, 0, 0), 0b010), ((1, 1, 0), 0b100)]
+    assert line == (1, 1, 1)
 
 
 @pytest.mark.parametrize(

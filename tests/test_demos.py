@@ -1,15 +1,18 @@
-"""The demos that read the classify and survey layers print frozen text.
+"""The demos that read the classify and survey layers print frozen text,
+and the README's library tour gives the results its comments state.
 
 Each demo runs in-process as ``__main__`` and its stdout is compared
 byte for byte with the frozen text below.
 """
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 COLLAPSE_OR_NOT = """\
 solid    vertex map surjective face collapse deflation
@@ -76,3 +79,17 @@ POLYGON_CENSUS = """\
 def test_demo_prints_its_frozen_output(name, expected, capsys):
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out == expected
+
+
+def test_readme_library_tour_gives_its_commented_results(capsys):
+    readme = (ROOT / "README.md").read_text()
+    tour = readme[readme.index("## Library tour"):]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    names = {}
+    exec(code, names)
+    h, summary = names["h"], names["summary"]
+    assert h.polytope.dim == 6
+    assert len(h.polytope.inequalities) == 16
+    assert len(h.polytope.vertices) == 36
+    assert [summary.rank_count(r) for r in (0, 1, 2)] == [4, 24, 8]
+    assert capsys.readouterr().out == "(36, 144, 240, 204, 88, 16, 1)\n"

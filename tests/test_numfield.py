@@ -8,7 +8,7 @@ from math import gcd
 import mpmath
 import pytest
 
-from hompoly.linalg import solve_directions
+from hompoly.linalg import integer_direction, solve_square
 from hompoly.numfield import (
     Field,
     cos_bounds,
@@ -150,20 +150,22 @@ def test_sign_escalates_precision_near_zero():
 
 
 def test_element_times_unit_is_a_positive_multiple_of_one():
-    """The unit combine scales by: the primitive integer solution u of
-    x * u = 1, up to a positive factor."""
+    """The primitive integer solution u of x * u = 1, up to a positive
+    factor, is the direction of ``unit(x)`` for x > 0 and of its negative
+    for x < 0: the unit is positive, and x times it has x's sign."""
     rng = random.Random(11)
     for m, n in PAIRS:
         field = survey_field(m, n)[0]
         for x in _elements(field, rng, 20):
             if any(x):
-                u = solve_directions(field.matrix(x), [field.one])[0]
+                u = integer_direction(solve_square(field.matrix(x), field.one))
                 product = field.mul(x, u)
                 assert product[0] > 0 and not any(product[1:]), (m, n, x)
-                assert gcd(*u) == 1
+                sign = field.sign(x)
+                assert integer_direction(field.unit(x)) == tuple(sign * e for e in u)
             else:
                 with pytest.raises(ValueError, match="singular"):
-                    solve_directions(field.matrix(x), [field.one])
+                    solve_square(field.matrix(x), field.one)
 
 
 def _apply(sigma, x):
