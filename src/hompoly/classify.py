@@ -1,16 +1,16 @@
 """Classification of vertex maps: rank, factorization, collapse structure.
 
 Everything here works on exact data.  Image locations, surjectivity
-and deflation are read off the facets of Q tight at each f(v), which cut
-out the smallest face of Q containing f(v); for a vertex of the
-hom-polytope they are its tight (vertex, facet) pairs, so
+and deflation are read off the facets of Q tight at each f(v): f(v) is
+the vertex of Q with exactly those facets, if there is one.  For a
+vertex of the hom-polytope they are its tight (vertex, facet) pairs, so
 ``classify_all`` needs no arithmetic for them.  Factorization goes
 through the pivot chart of the image's affine hull: its directions are
 the reduced row echelon basis of the image's directions and its
 coordinates are entries at their pivot columns, so the surjective
 factor is f read at the pivots and the injective factor is that basis
-placed at the basepoint.  The face-collapse test reads the vertex
-images in the same chart and the source's face lattice.
+placed at the basepoint.  The face-collapse test reads the source's
+face lattice over P/K, as below.
 
 The collapse test rests on three facts.  First, the directions of a
 face G of the source lie in K = ker L exactly when f is constant on G's
@@ -30,9 +30,9 @@ so E = f(P_E) lies in f(G) = {w}: w is a vertex of f(P).
 The verdict depends on f only through K.  Two vertices of P share an
 image exactly when they differ by a kernel vector, so the fiber vertex
 sets are the cosets of K meeting the vertex set, and f(P) is affinely
-isomorphic to P/K, the projection of P along K, so the image vertices
-are the vertices of P/K.  ``classify_all`` therefore runs the test once
-per kernel.
+isomorphic to P/K, the projection of P along K: the image of P under
+the reduced row echelon rows of L, which have kernel K and full rank.
+``classify_all`` therefore runs the test once per kernel.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .linalg import (
     Vector,
     integer_direction,
     mat_rank,
+    mat_vec,
     rref,
     vec_sub,
 )
@@ -113,17 +114,18 @@ def _evaluated_masks(f: AffineMap, p: Polytope, q: Polytope) -> list[int] | None
 def _locate(masks: list[int], q: Polytope) -> tuple[tuple[str, ...], set[int]]:
     """Image locations and the vertices of q hit, from tight-facet masks.
 
-    The vertices of q tight on every facet of a mask span the smallest
-    face of q containing the point, which holds it in its relative
-    interior: one such vertex is the point itself.
+    A point of q is the vertex u exactly when its tight facets are u's,
+    since u is the intersection of its facets and distinct vertices have
+    incomparable facet sets.
     """
+    vertex_of = {m: u for u, m in enumerate(q.vertex_masks)}
     locations, hit = [], set()
     for mask in masks:
-        face = [u for u, m in enumerate(q.vertex_masks) if mask & m == mask]
-        if len(face) == 1:
-            hit.add(face[0])
+        u = vertex_of.get(mask)
+        if u is not None:
+            hit.add(u)
         locations.append(
-            "vertex" if len(face) == 1 else "boundary" if mask else "interior"
+            "vertex" if u is not None else "boundary" if mask else "interior"
         )
     return tuple(locations), hit
 
@@ -189,12 +191,14 @@ def is_face_collapse(f: AffineMap, p: Polytope) -> bool:
     The directions of a face G lie in the kernel exactly when f is
     constant on G's vertices.  The fiber over a vertex w of f(P) is the
     face where c . f is maximal on P, for any functional c exposing w,
-    so its vertices are exactly those sent to w.
+    so its vertices are exactly those sent to w.  The echelon rows of
+    the linear part, of the same kernel and full rank, give the images.
     """
-    kernel_dim = f.source_dim - map_rank(f)
+    rows = rref(f.linear)[0]
+    kernel_dim = f.source_dim - len(rows)
     if kernel_dim == 0:
         return False
-    projected, _ = chart_project(tuple(f.apply(v) for v in p.vertices))
+    projected = tuple(mat_vec(rows, v) for v in p.vertices)
     fibers: dict[Vector, frozenset[int]] = {}
     for i, y in enumerate(projected):
         fibers[y] = fibers.get(y, frozenset()) | {i}
@@ -288,19 +292,16 @@ def classify_all(
     masks = h.polytope.vertex_masks
     for index in range(h.polytope.n_vertices):
         f = h.map_at_vertex(index)
-        rank = map_rank(f)
+        row_space = tuple(rref(f.linear)[0])
+        rank = len(row_space)
         active = masks[index].bit_count()
         simple = active == h.polytope.dim
         locations, hit = _locate(h.tight_masks(index), q)
         surjective = len(hit) == q.n_vertices
         deflation = rank < p.dim and surjective and "boundary" not in locations
-        if rank == f.source_dim:
-            collapse = False
-        else:
-            row_space = tuple(rref(f.linear)[0])
-            if row_space not in collapse_by_kernel:
-                collapse_by_kernel[row_space] = is_face_collapse(f, p)
-            collapse = collapse_by_kernel[row_space]
+        if rank < f.source_dim and row_space not in collapse_by_kernel:
+            collapse_by_kernel[row_space] = is_face_collapse(f, p)
+        collapse = collapse_by_kernel.get(row_space, False)
         records.append(
             MapClassification(
                 vertex_index=index,
@@ -333,12 +334,8 @@ def rank1_polygon_count(p: Polytope, q: Polytope) -> int:
     """
     if p.dim != 2:
         raise GeometryError("rank-1 count needs a two-dimensional source")
-    normals = [integer_direction(iq.normal) for iq in p.inequalities]
+    normals = {integer_direction(iq.normal) for iq in p.inequalities}
     l = len(normals)
-    m = 0
-    for i in range(l):
-        for j in range(i + 1, l):
-            if normals[i] == tuple(-e for e in normals[j]):
-                m += 1
+    m = sum(tuple(-e for e in u) in normals for u in normals) // 2
     n = q.n_vertices
     return (l - m) * n * (n - 1)

@@ -49,7 +49,7 @@ from .polyio import (
     write_vrep,
 )
 from .linalg import mat_rank
-from .polytope import Polytope, contains_point
+from .polytope import _facet_rows, contains_point
 from .regular import (
     CountRow,
     TableDiagnostics,
@@ -91,13 +91,14 @@ def _check_hom(h: HomPolytope) -> None:
             "hom-facet-count",
             f"{h.polytope.n_facets} facets, expected {expected}",
         )
-    rebuilt = Polytope.from_inequalities(
-        h.polytope.inequalities, h.polytope.ambient_dim
+    # the filter an unchecked description runs, on the hom's own masks
+    kept = _facet_rows(
+        h.polytope.inequalities, h.polytope.facet_masks, h.polytope.n_vertices
     )
-    if rebuilt.n_facets != h.polytope.n_facets:
+    if len(kept) != h.polytope.n_facets:
         raise InvariantViolation(
             "hom-facet-irredundancy",
-            f"irredundancy pass kept {rebuilt.n_facets} of "
+            f"irredundancy pass kept {len(kept)} of "
             f"{h.polytope.n_facets} inequalities",
         )
     # classification reads the target facets tight at f(v) off the hom

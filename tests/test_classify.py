@@ -195,6 +195,32 @@ def test_image_locations_of_frustum_projection():
     assert by_vertex[(2, 0, 0)] == "vertex"
 
 
+def test_image_locations_at_a_square_pyramid_apex():
+    # the apex lies on 4 facets of a 3-polytope, so it is not simple
+    q = Polytope.from_points(
+        ((-1, -1, 0), (1, -1, 0), (-1, 1, 0), (1, 1, 0), (0, 0, 1))
+    )
+    apex = q.vertices.index((0, 0, 1))
+    assert q.vertex_masks[apex].bit_count() == 4
+    # the simplex's corners go to the apex, a base corner, the centre of
+    # the base and a point inside
+    images = tuple(
+        tuple(map(Fraction, w))
+        for w in ((0, 0, 1), (1, 1, 0), (0, 0, 0), (0, 0, Fraction(1, 4)))
+    )
+    columns = [vec_sub(w, images[0]) for w in images[1:]]
+    f = AffineMap(tuple(zip(*columns)), images[0])
+    p = simplex(3)
+    assert tuple(f.apply(v) for v in p.vertices) == images
+    assert image_vertex_locations(f, p, q) == (
+        "vertex", "vertex", "boundary", "interior"
+    )
+    assert not surjective_onto(f, p, q)
+    identity = drop_last_axis(3, 3)
+    assert image_vertex_locations(identity, q, q) == ("vertex",) * 5
+    assert surjective_onto(identity, q, q)
+
+
 # -- deflation ---------------------------------------------------------
 
 
@@ -456,6 +482,32 @@ def maps_between_polytopes(draw):
 def test_surjective_onto_matches_image_hull_reference(case):
     p, f, q = case
     assert surjective_onto(f, p, q) == reference_surjective_onto(f, p, q)
+
+
+def reference_locations(f, p, q):
+    """Where each f(v) lands: ``vertex`` when it is one of q's vertices,
+    otherwise the kind exact containment gives."""
+    vertices = set(q.vertices)
+    return tuple(
+        "vertex" if y in vertices else contains_point(q, y).kind
+        for y in (f.apply(v) for v in p.vertices)
+    )
+
+
+@given(maps_between_polytopes())
+@settings(max_examples=150, deadline=None)
+def test_image_locations_match_the_vertex_list_reference(case):
+    p, f, q = case
+    expected = reference_locations(f, p, q)
+    if "outside" in expected:
+        with pytest.raises(GeometryError):
+            image_vertex_locations(f, p, q)
+    else:
+        assert image_vertex_locations(f, p, q) == expected
+    images = {f.apply(v) for v in p.vertices}
+    assert surjective_onto(f, p, q) == (
+        "outside" not in expected and set(q.vertices) <= images
+    )
 
 
 # integer affine models of the regular k-gons

@@ -444,12 +444,19 @@ def test_check_counts_the_facets_against_the_sides():
     assert "9 facets, expected 12" in str(caught.value)
 
 
-def test_check_finds_redundant_hom_rows():
-    # a target row trusted as a facet but implied by the others lends
-    # each source vertex a redundant hom row; the count still agrees
+@pytest.mark.parametrize(
+    "extra",
+    (
+        pytest.param(Inequality((Fraction(1), Fraction(0)), Fraction(10)), id="loose"),
+        pytest.param(simplex(2).inequalities[0], id="repeated"),
+    ),
+)
+def test_check_finds_redundant_hom_rows(extra):
+    # a target row trusted as a facet but implied by the others, or a
+    # copy of one of them, lends each source vertex a redundant hom row;
+    # the count still agrees
     triangle = simplex(2).inequalities
-    loose = Inequality((Fraction(1), Fraction(0)), Fraction(10))
-    target = Polytope.from_inequalities(triangle + (loose,), 2, assume_irredundant=True)
+    target = Polytope.from_inequalities(triangle + (extra,), 2, assume_irredundant=True)
     h = build_hom(simplex(2), target)
     assert h.polytope.n_facets == 12
     with pytest.raises(InvariantViolation) as caught:

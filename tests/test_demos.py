@@ -1,5 +1,5 @@
-"""The demos that read the classify and survey layers print frozen text,
-and the README's library tour gives the results its comments state.
+"""Every demo prints frozen text, and the README's library tour gives the
+results its comments state.
 
 Each demo runs in-process as ``__main__`` and its stdout is compared
 byte for byte with the frozen text below.
@@ -67,18 +67,60 @@ POLYGON_CENSUS = """\
  6  6      6     90     84    180        yes  closed_form,enumerated
 """
 
+CERTIFIED_GRAPHS = """\
+admissible graphs: 31
+encoding           det at certificate  symbolic check
+7                            16809984  ok
+6A+1                        -26873856  ok
+6B+1                        409042944  ok
+5+2A                        -45785088  ok
+5+2B                       -296524800  ok
+5+1+1                       -71059968  ok
+4A+3                        -32348160  ok
+4A+2A+1                     -20100096  ok
+4A+2B+1                      48646656  ok
+4A+1+1+1                    -69304320  ok
+4B+3                      -1114103808  ok
+4B+2A+1                   -1060687872  ok
+4B+2B+1                     142497792  ok
+4B+1+1+1                    346613760  ok
+3+3+1                       -94224384  ok
+3+2A+2A                        552960  ok
+3+2A+2B                     -39121920  ok
+3+2A+1+1                   -146833920  ok
+3+2B+2B                     260075520  ok
+3+2B+1+1                    821184000  ok
+3+1+1+1+1                  -288293376  ok
+2A+2A+2A+1                  -20431872  ok
+2A+2A+2B+1                  -40803840  ok
+2A+2A+1+1+1                 756748800  ok
+2A+2B+2B+1                 -652108032  ok
+2A+2B+1+1+1                 780476928  ok
+2A+1+1+1+1+1               3197491200  ok
+2B+2B+2B+1                 -435861504  ok
+2B+2B+1+1+1                 372363264  ok
+2B+1+1+1+1+1               1488061440  ok
+1+1+1+1+1+1+1             12122009856  ok
+"""
 
-@pytest.mark.parametrize(
-    "name, expected",
-    (
-        ("collapse_or_not", COLLAPSE_OR_NOT),
-        ("square_to_square", SQUARE_TO_SQUARE),
-        ("polygon_census", POLYGON_CENSUS),
-    ),
+FROZEN = (
+    ("collapse_or_not", COLLAPSE_OR_NOT),
+    ("square_to_square", SQUARE_TO_SQUARE),
+    ("polygon_census", POLYGON_CENSUS),
+    ("certified_graphs", CERTIFIED_GRAPHS),
 )
+
+
+@pytest.mark.parametrize("name, expected", FROZEN)
 def test_demo_prints_its_frozen_output(name, expected, capsys):
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out == expected
+
+
+def test_every_demo_has_frozen_text():
+    assert sorted(path.stem for path in DEMOS.glob("*.py")) == sorted(
+        name for name, _ in FROZEN
+    )
 
 
 def test_readme_library_tour_gives_its_commented_results(capsys):
