@@ -18,7 +18,9 @@ cycle is a whole component.  That decides rules 3 and 4 exactly; seven
 edges leave no room for a longer cycle.
 
 For each surviving graph the seven equations assemble into a 7 by 7
-generic matrix whose determinant must not vanish identically.  A single
+generic matrix whose determinant must not vanish identically.  Edge
+(a, b) puts source vertex (s_b, t_b) on target facet u_a x + v_a y = 1
+by ``hom.hom_row`` in hom coordinates, then -1.  A single
 exact nonzero evaluation at a rational point certifies that, so the
 certificate is an assignment (small primes in a documented order) plus
 the determinant value there.  A symbolic determinant over the sparse
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
+from .hom import hom_row
 from .linalg import mat_det
 
 Monomial = tuple[int, ...]
@@ -235,7 +238,9 @@ class GenericMatrix:
 
     ``variables`` fixes the evaluation order: s and t for each B-node in
     sorted order, then u and v for each A-node.  ``entries`` holds
-    sparse polynomials keyed by sorted variable-index monomials.
+    sparse polynomials keyed by sorted variable-index monomials.  Row k
+    is edge k's, in hom coordinates L11, L12, L21, L22, t1, t2, then -1,
+    so (f, 1) is a kernel vector wherever all seven pairs are tight at f.
     """
 
     variables: tuple[str, ...]
@@ -249,31 +254,13 @@ def build_generic_matrix(g: CoincidenceGraph) -> GenericMatrix:
     """Assemble the matrix; rows share variables exactly per coincidences."""
     if reject_reason(g) != "accepted":
         raise ValueError("matrix is only defined for accepted graphs")
-    names: list[str] = []
-    index: dict[str, int] = {}
-    for b in g.b_nodes:
-        for prefix in ("s", "t"):
-            name = f"{prefix}{b}"
-            index[name] = len(names)
-            names.append(name)
-    for a in g.a_nodes:
-        for prefix in ("u", "v"):
-            name = f"{prefix}{a}"
-            index[name] = len(names)
-            names.append(name)
+    names = [f"{c}{b}" for b in g.b_nodes for c in "st"]
+    names += [f"{c}{a}" for a in g.a_nodes for c in "uv"]
+    var = {name: {(i,): 1} for i, name in enumerate(names)}
     rows = []
     for a, b in g.edges:
-        s, t = index[f"s{b}"], index[f"t{b}"]
-        u, v = index[f"u{a}"], index[f"v{a}"]
-        row = (
-            {tuple(sorted((u, s))): 1},
-            {tuple(sorted((u, t))): 1},
-            {(u,): 1},
-            {tuple(sorted((v, s))): 1},
-            {tuple(sorted((v, t))): 1},
-            {(v,): 1},
-            {(): -1},
-        )
+        vertex, normal = (var[f"s{b}"], var[f"t{b}"]), (var[f"u{a}"], var[f"v{a}"])
+        row = (*hom_row(vertex, normal, poly_mul), {(): -1})
         rows.append(tuple(tuple(sorted(p.items())) for p in row))
     return GenericMatrix(variables=tuple(names), entries=tuple(rows))
 

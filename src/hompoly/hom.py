@@ -8,8 +8,9 @@ all facet-defining and pairwise distinct, so the construction here
 attaches them as a trusted irredundant description; nothing is ever
 filtered, and row order doubles as the facet labeling.
 
-Coordinates on the space of maps are the entries of L in row-major
-order followed by the entries of t.
+Hom coordinates on the space of maps are the entries of L in row-major
+order followed by the entries of t.  ``hom_row`` writes each pair's row
+in them, here, in the survey cone and in the coincidence matrices.
 
 The constant map at an interior point of Q is strictly interior to the
 hom-polytope, which gives the dimension formula dim P * dim Q + dim Q
@@ -19,8 +20,9 @@ without any vertex enumeration; ``build_hom`` wires that witness in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
+from operator import mul
+from typing import Callable, Sequence
 
 from .constructions import bipyramid, cross_polytope, cube, product, simplex
 from .errors import GeometryError
@@ -117,6 +119,16 @@ class HomPolytope:
         return masks
 
 
+def hom_row(v: Sequence, a: Sequence, mul: Callable) -> tuple:
+    """The coefficients of a . (Lv + t) in hom coordinates.
+
+    mul(a_i, v_j) at L's entry (i, j), then a_i at t_i, so the row dotted
+    with ``f.to_point()`` is a . f(v).  ``mul`` is the product of the
+    entries' ring: rationals, number field blocks or polynomials.
+    """
+    return (*(mul(e, x) for e in a for x in v), *a)
+
+
 def build_hom(p: Polytope, q: Polytope) -> HomPolytope:
     """Assemble the polytope of affine maps sending p into q.
 
@@ -128,7 +140,6 @@ def build_hom(p: Polytope, q: Polytope) -> HomPolytope:
     is enumerated.
     """
     dp, dq = p.ambient_dim, q.ambient_dim
-    hom_dim = dp * dq + dq
     _guard_side(
         dp,
         dq,
@@ -145,24 +156,16 @@ def build_hom(p: Polytope, q: Polytope) -> HomPolytope:
             "target polytope is not full-dimensional; project it onto a "
             "chart of its affine hull first"
         )
-    inequalities: list[Inequality] = []
-    labels: list[FacetLabel] = []
-    for v_index, v in enumerate(p.vertices):
-        for f_index, facet in enumerate(q.inequalities):
-            a, b = facet.normal, facet.offset
-            coeffs = [Fraction(0)] * hom_dim
-            for i in range(dq):
-                if a[i] == 0:
-                    continue
-                for j in range(dp):
-                    coeffs[i * dp + j] = a[i] * v[j]
-                coeffs[dp * dq + i] = a[i]
-            inequalities.append(Inequality(tuple(coeffs), b))
-            labels.append(FacetLabel(v_index, f_index))
+    inequalities = [
+        Inequality(hom_row(v, facet.normal, mul), facet.offset)
+        for v in p.vertices
+        for facet in q.inequalities
+    ]
+    labels = [FacetLabel(v, k) for v in range(p.n_vertices) for k in range(q.n_facets)]
     witness = AffineMap.constant(dp, q.interior_point).to_point()
     hom = Polytope.from_inequalities(
         inequalities,
-        hom_dim,
+        dp * dq + dq,
         assume_irredundant=True,
         interior_point=witness,
     )

@@ -553,11 +553,18 @@ def contains_point(p: Polytope, x: Vector) -> Containment:
 
 
 def is_simple_vertex(p: Polytope, vertex: int | Vector) -> bool:
-    """Whether exactly ``dim`` facets meet at the vertex."""
+    """Whether exactly ``dim`` facets meet at the vertex, given by index or point.
+
+    An index or a point that names no vertex raises ``GeometryError``.
+    """
     if isinstance(vertex, int):
+        if not 0 <= vertex < p.n_vertices:
+            raise GeometryError(f"vertex index {vertex} is not in 0..{p.n_vertices - 1}")
         index = vertex
     else:
         target = tuple(Fraction(e) for e in vertex)
+        if target not in p.vertices:
+            raise GeometryError(f"point ({', '.join(map(str, target))}) is not a vertex")
         index = p.vertices.index(target)
     return len(p.vertex_facet_indices(index)) == p.dim
 

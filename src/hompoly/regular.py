@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import dd
+from .hom import hom_row
 from .linalg import Scalar, Vector
 from .numfield import Field, survey_degree, survey_field
 
@@ -262,11 +263,13 @@ def survey_cone(
     (:meth:`Field.chebyshev <hompoly.numfield.Field.chebyshev>`): the
     regular n-gon under diag(2, 1/sin 2π/n).  The hom rows
     ``b x0 - a.(L v + t) >= 0``, one per source vertex v and target edge
-    ``a.x <= b``, plus ``x0 >= 0``, cut out a pointed cone whose extreme
-    rays are the vertex maps (x0 > 0, since the hom-polytope is
-    bounded).  The rows and scalars are what :func:`dd.extreme_rays`
-    takes: when the field is Q the models are integral and the engine
-    runs on integers, otherwise on the field's blocks.
+    ``a.x <= b`` in ``build_hom``'s order, are b then
+    :func:`~hompoly.hom.hom_row` of v and -a.  With ``x0 >= 0`` they cut
+    out a pointed cone whose extreme rays are the vertex maps (x0 > 0,
+    since the hom-polytope is bounded).  The rows and scalars are what
+    :func:`dd.extreme_rays` takes: when the field is Q the models are
+    integral and the engine runs on integers, otherwise on the field's
+    blocks.
     """
     field, alpha, beta = survey_field(m, n)
     source = field.chebyshev(alpha, m)
@@ -279,8 +282,7 @@ def survey_cone(
             p, q = target[k], target[(k + 1) % n]
             a = (sub(q[1], p[1]), sub(p[0], q[0]))  # outward normal of edge p -> q
             b = field.add(mul(a[0], p[0]), mul(a[1], p[1]))
-            na = [sub(zero, e) for e in a]
-            rows.append((b, *(mul(e, x) for e in na for x in v), *na))
+            rows.append((b, *hom_row(v, [sub(zero, e) for e in a], mul)))
     rows.append((field.one,) + (zero,) * 6)
     blocks = [field.block(row) for row in rows]
     if field.degree == 1:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from hompoly.coincidence import (
     reject_reason,
     symbolic_determinant,
 )
-from hompoly.linalg import mat_det
+from hompoly.hom import build_hom, enumerate_vertex_maps, hom_row
+from hompoly.linalg import mat_det, mat_rank, mat_vec, vec
+from hompoly.polytope import Polytope
 
 # independent oracle: multisets of typed paths summing to seven edges;
 # odd lengths have one type, even lengths two (endpoints on either side)
@@ -301,6 +304,76 @@ def test_matrix_requires_accepted_graph():
     g = graph((0, 0), (0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6))
     with pytest.raises(ValueError):
         build_generic_matrix(g)
+
+
+# -- the census against a computed hom ---------------------------------
+
+# integer polygons with the origin inside, so each target facet a.x <= b
+# reads (a / b).x <= 1, the form the generic matrix's u, v take
+HEXAGON = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
+DIAMOND = ((2, 0), (0, 1), (-2, 0), (0, -1))
+
+
+@pytest.fixture(scope="module")
+def hexagon_into_diamond():
+    """The polygons and each rank-2 vertex map with its tight (facet, vertex) pairs."""
+    p = Polytope.from_vertices([vec(*x) for x in HEXAGON])
+    q = Polytope.from_vertices([vec(*x) for x in DIAMOND])
+    maps = [
+        (f, {(label.facet_index, label.vertex_index) for label in tight})
+        for f, tight in enumerate_vertex_maps(build_hom(p, q))
+        if mat_rank(f.linear) == 2
+    ]
+    return p, q, maps
+
+
+def evaluated_at_the_polygons(g, p, q):
+    """``g``'s generic matrix at s_b, t_b = vertex b and u_a, v_a = facet a's a / b."""
+    def value(name):
+        index = int(name[1:])
+        if name[0] in "st":
+            return p.vertices[index]["st".index(name[0])]
+        facet = q.inequalities[index]
+        return facet.normal["uv".index(name[0])] / facet.offset
+
+    matrix = build_generic_matrix(g)
+    return evaluate_matrix(matrix, tuple(value(name) for name in matrix.variables))
+
+
+def test_tight_pairs_at_a_vertex_map_have_the_map_in_their_kernel(hexagon_into_diamond):
+    p, q, maps = hexagon_into_diamond
+    assert len(maps) == 24
+    assert all(len(tight) == 8 for _, tight in maps)
+    checked = 0
+    for f, tight in maps:
+        for edges in combinations(sorted(tight), 7):
+            g = CoincidenceGraph(edges)
+            if reject_reason(g) == "accepted":
+                kernel = mat_vec(evaluated_at_the_polygons(g, p, q), (*f.to_point(), 1))
+                assert kernel == (0,) * 7
+                checked += 1
+    assert checked == 192
+
+
+def test_six_independent_tight_pairs_and_a_loose_one_are_nonsingular(
+    hexagon_into_diamond,
+):
+    # a kernel vector (x, l) has x = 0 when l = 0 and x = f otherwise,
+    # which would make the loose pair tight
+    p, q, maps = hexagon_into_diamond
+    pairs = {(k, v) for k in range(q.n_facets) for v in range(p.n_vertices)}
+    checked = 0
+    for _, tight in maps:
+        for six in combinations(sorted(tight), 6):
+            rows = [hom_row(p.vertices[v], q.inequalities[k].normal, mul) for k, v in six]
+            if mat_rank(rows) < 6:
+                continue
+            for loose in sorted(pairs - tight):
+                g = CoincidenceGraph(six + (loose,))
+                if reject_reason(g) == "accepted":
+                    assert mat_det(evaluated_at_the_polygons(g, p, q)) != 0
+                    checked += 1
+    assert checked == 2304
 
 
 # -- certification ------------------------------------------------------

@@ -1,15 +1,21 @@
 """Every demo prints frozen text, and the README's library tour gives the
-results its comments state.
+results its comments state and names only what exists.
 
 Each demo runs in-process as ``__main__`` and its stdout is compared
 byte for byte with the frozen text below.
 """
 
+import importlib.util
+import pkgutil
 import re
 import runpy
+from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import pytest
+
+import hompoly
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -123,9 +129,13 @@ def test_every_demo_has_frozen_text():
     )
 
 
+def library_tour(readme: str) -> str:
+    """README's "Library tour" section, which runs to the end of the file."""
+    return readme[readme.index("## Library tour"):]
+
+
 def test_readme_library_tour_gives_its_commented_results(capsys):
-    readme = (ROOT / "README.md").read_text()
-    tour = readme[readme.index("## Library tour"):]
+    tour = library_tour((ROOT / "README.md").read_text())
     code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
     names = {}
     exec(code, names)
@@ -135,3 +145,58 @@ def test_readme_library_tour_gives_its_commented_results(capsys):
     assert len(h.polytope.vertices) == 36
     assert [summary.rank_count(r) for r in (0, 1, 2)] == [4, 24, 8]
     assert capsys.readouterr().out == "(36, 144, 240, 204, 88, 16, 1)\n"
+
+
+def unresolved_tour_names(text: str) -> tuple[list[str], Counter]:
+    """The backticked spans of ``text`` naming nothing in hompoly, and counts.
+
+    Three kinds of span are checked: ``hompoly.<module>`` must import,
+    ``Name.attr...`` whose ``Name`` is a hompoly export must resolve up
+    to its first ``(``, and ``name(...)`` must be a name in some hompoly
+    module.  Other spans, bare words like ``dim`` among them, and fenced
+    code blocks are skipped.
+    """
+    modules = [
+        importlib.import_module(f"hompoly.{info.name}")
+        for info in pkgutil.iter_modules(hompoly.__path__)
+    ]
+    unresolved, checked = [], Counter()
+    for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S)):
+        span = " ".join(span.split())
+        head = span.split("(")[0]
+        root, *attributes = head.split(".")
+        if re.fullmatch(r"hompoly\.\w+", span):
+            kind = "module"
+            found = importlib.util.find_spec(span) is not None
+        elif re.fullmatch(r"\w+(\.\w+)+", head) and root in hompoly.__all__:
+            kind = "attribute"
+            try:
+                reduce(getattr, attributes, getattr(hompoly, root))
+                found = True
+            except AttributeError:
+                found = False
+        elif re.fullmatch(r"\w+\(.*\)", span):
+            kind = "call"
+            found = any(hasattr(module, head) for module in modules)
+        else:
+            continue
+        checked[kind] += 1
+        if not found:
+            unresolved.append(span)
+    return unresolved, checked
+
+
+def test_readme_library_tour_names_only_what_exists():
+    unresolved, checked = unresolved_tour_names(library_tour((ROOT / "README.md").read_text()))
+    assert unresolved == []
+    assert set(checked) == {"module", "attribute", "call"}
+
+
+def test_the_tour_check_sees_a_stale_name():
+    text = (
+        "`hompoly.hom` `hompoly.gone` `Polytope.from_points(pts).dim` "
+        "`Polytope.gone(x)` `hom_row(v, a, mul)` `gone(x)` `dim` `f.gone`"
+    )
+    unresolved, checked = unresolved_tour_names(text)
+    assert unresolved == ["hompoly.gone", "Polytope.gone(x)", "gone(x)"]
+    assert checked == Counter(module=2, attribute=2, call=2)

@@ -1,8 +1,11 @@
 """Unit tests for the polytope of affine maps."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hompoly import dd, hom
 from hompoly.constructions import cross_polytope, cube, regular_ngon, simplex
@@ -13,9 +16,10 @@ from hompoly.hom import (
     build_hom,
     enumerate_vertex_maps,
     hom_identity_check,
+    hom_row,
     is_vertex_map,
 )
-from hompoly.linalg import mat, vec
+from hompoly.linalg import mat, solve_affine_hull, vec, vec_dot
 from hompoly.polytope import Polytope, contains_point
 
 
@@ -25,6 +29,46 @@ def test_affine_map_point_roundtrip():
     assert point == vec(1, 2, 3, 4, 5, 6)
     assert AffineMap.from_point(point, 2, 2) == f
     assert f.apply(vec(1, 1)) == vec(8, 13)
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def vectors(d):
+    return st.tuples(*[rationals] * d)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_hom_row_dotted_with_a_map_is_the_row_at_its_image(data):
+    dp, dq = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+    v, a = data.draw(vectors(dp)), data.draw(vectors(dq))
+    f = AffineMap(data.draw(st.tuples(*[vectors(dp)] * dq)), data.draw(vectors(dq)))
+    assert vec_dot(hom_row(v, a, mul), f.to_point()) == vec_dot(a, f.apply(v))
+
+
+@st.composite
+def full_dimensional_polytopes(draw):
+    d = draw(st.sampled_from((1, 2, 3)))
+    small = st.integers(-3, 3)
+    points = draw(st.lists(st.tuples(*[small] * d), min_size=d + 1, max_size=d + 4))
+    pts = tuple(vec(*x) for x in points)
+    assume(len(solve_affine_hull(pts)[1]) == d)
+    return Polytope.from_points(pts)
+
+
+@given(full_dimensional_polytopes(), full_dimensional_polytopes())
+@settings(max_examples=40, deadline=None)
+def test_build_hom_writes_hom_row_in_vertex_facet_order(p, q):
+    h = build_hom(p, q)
+    rows = h.polytope.inequalities
+    assert len(rows) == len(h.labels) == p.n_vertices * q.n_facets
+    for v, point in enumerate(p.vertices):
+        for k, facet in enumerate(q.inequalities):
+            j = v * q.n_facets + k
+            assert rows[j].normal == hom_row(point, facet.normal, mul)
+            assert rows[j].offset == facet.offset
+            assert h.labels[j] == FacetLabel(v, k)
 
 
 def test_hom_dimension_formula_small():

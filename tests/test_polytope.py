@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import hompoly.polytope as polytope_module
 from hompoly.constructions import bipyramid, cross_polytope, cube, product, simplex
 from hompoly.errors import (
+    GeometryError,
     InfeasibleError,
     LowerDimensionalError,
     OutsideHullError,
@@ -256,6 +257,21 @@ def test_simple_vertices():
     base = pyramid.vertices.index(vec(1, 1, 0))
     assert is_simple_vertex(pyramid, base)
     assert not is_simple_vertex(pyramid, vec(0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "vertex, message",
+    [
+        (-1, r"vertex index -1 is not in 0\.\.3"),
+        (4, r"vertex index 4 is not in 0\.\.3"),
+        (vec(1, 0), r"point \(1, 0\) is not a vertex"),
+    ],
+    ids=["negative-index", "index-past-the-end", "not-a-vertex"],
+)
+def test_simple_vertex_refuses_what_is_not_a_vertex(vertex, message):
+    square = Polytope.from_inequalities(square_hrep(), 2)
+    with pytest.raises(GeometryError, match=message):
+        is_simple_vertex(square, vertex)
 
 
 def test_chart_project_roundtrip():
