@@ -25,7 +25,6 @@ import argparse
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from pathlib import Path
 
@@ -240,6 +239,9 @@ def _cmd_table(args: argparse.Namespace) -> tuple[Emission, int]:
             specs.append((m, n))
     workers = worker_count(args.jobs, len(specs))
     if workers > 1:
+        # the pool's import pulls in multiprocessing; only this branch pays for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_table_worker, specs))
     else:

@@ -9,13 +9,15 @@ exactly 31 such graphs up to isomorphism keeping the parts apart.
 
 The degree rules count one part at a time and stop at the first node
 of degree three, which is where most candidate patterns end.  The cycle
-rules are read off the connected components, not searched for; the
-components come from one union-find pass over the edges, each root
-carrying its A-node, B-node and edge counts.  Once the degree rules
-pass, every node has degree at most two, so each component is a path
-or a cycle, a cycle exactly when it has as many edges as nodes, and any
-cycle is a whole component.  That decides rules 3 and 4 exactly; seven
-edges leave no room for a longer cycle.
+rules need no component search.  Once every degree is at most two, each
+component is a path or an even cycle of length four or more, and two
+cycles would need eight edges, so seven edges hold at most one cycle.
+Each A-node of degree two has a pair of B-neighbours, and four such
+nodes would need eight edges, so there are at most three.  A cycle's
+A-nodes have degree two, their pairs are its B-nodes: a 4-cycle is two
+A-nodes with the same pair, and a 6-cycle is three A-nodes whose pairs
+are distinct and cover exactly three B-nodes.  That decides rules 3
+and 4 exactly.
 
 For each surviving graph the seven equations assemble into a 7 by 7
 generic matrix whose determinant must not vanish identically.  Edge
@@ -201,9 +203,11 @@ def reject_reason(g: CoincidenceGraph) -> str:
     passing all four are exactly the disjoint unions of paths.
 
     The degree rules count one part at a time and stop at the first node
-    of degree three.  Rules 3 and 4 fire on a component with as many
-    edges as nodes and four or six edges: with every degree at most two,
-    those components are exactly the cycles.
+    of degree three.  With every degree at most two, each component is a
+    path or an even cycle, and seven edges hold at most one cycle, since
+    two would need eight.  The A-nodes of degree two (at most three) each
+    have a pair of B-neighbours.  Rule 3 fires when two of them share a
+    pair, rule 4 when three distinct pairs cover exactly three B-nodes.
     """
     a_degree: dict[int, int] = {}
     for a, _ in g.edges:
@@ -217,14 +221,18 @@ def reject_reason(g: CoincidenceGraph) -> str:
         if degree == 3:
             return "rejected(rule 2)"
         b_degree[b] = degree
-    cycle_lengths = {
-        edges
-        for a_count, b_count, edges in _components(g)
-        if edges == a_count + b_count
-    }
-    if 4 in cycle_lengths:
+    # each pair is sorted, so two A-nodes on the same B-nodes give equal pairs
+    first: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    for a, b in g.edges:
+        if a in first:
+            other = first[a]
+            pairs.append((other, b) if other < b else (b, other))
+        else:
+            first[a] = b
+    if len(set(pairs)) < len(pairs):
         return "rejected(rule 3)"
-    if 6 in cycle_lengths:
+    if len(pairs) == 3 and len({*pairs[0], *pairs[1], *pairs[2]}) == 3:
         return "rejected(rule 4)"
     return "accepted"
 
@@ -290,12 +298,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
             else:
                 out.pop(mono, None)
     return out
-
-
-def poly_scale(a: Poly, factor: int) -> Poly:
-    if factor == 0:
-        return {}
-    return {mono: coeff * factor for mono, coeff in a.items()}
 
 
 def poly_eval(a: Poly, values: tuple[Fraction, ...]) -> Fraction:
@@ -404,8 +406,9 @@ def symbolic_determinant(matrix: GenericMatrix) -> Poly:
                     continue
                 entry = matrix.entry(row, col)
                 if entry:
-                    signed = entry if position % 2 == 0 else poly_scale(entry, -1)
-                    term = poly_mul(acc, signed)
+                    if position % 2:
+                        entry = {mono: -coeff for mono, coeff in entry.items()}
+                    term = poly_mul(acc, entry)
                     key = mask | bit
                     nxt[key] = poly_add(nxt.get(key, {}), term)
                 position += 1

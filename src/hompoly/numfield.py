@@ -184,6 +184,7 @@ class Field:
         self._structure = tuple(tuple(c for row in k for c in row) for k in self._by_entry)
         self.one: Element = (1,) + (0,) * (self.degree - 1)
         self._floor_cache: dict[int, tuple[int, ...]] = {}
+        self._unit_cache: dict[Element, Element] = {}
         self.automorphisms = self._automorphisms()
 
     def _monomial(self, exps: tuple[int, ...]) -> Element:
@@ -302,12 +303,19 @@ class Field:
         N(x)/x is the product u of x's D - 1 other conjugates, so it is
         integral, and x·u = N(x) is an integer, read off the constant
         coordinate.  u is positive in the real embedding exactly when
-        N(x) and x have one sign; otherwise -u is returned.
+        N(x) and x have one sign; otherwise -u is returned.  The answer
+        depends on x alone, and the survey's lead entries repeat, so it
+        is kept per x.
         """
+        if x in self._unit_cache:
+            return self._unit_cache[x]
         conjugates = [tuple(sum(map(mul, row, x)) for row in s) for s in self.automorphisms]
         u = reduce(self.mul, conjugates) if conjugates else self.one
         norm = self.mul(x, u)[0]
-        return u if (norm > 0) == (self.sign(x) > 0) else tuple(-c for c in u)
+        if (norm > 0) != (self.sign(x) > 0):
+            u = tuple(-c for c in u)
+        self._unit_cache[x] = u
+        return u
 
     def combine(
         self, vp: Element, gp: tuple[int, ...], vq: Element, gq: tuple[int, ...]

@@ -532,12 +532,12 @@ def test_criterion_10_coincidence_certification():
         statuses[status] += 1
         if status == "accepted":
             accepted_encodings.add(canonical_encoding(g))
-    assert set(statuses) == {
-        "accepted",
-        "rejected(rule 1)",
-        "rejected(rule 2)",
-        "rejected(rule 3)",
-        "rejected(rule 4)",
+    assert statuses == {
+        "accepted": 7200,
+        "rejected(rule 1)": 57520,
+        "rejected(rule 2)": 11240,
+        "rejected(rule 3)": 1080,
+        "rejected(rule 4)": 480,
     }
     fitting = {
         canonical_encoding(g)

@@ -797,6 +797,26 @@ def test_module_is_runnable():
     assert result.stdout == "V 2 4\n1 0\n0 1\n-1 0\n0 -1\n"
 
 
+def test_process_pool_is_imported_only_for_parallel_tables():
+    # --jobs 2 printing what --jobs 1 prints is checked above; here the
+    # start-up of every other command is kept free of the pool's imports
+    src = str(Path(hompoly.polyio.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = (
+        "import sys, hompoly.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def _run_alone(argv):
     """(status, stdout, stderr) of ``argv`` in a fresh process."""
     src = str(Path(hompoly.polyio.__file__).parents[1])

@@ -139,6 +139,17 @@ def test_six_cycle_hits_rule_4():
     assert reject_reason(g) == "rejected(rule 4)"
 
 
+def test_three_pairs_chained_over_four_b_nodes_are_a_path():
+    # the near miss of the 6-cycle: pairs {0,1}, {1,2}, {2,3} make a
+    # 6-edge path, and one edge beside it leaves the graph accepted
+    g = graph((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 4))
+    assert reject_reason(g) == "accepted"
+    assert canonical_encoding(g) == "6B+1"
+    # closing the chain with {2,0} instead covers three B-nodes
+    g = graph((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0), (3, 4))
+    assert reject_reason(g) == "rejected(rule 4)"
+
+
 def test_rules_apply_in_order():
     # degree violation and a 4-cycle at once: the degree rule wins
     g = graph((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 3), (3, 4))

@@ -232,6 +232,18 @@ def test_unit_is_positive_and_inverts_up_to_an_integer():
             assert (product[0] > 0) == (field.sign(x) > 0), (m, n, x)
 
 
+def test_kept_units_match_a_fresh_field():
+    """A field that has answered x, -x and other elements before answers
+    each again as a field built for that one question does."""
+    rng = random.Random(31)
+    for m, n in PAIRS:
+        field = survey_field(m, n)[0]
+        xs = [x for x in _elements(field, rng, 10) if any(x)]
+        xs += [tuple(-c for c in x) for x in xs]
+        for x in xs + xs[::-1]:
+            assert field.unit(x) == survey_field(m, n)[0].unit(x), (m, n, x)
+
+
 @mpmath.workdps(400)
 def test_cos_bounds_enclose_high_precision_cosines():
     # at 400 digits the scaled value is off by far less than the margin,
