@@ -32,10 +32,14 @@ sends 2cos(2π/k) to 2cos(2πa/k) = C_a(2cos(2π/k)) for 1 <= a <= k/2
 with gcd(a, k) = 1, and a field of two generators takes one such a per
 generator.  Each σ is an integer D×D matrix, so the product u of an
 element e's D - 1 other conjugates is integral and e·u = N(e), its
-integer norm.  A new ray is normalized by u = N(e)/e for its lead
-entry e, with no linear solve; u is positive exactly when N(e) and e
-have one sign, and is negated otherwise.  A start ray is normalized by
-the unit of its value v on its own row instead, which makes v rational.
+integer norm.  A new ray w = vp·gq - vq·gp is formed exactly, block by
+block, and then multiplied by u = N(e)/e for its lead entry e, its
+first nonzero block, with no linear solve; u is positive exactly when
+N(e) and e have one sign, and is negated otherwise.  Both steps are
+integer matrix-vector products, by multiplication matrices that the
+field keeps per element, since the survey's values, units and row
+entries repeat.  A start ray is normalized by the unit of its value v
+on its own row instead, which makes v rational.
 """
 
 from __future__ import annotations
@@ -185,6 +189,7 @@ class Field:
         self.one: Element = (1,) + (0,) * (self.degree - 1)
         self._floor_cache: dict[int, tuple[int, ...]] = {}
         self._unit_cache: dict[Element, Element] = {}
+        self._matrix_cache: dict[Element, tuple[Element, ...]] = {}
         self.automorphisms = self._automorphisms()
 
     def _monomial(self, exps: tuple[int, ...]) -> Element:
@@ -221,13 +226,26 @@ class Field:
     # -- ring operations ------------------------------------------------
 
     def matrix(self, x: Element) -> tuple[Element, ...]:
-        """Multiplication by x: column j holds the coordinates of x * b_j."""
-        return tuple(
-            tuple(sum(map(mul, x, col)) for col in row) for row in self._by_entry
-        )
+        """Multiplication by x: column j holds the coordinates of x * b_j.
+
+        The survey's values, units and row entries repeat, so the matrix
+        is kept per x.
+        """
+        mat = self._matrix_cache.get(x)
+        if mat is None:
+            mat = self._matrix_cache[x] = tuple(
+                tuple(sum(map(mul, x, col)) for col in row) for row in self._by_entry
+            )
+        return mat
 
     def mul(self, x: Element, y: Element) -> Element:
         terms = [a * b for b in y for a in x]
+        return tuple(sum(map(mul, k, terms)) for k in self._structure)
+
+    def det2(self, a: Element, b: Element, c: Element, e: Element) -> Element:
+        """a*e - b*c, the determinant of [[a, b], [c, e]], in one pass over
+        the structure constants."""
+        terms = [x * y - z * w for y, w in zip(e, c) for x, z in zip(a, b)]
         return tuple(sum(map(mul, k, terms)) for k in self._structure)
 
     def add(self, x: Element, y: Element) -> Element:
@@ -320,32 +338,30 @@ class Field:
     def combine(
         self, vp: Element, gp: tuple[int, ...], vq: Element, gq: tuple[int, ...]
     ) -> tuple[int, ...]:
-        """The ray ``vp * gq - vq * gp``, normalized.
+        """The ray w = ``vp * gq - vq * gp``, normalized.
 
-        The ray is multiplied by u = ±N(e)/e from :meth:`unit`, where e is
-        its first nonzero entry, and then divided by its integer content.
-        The sign is + exactly when N(e) and e have one sign, which makes u
-        positive, so the direction is kept; any positive rational multiple
-        of e^-1 gives this one primitive vector.  The factor u goes into
-        vp and vq before the entries are formed.
+        w is formed first, block by block: [M(vp) | -M(vq)], with M from
+        :meth:`matrix`, applied to each block's (gq_j, gp_j).  Its first
+        nonzero block e is the lead entry.  Every block is then multiplied
+        by M(u) for u = ±N(e)/e from :meth:`unit`, and the whole divided
+        by its integer content.  The sign is + exactly when N(e) and e
+        have one sign, which makes u positive, so the direction is kept;
+        any positive rational multiple of e^-1 gives this one primitive
+        vector.  A zero w, which only inconsistent rows give, raises
+        ``ValueError`` as the integer engine's combine does.
         """
         d = self.degree
-        for j in range(0, len(gp), d):
-            lead = self.sub(self.mul(vp, gq[j:j + d]), self.mul(vq, gp[j:j + d]))
-            if any(lead):
-                break
-        u = self.unit(lead)
-        # row k of [M_(u vp) | M_(-u vq)] against (b, a) is coordinate k of u (vp b - vq a)
-        rows = [
-            rp + rq
-            for rp, rq in zip(
-                self.matrix(self.mul(u, vp)), self.matrix(self.mul(u, tuple(-c for c in vq)))
-            )
-        ]
-        flat: list[int] = []
-        for j in range(0, len(gp), d):
-            ba = gq[j:j + d] + gp[j:j + d]
-            flat += [sum(map(mul, row, ba)) for row in rows]
+        # row k of [M(vp) | -M(vq)] against (gq_j, gp_j) is coordinate k of vp gq_j - vq gp_j
+        rows = [rp + tuple(-c for c in rq) for rp, rq in zip(self.matrix(vp), self.matrix(vq))]
+        # the blocks of a flat vector v are zip(v[0::d], ..., v[d-1::d])
+        pairs = zip(*(gq[i::d] for i in range(d)), *(gp[i::d] for i in range(d)))
+        w = [sum(map(mul, row, pair)) for pair in pairs for row in rows]
+        lead = next((i for i, c in enumerate(w) if c), None)
+        if lead is None:
+            raise ValueError("zero ray produced (vp*gq - vq*gp = 0); input rows are inconsistent")
+        lead -= lead % d
+        mu = self.matrix(self.unit(tuple(w[lead:lead + d])))
+        flat = [sum(map(mul, row, blk)) for blk in zip(*(w[i::d] for i in range(d))) for row in mu]
         g = gcd(*flat)
         return tuple(e // g for e in flat)
 

@@ -300,14 +300,13 @@ def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
     field, rows, arithmetic = survey_cone(m, n)
     rays = dd.extreme_rays(rows, arithmetic)
 
-    mul, sub = field.mul, field.sub
-    d = field.degree
+    det2, d = field.det2, field.degree
     counts = {0: 0, 1: 0, 2: 0}
     for ray, _ in rays:
         l11, l12, l21, l22 = (ray[j * d:(j + 1) * d] for j in range(1, 5))
         if not any(ray[d:5 * d]):
             rank = 0
-        elif any(sub(mul(l11, l22), mul(l12, l21))):
+        elif any(det2(l11, l12, l21, l22)):
             rank = 2
         else:
             rank = 1

@@ -296,3 +296,88 @@ def test_combine_keeps_the_direction():
         ]
         assert ratios[0] > 0
         assert all(abs(q - ratios[0]) < mpmath.mpf(10) ** -80 * ratios[0] for q in ratios)
+
+
+def _reference_combine(field: Field, vp, gp, vq, gq):
+    """The normalized ray from ring operations alone: u (vp gq - vq gp)
+    made primitive, for u the unit of the first nonzero block."""
+    d = field.degree
+    w = [
+        field.sub(field.mul(vp, gq[j:j + d]), field.mul(vq, gp[j:j + d]))
+        for j in range(0, len(gp), d)
+    ]
+    u = field.unit(next(e for e in w if any(e)))
+    flat = [c for e in w for c in field.mul(u, e)]
+    g = gcd(*flat)
+    return tuple(c // g for c in flat)
+
+
+def _combine_draws(field: Field, rng: random.Random, count: int, blocks: int):
+    """Random (vp, gp, vq, gq).  In two draws of three the first block of
+    w = vp*gq - vq*gp is 0, so its lead sits in a later block: gp and gq
+    start with zero blocks, or with vp*x and vq*x."""
+    d = field.degree
+    for t in range(count):
+        gp, gq = ([rng.randint(-9, 9) for _ in range(blocks * d)] for _ in "pq")
+        vp, vq = (tuple(rng.randint(-9, 9) for _ in range(d)) for _ in "pq")
+        if t % 3 == 0:
+            zeroed = rng.randint(1, blocks - 1)
+            gp[:zeroed * d] = gq[:zeroed * d] = [0] * (zeroed * d)
+        elif t % 3 == 1:
+            # vp*gq_0 = vq*gp_0 when gp_0 = vp*x and gq_0 = vq*x
+            x = tuple(rng.randint(-3, 3) for _ in range(d))
+            gp[:d], gq[:d] = field.mul(vp, x), field.mul(vq, x)
+        yield vp, tuple(gp), vq, tuple(gq)
+
+
+@pytest.mark.parametrize("m, n", [(5, 5), (5, 7)])
+def test_combine_matches_the_ring_reference(m, n):
+    """combine gives exactly the reference's vector, on fields of degree 2
+    and 6, including draws whose lead is not in the first block."""
+    field = survey_field(m, n)[0]
+    rng = random.Random(37 + m * n)
+    d = field.degree
+    later = 0
+    for vp, gp, vq, gq in _combine_draws(field, rng, 60, 4):
+        try:
+            expected = _reference_combine(field, vp, gp, vq, gq)
+        except StopIteration:  # w = 0: covered by the zero-ray test
+            continue
+        later += not any(field.sub(field.mul(vp, gq[:d]), field.mul(vq, gp[:d])))
+        assert field.combine(vp, gp, vq, gq) == expected, (m, n, vp, gp, vq, gq)
+    assert later >= 20, later
+
+
+@pytest.mark.parametrize("m, n", [(5, 5), (5, 7)])
+def test_zero_combination_is_refused(m, n):
+    field = survey_field(m, n)[0]
+    d = field.degree
+    v = tuple(range(1, d + 1))
+    g = tuple(range(-2, 3 * d - 2))
+    with pytest.raises(ValueError, match="zero ray"):
+        field.combine(v, g, v, g)
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (5, 5), (7, 8)])
+def test_det2_is_the_ring_determinant(m, n):
+    """det2(a, b, c, e) is a*e - b*c, on fields of degree 1, 2 and 6."""
+    field = survey_field(m, n)[0]
+    rng = random.Random(41 + m * n)
+    xs = list(_elements(field, rng, 16))
+    for _ in range(40):
+        a, b, c, e = (rng.choice(xs) for _ in range(4))
+        expected = field.sub(field.mul(a, e), field.mul(b, c))
+        assert field.det2(a, b, c, e) == expected, (m, n, a, b, c, e)
+
+
+@pytest.mark.parametrize("m, n", PAIRS)
+def test_kept_matrices_are_the_products_by_the_basis(m, n):
+    """Column j of matrix(x) is x * b_j, and a second call returns the
+    kept matrix itself."""
+    field = survey_field(m, n)[0]
+    d = field.degree
+    basis = [tuple(int(k == j) for k in range(d)) for j in range(d)]
+    for x in _elements(field, random.Random(43), 10):
+        mat = field.matrix(x)
+        assert tuple(zip(*mat)) == tuple(field.mul(x, b) for b in basis), (m, n, x)
+        assert field.matrix(tuple(list(x))) is mat
