@@ -69,6 +69,11 @@ class InvariantViolation(RuntimeError):
     def __init__(self, property_name: str, detail: str):
         super().__init__(f"violated invariant {property_name}: {detail}")
         self.property_name = property_name
+        self.detail = detail
+
+    def __reduce__(self):
+        # rebuild from both arguments; the default passes only the message
+        return type(self), (self.property_name, self.detail)
 
 
 # -- assertion-mode re-checks -------------------------------------------

@@ -24,7 +24,7 @@ from functools import reduce
 from operator import mul
 from typing import Callable, Sequence
 
-from .constructions import bipyramid, cross_polytope, cube, product, simplex
+from .constructions import bipyramid, cross_polytope, cube, simplex
 from .errors import GeometryError
 from .linalg import Matrix, Vector, mat_rank, mat_vec, vec_add, zero_vector
 from .polytope import Inequality, Polytope, contains_point
@@ -221,13 +221,15 @@ class IdentityCheckReport:
 
 
 # Largest hom dimension build_hom accepts, and the tighter one the
-# identity checks accept, since they enumerate every face of both sides;
-# an identity side's source dimension is held to it too, since a
+# identity checks accept, since they enumerate every face of the hom; an
+# identity side's source dimension is held to it too, since a
 # zero-dimensional target leaves the hom dimension at 0 whatever the
 # source.  simplex_power also bounds each side's vertex count
-# |V(p)|^(n+1): at 4096 vertices (n = 2 on a 16-gon, n = 3 on an
-# octagon) one check takes 5-7 s on a 2-vCPU Xeon box, and the 12-gon at
-# n = 3 (20,736) ran past 30 s.
+# |V(p)|^(n+1): at 4096 vertices one check, in a fresh process, took
+# 1.0-1.5 s (n = 2 on a 16-gon) and 2.3 s (n = 3 on an octagon) on a
+# 2-vCPU Intel Xeon box on 2026-10-20, grading the hom and one factor;
+# grading both sides in full took 1.6-2.0 s and 4.4-5.1 s there.  The
+# 12-gon at n = 3 (20,736) ran past 30 s on an earlier 2-vCPU Xeon box.
 _HOM_DIM_LIMIT = 12
 _IDENTITY_DIM_LIMIT = 8
 _IDENTITY_VERTEX_LIMIT = 4096
@@ -250,6 +252,19 @@ def _guard_side(
             )
 
 
+def _product_f_vector(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """f-vector of P x Q from those of P and Q.
+
+    The nonempty faces of P x Q are the F x G for nonempty faces F of P
+    and G of Q, of dimension dim F + dim G, so the counts convolve.
+    """
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
 def hom_identity_check(
     kind: str,
     *,
@@ -270,6 +285,14 @@ def hom_identity_check(
     ``cube_cross_swap``: for m = n, maps from the m-cube to the n-cross-
     polytope match maps from the (m-1)-cube to the (n+1)-cross-polytope.
 
+    The left side's f-vector is read off its graded face lattice.  Where
+    the right side is a power of one factor, only that factor is built
+    and graded, and the power's f-vector follows from it, since the
+    nonempty faces of a product are the products of nonempty faces
+    (``_product_f_vector``); this skips grading a second polytope as
+    large as the hom.  ``cube_cross_swap``'s right side is another hom,
+    built and graded in full.
+
     Each side must stay within hom dimension 8 and source dimension 8,
     and a ``simplex_power`` side within 4096 vertices (|V(p)|^(n+1));
     larger requests are refused before anything is built, with the
@@ -289,7 +312,7 @@ def hom_identity_check(
         lhs_description = f"maps from the {n}-simplex into the target"
         lhs = build_hom(simplex(n), p).polytope
         rhs_description = f"{n + 1}-fold product of the target"
-        rhs = reduce(product, [p] * (n + 1))
+        rhs_f_vector = reduce(_product_f_vector, [p.f_vector] * (n + 1))
     elif kind == "cube_bipyramid":
         if m is None or n is None:
             raise ValueError("cube_bipyramid needs source dim m and target dim n")
@@ -297,7 +320,7 @@ def hom_identity_check(
         lhs_description = f"maps from the {m}-cube into the {n}-cube"
         lhs = build_hom(cube(m), cube(n)).polytope
         rhs_description = f"{n}-fold product of the bipyramid over the {m}-cross-polytope"
-        rhs = reduce(product, [bipyramid(cross_polytope(m))] * n)
+        rhs_f_vector = reduce(_product_f_vector, [bipyramid(cross_polytope(m)).f_vector] * n)
     elif kind == "cube_cross_swap":
         if m is None or n is None:
             raise ValueError("cube_cross_swap needs source dim m and target dim n")
@@ -308,7 +331,7 @@ def hom_identity_check(
         lhs_description = f"maps from the {m}-cube into the {n}-cross-polytope"
         lhs = build_hom(cube(m), cross_polytope(n)).polytope
         rhs_description = f"maps from the {m - 1}-cube into the {n + 1}-cross-polytope"
-        rhs = build_hom(cube(m - 1), cross_polytope(n + 1)).polytope
+        rhs_f_vector = build_hom(cube(m - 1), cross_polytope(n + 1)).polytope.f_vector
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
-    return IdentityCheckReport(kind, lhs_description, rhs_description, lhs.f_vector, rhs.f_vector)
+    return IdentityCheckReport(kind, lhs_description, rhs_description, lhs.f_vector, rhs_f_vector)

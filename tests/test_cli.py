@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -395,6 +396,15 @@ def test_classify_check_certifies_tight_pairs(tmp_path, capsys):
     assert checked == plain == "rank\tcount\n0\t4\n1\t36\n2\t24\ntotal\t64\nsimple\t0\n"
 
 
+def test_invariant_violation_survives_pickling():
+    # an exception raised in a --jobs worker reaches the parent pickled
+    exc = InvariantViolation("hom-facet-count", "5 facets, expected 6")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is InvariantViolation
+    assert str(back) == str(exc) == "violated invariant hom-facet-count: 5 facets, expected 6"
+    assert (back.property_name, back.detail) == ("hom-facet-count", "5 facets, expected 6")
+
+
 def test_check_rejects_labels_that_misplace_tight_pairs():
     h = build_hom(regular_ngon(3), regular_ngon(3))
     _check_hom(h)
@@ -597,6 +607,49 @@ def test_identity_checks_match(argv, capsys):
     assert code == 0
     assert out.splitlines()[-1] == "match: yes"
     assert out.startswith(f"kind: {argv[1]}\n")
+
+
+# the exact stdout of identity checks, recorded from a version that graded
+# both sides of every check in full; composing a product side's f-vector
+# from its one factor must not move a byte
+IDENTITY_STDOUT = {
+    "cube_bipyramid --m 3 --n 2": (
+        "kind: cube_bipyramid\n"
+        "lhs: maps from the 3-cube into the 2-cube: f-vector (64, 384, 1088, 1792, 1808, 1072, 320, 32, 1)\n"
+        "rhs: 2-fold product of the bipyramid over the 3-cross-polytope: f-vector (64, 384, 1088, 1792, 1808, 1072, 320, 32, 1)\n"
+        "match: yes\n"
+    ),
+    "cube_bipyramid --m 2 --n 2": (
+        "kind: cube_bipyramid\n"
+        "lhs: maps from the 2-cube into the 2-cube: f-vector (36, 144, 240, 204, 88, 16, 1)\n"
+        "rhs: 2-fold product of the bipyramid over the 2-cross-polytope: f-vector (36, 144, 240, 204, 88, 16, 1)\n"
+        "match: yes\n"
+    ),
+    "simplex_power --n 2 --target regular_ngon:4": (
+        "kind: simplex_power\n"
+        "lhs: maps from the 2-simplex into the target: f-vector (64, 192, 240, 160, 60, 12, 1)\n"
+        "rhs: 3-fold product of the target: f-vector (64, 192, 240, 160, 60, 12, 1)\n"
+        "match: yes\n"
+    ),
+    "simplex_power --n 0 --target regular_ngon:64": (
+        "kind: simplex_power\n"
+        "lhs: maps from the 0-simplex into the target: f-vector (64, 64, 1)\n"
+        "rhs: 1-fold product of the target: f-vector (64, 64, 1)\n"
+        "match: yes\n"
+    ),
+    "cube_cross_swap --m 2 --n 2": (
+        "kind: cube_cross_swap\n"
+        "lhs: maps from the 2-cube into the 2-cross-polytope: f-vector (36, 144, 240, 204, 88, 16, 1)\n"
+        "rhs: maps from the 1-cube into the 3-cross-polytope: f-vector (36, 144, 240, 204, 88, 16, 1)\n"
+        "match: yes\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", IDENTITY_STDOUT)
+def test_identity_check_stdout_is_frozen(args, capsys):
+    code, out, err = run_cli(["identity-check", *args.split()], capsys)
+    assert (code, out, err) == (0, IDENTITY_STDOUT[args], "")
 
 
 def test_identity_check_refuses_a_non_decimal_target_size(capsys):

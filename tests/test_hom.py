@@ -1,14 +1,22 @@
 """Unit tests for the polytope of affine maps."""
 
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hompoly import dd, hom
-from hompoly.constructions import cross_polytope, cube, regular_ngon, simplex
+from hompoly import dd, hom, polytope
+from hompoly.constructions import (
+    bipyramid,
+    cross_polytope,
+    cube,
+    product,
+    regular_ngon,
+    simplex,
+)
 from hompoly.errors import GeometryError
 from hompoly.hom import (
     AffineMap,
@@ -205,6 +213,81 @@ def test_identity_cube_cross_swap_2_2():
     assert report.match
 
 
+@pytest.fixture
+def lattice_calls(monkeypatch):
+    """The arguments of every face-lattice grading, recorded as it runs."""
+    calls = []
+    grade = polytope._face_lattice
+
+    def counted(*args):
+        calls.append(args)
+        return grade(*args)
+
+    monkeypatch.setattr(polytope, "_face_lattice", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind, size, graded_vertex_counts",
+    [
+        # the hom, then one factor of the product side
+        ("simplex_power", {"n": 0, "p": regular_ngon(5)}, [5, 5]),
+        ("simplex_power", {"n": 1, "p": cube(2)}, [4, 16]),
+        ("cube_bipyramid", {"m": 1, "n": 1}, [4, 4]),
+        ("cube_bipyramid", {"m": 2, "n": 2}, [6, 36]),
+        # the right side is another hom: both are graded in full
+        ("cube_cross_swap", {"m": 2, "n": 2}, [36, 36]),
+    ],
+)
+def test_identity_grades_the_hom_and_one_factor(kind, size, graded_vertex_counts, lattice_calls):
+    report = hom_identity_check(kind, **size)
+    assert report.match
+    assert sorted(n_vertices for _masks, n_vertices, _dim in lattice_calls) == graded_vertex_counts
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        (cube(2), regular_ngon(5)),
+        (bipyramid(cross_polytope(2)), bipyramid(cross_polytope(2))),
+        (simplex(3), cross_polytope(3)),
+        (simplex(0), regular_ngon(3)),
+        (regular_ngon(4), regular_ngon(4), regular_ngon(4)),
+    ],
+    ids=["square-pentagon", "octahedron-squared", "tetrahedron-octahedron", "point-triangle", "square-cubed"],
+)
+def test_product_f_vector_is_the_graded_products(factors):
+    assert reduce(hom._product_f_vector, [q.f_vector for q in factors]) == reduce(product, factors).f_vector
+
+
+def _moved_apex(apex):
+    """Stands in for ``bipyramid``, with the upper apex moved to ``apex``."""
+
+    def build(base):
+        *rest, _, lower = bipyramid(base).vertices
+        return Polytope.from_vertices([*rest, apex, lower])
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "n, rhs_f_vector",
+    [
+        (1, (6, 10, 6, 1)),
+        (2, (36, 120, 172, 132, 56, 12, 1)),
+    ],
+)
+def test_identity_right_side_is_read_off_the_built_factor(n, rhs_f_vector, monkeypatch):
+    # an apex moved into the base plane makes the factor a pentagonal
+    # pyramid, so the right side no longer matches the hom
+    lhs_f_vector = hom_identity_check("cube_bipyramid", m=2, n=n).lhs_f_vector
+    monkeypatch.setattr(hom, "bipyramid", _moved_apex(vec(1, 1, 0)))
+    report = hom_identity_check("cube_bipyramid", m=2, n=n)
+    assert report.lhs_f_vector == lhs_f_vector
+    assert report.rhs_f_vector == rhs_f_vector
+    assert not report.match
+
+
 def test_identity_guard_refuses_large_dimensions():
     with pytest.raises(ValueError, match="dimension"):
         hom_identity_check("simplex_power", n=3, p=cube(3))
@@ -215,7 +298,7 @@ def test_identity_vertex_guard_refuses_before_building(monkeypatch):
         raise AssertionError("a side was built")
 
     monkeypatch.setattr(hom, "build_hom", build)
-    monkeypatch.setattr(hom, "product", build)
+    monkeypatch.setattr(hom, "_product_f_vector", build)
     limit = hom._IDENTITY_VERTEX_LIMIT
     with pytest.raises(ValueError, match=f"= 40000 vertices, above the vertex limit of {limit}"):
         hom_identity_check("simplex_power", n=1, p=regular_ngon(200))
@@ -237,7 +320,7 @@ def test_identity_guard_bounds_the_source_dimension(kind, size, zero_dim_target,
     def build(*args):
         raise AssertionError("a side was built")
 
-    for name in ("build_hom", "product", "cube", "simplex"):
+    for name in ("build_hom", "_product_f_vector", "cube", "simplex"):
         monkeypatch.setattr(hom, name, build)
     source_dim = size.get("m", size["n"])
     limit = hom._IDENTITY_DIM_LIMIT
