@@ -12,20 +12,18 @@ factor is f read at the pivots and the injective factor is that basis
 placed at the basepoint.  The face-collapse test reads the source's
 face lattice over P/K, as below.
 
-The collapse test rests on three facts.  First, the directions of a
+The collapse test rests on two facts.  First, the directions of a
 face G of the source lie in K = ker L exactly when f is constant on G's
 vertices, since those directions are spanned by vertex differences.
 Second, the fiber of f over a vertex w of f(P) is a face of P whose
 vertices are exactly the vertices sent to w: a functional c exposing w
-on f(P) makes that fiber the face where c . f is maximal on P.  Third,
-no other positive-dimensional face is a whole fiber, so the family of
-fibers over image vertices needs no maximality check.  Say a face G is
-the whole fiber over w.  Let E be the smallest face of f(P) containing
-w and P_E = P cap f^-1(E), the face of P exposed by c . f when c
-exposes E; f maps P_E onto E.  An affine map sends relative interiors
-onto relative interiors (Rockafellar, Convex Analysis, Thm 6.6) and w
-lies in relint E, so G meets relint P_E.  The face G then contains P_E,
-so E = f(P_E) lies in f(G) = {w}: w is a vertex of f(P).
+on f(P) makes that fiber the face where c . f is maximal on P.  The
+family the test reads is these fibers over the vertices of the image,
+those of positive dimension, with the image vertices taken from the
+hull of P/K.  A face whose vertices are all the vertices sent to its
+image point need not be in it: for P = conv{(0,0,0), (2,0,0), (1,1,0),
+(1,1,1)} and f = x the edge {(1,1,0), (1,1,1)} is all the vertices sent
+to 1, and 1 is not a vertex of f(P) = [0, 2].
 
 The verdict depends on f only through K.  Two vertices of P share an
 image exactly when they differ by a kernel vector, so the fiber vertex
@@ -44,9 +42,9 @@ from .hom import AffineMap, HomPolytope, is_vertex_map
 from .linalg import (
     Vector,
     integer_direction,
+    integer_rref,
     mat_rank,
     mat_vec,
-    rref,
     vec_sub,
 )
 from .polytope import (
@@ -111,14 +109,21 @@ def _evaluated_masks(f: AffineMap, p: Polytope, q: Polytope) -> list[int] | None
     return masks
 
 
-def _locate(masks: list[int], q: Polytope) -> tuple[tuple[str, ...], set[int]]:
+def _vertex_lookup(q: Polytope) -> dict[int, int]:
+    """``{facet mask: u}`` over the vertices u of q."""
+    return {m: u for u, m in enumerate(q.vertex_masks)}
+
+
+def _locate(
+    masks: list[int], vertex_of: dict[int, int]
+) -> tuple[tuple[str, ...], set[int]]:
     """Image locations and the vertices of q hit, from tight-facet masks.
 
-    A point of q is the vertex u exactly when its tight facets are u's,
-    since u is the intersection of its facets and distinct vertices have
-    incomparable facet sets.
+    ``vertex_of`` is q's :func:`_vertex_lookup`.  A point of q is the
+    vertex u exactly when its tight facets are u's, since u is the
+    intersection of its facets and distinct vertices have incomparable
+    facet sets.
     """
-    vertex_of = {m: u for u, m in enumerate(q.vertex_masks)}
     locations, hit = [], set()
     for mask in masks:
         u = vertex_of.get(mask)
@@ -137,7 +142,9 @@ def surjective_onto(f: AffineMap, p: Polytope, q: Polytope) -> bool:
     the image of a vertex of P; no image hull is needed.
     """
     masks = _evaluated_masks(f, p, q)
-    return masks is not None and len(_locate(masks, q)[1]) == q.n_vertices
+    if masks is None:
+        return False
+    return len(_locate(masks, _vertex_lookup(q))[1]) == q.n_vertices
 
 
 def image_vertex_locations(
@@ -152,7 +159,7 @@ def image_vertex_locations(
     masks = _evaluated_masks(f, p, q)
     if masks is None:
         raise GeometryError("map does not send the source into the target")
-    return _locate(masks, q)[0]
+    return _locate(masks, _vertex_lookup(q))[0]
 
 
 def is_deflation(
@@ -171,7 +178,7 @@ def is_deflation(
     masks = _evaluated_masks(f, p, q)
     if masks is None:
         return False
-    locations, hit = _locate(masks, q)
+    locations, hit = _locate(masks, _vertex_lookup(q))
     if len(hit) < q.n_vertices or not is_vertex_map(f, h):
         return False
     return "boundary" not in locations
@@ -181,39 +188,18 @@ def is_face_collapse(f: AffineMap, p: Polytope) -> bool:
     """Whether f collapses a canonical family of faces of p.
 
     The family is the positive-dimensional fibers over the vertices of
-    the image.  True when the family is nonempty and its directions span
-    exactly ker(linear part).  A bijective f has an empty family and
-    returns False.  Maximality needs no check: a positive-dimensional
-    face of p that is the whole fiber over its image point lies over a
-    vertex of the image, so it is already in the family.
-
-    Two identities keep the test on vertex images and the face lattice.
-    The directions of a face G lie in the kernel exactly when f is
-    constant on G's vertices.  The fiber over a vertex w of f(P) is the
-    face where c . f is maximal on P, for any functional c exposing w,
-    so its vertices are exactly those sent to w.  The echelon rows of
-    the linear part, of the same kernel and full rank, give the images.
+    the image, which :func:`_collapsed_faces` finds by the hull of P/K.
+    True when the family is nonempty and its directions span exactly
+    ker(linear part).  A bijective f has an empty family and returns
+    False.  A face that is not a fiber over an image vertex is not in
+    the family, even when its vertices are all the vertices sent to its
+    image point (see the module docstring).
     """
-    rows = rref(f.linear)[0]
+    rows = integer_rref(f.linear)[0]
     kernel_dim = f.source_dim - len(rows)
     if kernel_dim == 0:
         return False
-    projected = tuple(mat_vec(rows, v) for v in p.vertices)
-    fibers: dict[Vector, frozenset[int]] = {}
-    for i, y in enumerate(projected):
-        fibers[y] = fibers.get(y, frozenset()) | {i}
-    face_of = {face.vertices: face for face in p.faces}
-
-    # canonical family: fibers over image vertices with positive dimension
-    family: list[Face] = []
-    for w in Polytope.from_points(projected).vertices:
-        match = face_of.get(fibers.get(w, frozenset()))
-        if match is None:
-            raise RuntimeError(
-                "fiber of an image vertex is not a face of the source"
-            )
-        if match.dim > 0:
-            family.append(match)
+    family = _collapsed_faces(rows, p)
     if not family:
         return False
 
@@ -224,6 +210,33 @@ def is_face_collapse(f: AffineMap, p: Polytope) -> bool:
         for i in face.vertices
     )
     return mat_rank(differences) == kernel_dim
+
+
+def _collapsed_faces(rows: list[tuple[int, ...]], p: Polytope) -> list[Face]:
+    """The positive-dimensional fibers over the image's vertices, as faces of p.
+
+    ``rows`` are the integer echelon rows of the linear part, of the same
+    kernel K and of full rank, so they map P onto a copy of P/K.  The
+    directions of a face lie in K exactly when f is constant on its
+    vertices, and the fiber over a vertex w of the image is the face
+    where c . f is maximal on P, for any functional c exposing w, so
+    its vertices are exactly those sent to w.
+    """
+    projected = tuple(mat_vec(rows, v) for v in p.vertices)
+    fibers: dict[Vector, frozenset[int]] = {}
+    for i, y in enumerate(projected):
+        fibers[y] = fibers.get(y, frozenset()) | {i}
+    face_of = {face.vertices: face for face in p.faces}
+    family: list[Face] = []
+    for w in Polytope.from_points(projected).vertices:
+        match = face_of.get(fibers.get(w, frozenset()))
+        if match is None:
+            raise RuntimeError(
+                "fiber of an image vertex is not a face of the source"
+            )
+        if match.dim > 0:
+            family.append(match)
+    return family
 
 
 @dataclass(frozen=True)
@@ -280,23 +293,26 @@ def classify_all(
     The face-collapse verdict depends only on the kernel K of the linear
     part: fiber sets are cosets of K and the image vertices are the
     vertices of P/K.  So ``is_face_collapse`` runs once per kernel within
-    this call, keyed by the RREF rows of the linear part, the canonical
-    basis of the row space whose orthogonal complement is K.  A map of
-    full rank has no kernel and is never a face collapse.
+    this call, keyed by :func:`~hompoly.linalg.integer_rref` of the
+    linear part: the reduced row echelon rows as primitive integers, a
+    canonical basis of the row space whose orthogonal complement is K.
+    Their count is the rank.  A map of full rank has no kernel and is
+    never a face collapse.
     """
     p, q = h.source, h.target
     records: list[MapClassification] = []
     rank_counts: dict[int, int] = {}
     simple_count = 0
-    collapse_by_kernel: dict[tuple[Vector, ...], bool] = {}
+    collapse_by_kernel: dict[tuple[tuple[int, ...], ...], bool] = {}
     masks = h.polytope.vertex_masks
+    vertex_of = _vertex_lookup(q)
     for index in range(h.polytope.n_vertices):
         f = h.map_at_vertex(index)
-        row_space = tuple(rref(f.linear)[0])
+        row_space = tuple(integer_rref(f.linear)[0])
         rank = len(row_space)
         active = masks[index].bit_count()
         simple = active == h.polytope.dim
-        locations, hit = _locate(h.tight_masks(index), q)
+        locations, hit = _locate(h.tight_masks(index), vertex_of)
         surjective = len(hit) == q.n_vertices
         deflation = rank < p.dim and surjective and "boundary" not in locations
         if rank < f.source_dim and row_space not in collapse_by_kernel:

@@ -12,7 +12,9 @@ fraction-free elimination, :func:`_echelon`, in the integer-preserving
 spirit of Bareiss: each row is scaled to integers, reduced against the
 rows kept so far by cross-multiplication, and divided by the gcd of its
 entries, so no ``Fraction`` is built until :func:`rref` normalizes its
-pivots.  :func:`mat_det` is the one exception; it runs Bareiss itself.
+pivots.  :func:`integer_rref` stops one step short of that and gives
+the reduced rows as primitive integers, a canonical integer key for a
+row space.  :func:`mat_det` is the one exception; it runs Bareiss itself.
 The vertex enumeration engine (:mod:`hompoly.dd`) runs on its own
 scalar arithmetic and takes only :func:`integer_direction` from here.
 
@@ -130,12 +132,18 @@ def independent_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[int]:
     return _echelon(rows)[0]
 
 
-def rref(m: Iterable[Sequence[Fraction | int]]) -> tuple[list[Vector], list[int]]:
-    """Nonzero rows of the reduced row echelon form, and their pivot columns.
+def integer_rref(
+    m: Iterable[Sequence[Fraction | int]],
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Reduced row echelon rows as primitive integers, and their pivot columns.
 
     Integer back-substitution on :func:`_echelon`'s rows, bottom up, keeps
-    each row primitive and zero in every pivot column but its own; then
-    each row is divided by its pivot entry.
+    each row primitive and zero in every pivot column but its own; each
+    row is then signed so that its pivot entry is positive.  Row i is the
+    one primitive integer multiple of reduced row echelon row i with a
+    positive pivot, so the rows are a canonical integer basis of the row
+    space: equal for matrices with the same row space, and as many as the
+    rank.
     """
     reduced = _echelon(m)[1]
     pivots = [pc for pc, _ in reduced]
@@ -144,6 +152,18 @@ def rref(m: Iterable[Sequence[Fraction | int]]) -> tuple[list[Vector], list[int]
         for pc, y in zip(pivots[i + 1 :], rows[i + 1 :]):
             if rows[i][pc]:
                 rows[i] = _cancel(rows[i], y, pc)
+    return [
+        tuple(x) if x[pc] > 0 else tuple(-e for e in x)
+        for pc, x in zip(pivots, rows)
+    ], pivots
+
+
+def rref(m: Iterable[Sequence[Fraction | int]]) -> tuple[list[Vector], list[int]]:
+    """Nonzero rows of the reduced row echelon form, and their pivot columns.
+
+    Each row of :func:`integer_rref` divided by its pivot entry.
+    """
+    rows, pivots = integer_rref(m)
     return [
         tuple(Fraction(e, x[pc]) for e in x) for pc, x in zip(pivots, rows)
     ], pivots

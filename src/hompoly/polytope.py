@@ -21,6 +21,15 @@ and duplicates are dropped and the vertices sorted; rows that do not
 define a facet, or repeat one, are dropped and the rest keep their
 order.  Both filters read the incidences the completion computes anyway.
 
+Both passes call :func:`hompoly.dd.enumerate_vertices`.  The H->V
+pass hands it the rows in the lexicographic order of their homogenized
+rows (b, -a): insertion order governs how large the double description
+grows, and on the hom systems this order needs far fewer steps than
+input order.  The masks it returns are mapped back to input numbering,
+since rows may be labels (a hom's rows are its (vertex, facet) pairs)
+and every incidence consumer reads bit j as input row j.  The V->H pass
+keeps input order.
+
 Completion requires full-dimensional input.  Lower-dimensional point
 sets must go through :func:`chart_project` first; the error says so.
 For an inequality system the error names a row that is tight at every
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Literal
 
 from . import dd
@@ -158,11 +168,23 @@ def _vertices_of_system(
 ) -> list[tuple[Vector, int]]:
     """Sorted vertices with activity masks over the given inequality order.
 
+    The engine takes the rows in the lexicographic order of their
+    homogenized rows (b, -a), which keeps the double description's
+    intermediate cones small on the hom systems, and each returned mask
+    is mapped back so that bit j still means input row j; labelled rows
+    and facet masks are read in input numbering.  The vertices are then
+    sorted lexicographically by exact integer keys, their numerators
+    over the common denominator of all coordinates, which order them as
+    the rationals do.
+
     Requires the feasible set to be a full-dimensional polytope; bounded
     lower-dimensional sets raise :class:`LowerDimensionalError`.  A
     bounded feasible set is lower-dimensional exactly when some row is
     tight at every vertex (an implicit equality), which the activity
-    masks show; the hull dimension is computed only for the message.
+    masks show; the error names the first such input row, and the hull
+    dimension is computed only for the message.  The direction an
+    :class:`UnboundedError` carries is a recession direction, but which
+    one may depend on the engine's row order.
     """
     if ambient_dim == 0:
         # the only candidate point is the empty tuple; constraints reduce
@@ -177,10 +199,23 @@ def _vertices_of_system(
     if not inequalities:
         # the empty system is all of R^d
         raise UnboundedError(tuple(Fraction(int(i == 0)) for i in range(ambient_dim)))
-    normals = [iq.normal for iq in inequalities]
-    offsets = [iq.offset for iq in inequalities]
-    found = dd.enumerate_vertices(normals, offsets)
-    found.sort(key=lambda item: item[0])
+    order = sorted(
+        range(len(inequalities)),
+        key=lambda j: (inequalities[j].offset, *(-e for e in inequalities[j].normal)),
+    )
+    found = dd.enumerate_vertices(
+        [inequalities[j].normal for j in order],
+        [inequalities[j].offset for j in order],
+    )
+    bit_of = [1 << j for j in order]
+    found = [
+        (point, sum(bit_of[i] for i in dd._bits(mask))) for point, mask in found
+    ]
+    denominators = {e.denominator for point, _ in found for e in point}
+    common = lcm(*denominators)
+    scale = {d: common // d for d in denominators}
+    # integer keys compare in C; each denominator's scale is divided out once
+    found.sort(key=lambda item: [e.numerator * scale[e.denominator] for e in item[0]])
     implicit = -1
     for _, mask in found:
         implicit &= mask
@@ -381,8 +416,12 @@ class Polytope:
             assert self._inequalities is not None
             found = _vertices_of_system(self._inequalities, self.ambient_dim)
             self._vertices = tuple(p for p, _ in found)
-            masks = _transpose((m for _, m in found), len(self._inequalities))
-            if not self._checked:
+            vertex_masks = tuple(m for _, m in found)
+            masks = _transpose(vertex_masks, len(self._inequalities))
+            if self._checked:
+                # every row is kept, so these are the vertex masks already
+                self._vertex_masks = vertex_masks
+            else:
                 keep = _facet_rows(self._inequalities, masks, len(found))
                 self._inequalities = tuple(self._inequalities[j] for j in keep)
                 masks = tuple(masks[j] for j in keep)

@@ -28,6 +28,7 @@ from hompoly.constructions import (
 from hompoly.errors import GeometryError, OutsideHullError
 from hompoly.hom import AffineMap, HomPolytope, build_hom, is_vertex_map
 from hompoly.linalg import (
+    integer_rref,
     mat_rank,
     mat_vec,
     nullspace_basis,
@@ -550,7 +551,8 @@ def _image_vertices(f, p):
 
 
 def _assert_full_fibers_lie_over_image_vertices(f, p):
-    # is_face_collapse relies on this in place of a maximality scan
+    # a face that holds every vertex sent to w holds the whole fiber over
+    # w exactly when w is a vertex of the image
     image_vertices = _image_vertices(f, p)
     for face, w in _vertex_fiber_faces(f, p):
         full = _fiber_is_contained_in_face(f, p, w, face)
@@ -609,6 +611,26 @@ def test_face_collapse_needs_no_maximality_scan():
         assert not _fiber_is_contained_in_face(f, p, w, face)
     assert is_face_collapse(f, p)
     assert reference_is_face_collapse(f, p)
+
+
+def test_a_whole_vertex_fiber_over_a_non_vertex_is_not_in_the_family():
+    # f = x sends the edge {(1,1,0), (1,1,1)} and no other vertex to 1,
+    # which is not a vertex of the image [0, 2]: the family is the fibers
+    # over 0 and 2, two single vertices, so the edge is not in it
+    p = Polytope.from_points(((0, 0, 0), (2, 0, 0), (1, 1, 0), (1, 1, 1)))
+    f = AffineMap(((Fraction(1), Fraction(0), Fraction(0)),), (Fraction(0),))
+    faces = {face.vertices: face for face in p.faces}
+    edge = faces[
+        frozenset(i for i, v in enumerate(p.vertices) if f.apply(v) == (1,))
+    ]
+    assert edge.dim == 1
+    assert {p.vertices[i] for i in edge.vertices} == {(1, 1, 0), (1, 1, 1)}
+    assert _image_vertices(f, p) == {(0,), (2,)}
+    family = classify._collapsed_faces(integer_rref(f.linear)[0], p)
+    assert edge not in family
+    assert family == []
+    assert not is_face_collapse(f, p)
+    assert not reference_is_face_collapse(f, p)
 
 
 # -- full classification -----------------------------------------------

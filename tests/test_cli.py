@@ -396,6 +396,34 @@ def test_classify_check_certifies_tight_pairs(tmp_path, capsys):
     assert checked == plain == "rank\tcount\n0\t4\n1\t36\n2\t24\ntotal\t64\nsimple\t0\n"
 
 
+# V-files and the exact `classify` stdout for them, recorded from a version
+# that ran the hom's H->V pass in input row order and sorted with Fraction
+# keys; the row order and integer keys must not move a byte
+CLASSIFY_V_FILES = {
+    "p6": "V 2 6\n2 0\n1 1\n-1 1\n-2 0\n-1 -1\n1 -1\n",
+    "cube3": "V 3 8\n-1 -1 -1\n-1 -1 1\n-1 1 -1\n-1 1 1\n1 -1 -1\n1 -1 1\n1 1 -1\n1 1 1\n",
+    "cube2": "V 2 4\n-1 -1\n-1 1\n1 -1\n1 1\n",
+    "cross3": "V 3 6\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n",
+    "simplex2": "V 2 3\n0 0\n1 0\n0 1\n",
+}
+CLASSIFY_STDOUT = {
+    ("p6", "p6"): "rank\tcount\n0\t6\n1\t90\n2\t84\ntotal\t180\nsimple\t72\n",
+    ("cube3", "cube2"): "rank\tcount\n0\t4\n1\t36\n2\t24\ntotal\t64\nsimple\t0\n",
+    ("cross3", "simplex2"): "rank\tcount\n0\t3\n1\t24\ntotal\t27\nsimple\t0\n",
+}
+
+
+@pytest.mark.parametrize("pair", CLASSIFY_STDOUT, ids="->".join)
+def test_classify_stdout_is_frozen(pair, tmp_path, capsys):
+    paths = []
+    for stem in pair:
+        path = tmp_path / f"{stem}.v"
+        path.write_text(CLASSIFY_V_FILES[stem])
+        paths.append(str(path))
+    code, out, err = run_cli(["classify", *paths], capsys)
+    assert (code, out, err) == (0, CLASSIFY_STDOUT[pair], "")
+
+
 def test_invariant_violation_survives_pickling():
     # an exception raised in a --jobs worker reaches the parent pickled
     exc = InvariantViolation("hom-facet-count", "5 facets, expected 6")

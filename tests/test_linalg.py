@@ -12,6 +12,7 @@ from hompoly.linalg import (
     canonical_inequality,
     independent_rows,
     integer_direction,
+    integer_rref,
     mat,
     mat_det,
     mat_inverse,
@@ -261,6 +262,61 @@ def test_rref_matches_sympy(sympy, m):
     rows, pivots = rref(m)
     assert pivots == list(expected_pivots)
     assert rows == [_from_sympy(expected.row(i)) for i in range(len(pivots))]
+
+
+@st.composite
+def same_row_space(draw):
+    """A matrix and another with the same row space: its rows scaled by
+    nonzero factors, combined with multiples of one another and permuted,
+    with zero rows and repeats added."""
+    m = draw(rational_matrices())
+    rows = [list(row) for row in m]
+    nonzero = small_fractions.filter(bool)
+    for i in range(len(rows)):
+        factor = draw(nonzero)
+        rows[i] = [factor * e for e in rows[i]]
+        for j in range(len(rows)):
+            if j != i and draw(st.booleans()):
+                c = draw(small_fractions)
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    if m and draw(st.booleans()):
+        rows.append([Fraction(0)] * len(m[0]))
+        rows.append(list(draw(st.sampled_from(rows))))
+    return m, tuple(tuple(row) for row in draw(st.permutations(rows)))
+
+
+def _same_row_space(a, b):
+    return mat_rank(a) == mat_rank(b) == mat_rank(a + b)
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_integer_rref_rows_are_the_rref_rows_made_primitive(m):
+    rows, pivots = integer_rref(m)
+    assert len(rows) == mat_rank(m)
+    assert (
+        [tuple(Fraction(e, x[pc]) for e in x) for pc, x in zip(pivots, rows)],
+        pivots,
+    ) == rref(m)
+    for pc, x in zip(pivots, rows):
+        assert all(type(e) is int for e in x)
+        assert gcd(*x) == 1 and x[pc] > 0
+
+
+@given(same_row_space())
+@settings(max_examples=100, deadline=None)
+def test_integer_rref_is_equal_for_equal_row_spaces(pair):
+    m, twin = pair
+    assert _same_row_space(m, twin)
+    assert integer_rref(twin)[0] == integer_rref(m)[0]
+
+
+@given(rational_matrices(), rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_integer_rref_differs_for_different_row_spaces(a, b):
+    if a and b and len(a[0]) != len(b[0]):
+        return
+    assert (integer_rref(a)[0] == integer_rref(b)[0]) == _same_row_space(a, b)
 
 
 @given(rational_matrices())

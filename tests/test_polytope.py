@@ -448,6 +448,73 @@ def test_redundant_rows_filtered_like_the_affine_hull_rule(system):
     assert set(p.vertices) == set(vertices)
 
 
+@st.composite
+def systems_with_repeats_and_equalities(draw):
+    """Redundant systems with exact repeats of rows, some also with a
+    reversed row: a facet or a redundant row turned around, at its own
+    offset (an implicit equality, or nothing left) or shifted (a slab, or
+    nothing left); all shuffled together."""
+    rows, _, d = draw(redundant_systems())
+    rows = list(rows)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(draw(st.sampled_from(rows)))
+    if draw(st.booleans()):
+        iq = draw(st.sampled_from(rows))
+        shift = draw(st.sampled_from((0, 0, Fraction(1, 2), 1, -1)))
+        rows.append(Inequality(tuple(-e for e in iq.normal), shift - iq.offset))
+    return tuple(draw(st.permutations(rows))), d
+
+
+def _input_order_reference(rows, d):
+    """What completion gives when the engine takes the rows in input order
+    and the vertices are sorted by their ``Fraction`` coordinates: the
+    vertices and the facet masks, or the error and the row it names."""
+    try:
+        found = dd.enumerate_vertices(
+            [iq.normal for iq in rows], [iq.offset for iq in rows]
+        )
+    except GeometryError as err:
+        return type(err)
+    found.sort(key=lambda item: item[0])
+    implicit = -1
+    for _, mask in found:
+        implicit &= mask
+    if implicit:
+        return LowerDimensionalError, dd._bits(implicit)[0]
+    masks = polytope_module._transpose((m for _, m in found), len(rows))
+    return tuple(v for v, _ in found), masks
+
+
+def _completed(p):
+    try:
+        vertices, masks = p.vertices, p.facet_masks
+        assert p.vertex_masks == polytope_module._transpose(masks, len(vertices))
+        return vertices, masks
+    except LowerDimensionalError as err:
+        return LowerDimensionalError, err.tight_row
+    except GeometryError as err:
+        return type(err)
+
+
+@given(systems_with_repeats_and_equalities())
+@settings(max_examples=150, deadline=None)
+def test_row_order_of_the_engine_does_not_show(system):
+    # the engine takes the rows in lexicographic order of (b, -a); the
+    # vertices, their order, the masks in input numbering and the row an
+    # implicit equality names must be as in input order
+    rows, d = system
+    expected = _input_order_reference(rows, d)
+    checked = Polytope.from_inequalities(rows, d, assume_irredundant=True)
+    assert _completed(checked) == expected
+    unchecked = Polytope.from_inequalities(rows, d)
+    if isinstance(expected, tuple) and expected[0] is not LowerDimensionalError:
+        vertices, masks = expected
+        keep = polytope_module._facet_rows(rows, masks, len(vertices))
+        expected = vertices, tuple(masks[j] for j in keep)
+        assert unchecked.inequalities == tuple(rows[j] for j in keep)
+    assert _completed(unchecked) == expected
+
+
 @pytest.fixture
 def dd_calls(monkeypatch):
     calls = []
