@@ -116,8 +116,8 @@ def _vertex_lookup(q: Polytope) -> dict[int, int]:
 
 def _locate(
     masks: list[int], vertex_of: dict[int, int]
-) -> tuple[tuple[str, ...], set[int]]:
-    """Image locations and the vertices of q hit, from tight-facet masks.
+) -> tuple[tuple[str, ...], bool]:
+    """Image locations, and whether every vertex of q is hit, from facet masks.
 
     ``vertex_of`` is q's :func:`_vertex_lookup`.  A point of q is the
     vertex u exactly when its tight facets are u's, since u is the
@@ -132,7 +132,14 @@ def _locate(
         locations.append(
             "vertex" if u is not None else "boundary" if mask else "interior"
         )
-    return tuple(locations), hit
+    return tuple(locations), len(hit) == len(vertex_of)
+
+
+def _deflates(
+    rank: int, p: Polytope, locations: tuple[str, ...], surjective: bool
+) -> bool:
+    """Deflation short of the vertex test: rank below dim p, onto q, no boundary image."""
+    return rank < p.dim and surjective and "boundary" not in locations
 
 
 def surjective_onto(f: AffineMap, p: Polytope, q: Polytope) -> bool:
@@ -144,7 +151,7 @@ def surjective_onto(f: AffineMap, p: Polytope, q: Polytope) -> bool:
     masks = _evaluated_masks(f, p, q)
     if masks is None:
         return False
-    return len(_locate(masks, _vertex_lookup(q))[1]) == q.n_vertices
+    return _locate(masks, _vertex_lookup(q))[1]
 
 
 def image_vertex_locations(
@@ -173,15 +180,11 @@ def is_deflation(
     admitting them would break the containment of deflations in
     face-collapses that the rest of the classification relies on.
     """
-    if map_rank(f) >= p.dim:
-        return False
     masks = _evaluated_masks(f, p, q)
     if masks is None:
         return False
-    locations, hit = _locate(masks, _vertex_lookup(q))
-    if len(hit) < q.n_vertices or not is_vertex_map(f, h):
-        return False
-    return "boundary" not in locations
+    located = _locate(masks, _vertex_lookup(q))
+    return _deflates(map_rank(f), p, *located) and is_vertex_map(f, h)
 
 
 def is_face_collapse(f: AffineMap, p: Polytope) -> bool:
@@ -196,7 +199,7 @@ def is_face_collapse(f: AffineMap, p: Polytope) -> bool:
     image point (see the module docstring).
     """
     rows = integer_rref(f.linear)[0]
-    kernel_dim = f.source_dim - len(rows)
+    kernel_dim = p.ambient_dim - len(rows)
     if kernel_dim == 0:
         return False
     family = _collapsed_faces(rows, p)
@@ -312,10 +315,9 @@ def classify_all(
         rank = len(row_space)
         active = masks[index].bit_count()
         simple = active == h.polytope.dim
-        locations, hit = _locate(h.tight_masks(index), vertex_of)
-        surjective = len(hit) == q.n_vertices
-        deflation = rank < p.dim and surjective and "boundary" not in locations
-        if rank < f.source_dim and row_space not in collapse_by_kernel:
+        locations, surjective = _locate(h.tight_masks(index), vertex_of)
+        deflation = _deflates(rank, p, locations, surjective)
+        if rank < p.ambient_dim and row_space not in collapse_by_kernel:
             collapse_by_kernel[row_space] = is_face_collapse(f, p)
         collapse = collapse_by_kernel.get(row_space, False)
         records.append(

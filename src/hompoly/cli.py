@@ -6,8 +6,9 @@ and is deterministic: the same inputs and flags produce byte-identical
 output.  ``--jobs`` distributes independent table rows over processes,
 never more than there are rows or CPUs, and only changes wall time,
 never content or order.
-``--check`` turns on assertion mode, which re-verifies the documented
-invariants along the way and aborts naming the violated property.
+``--check`` turns on assertion mode, which re-verifies the invariants
+of :mod:`hompoly.checks` along the way and aborts naming the violated
+property.
 
 Validation happens in two places.  argparse checks the shape of the
 command line: the subcommand, the kind names, the positional inputs and
@@ -28,16 +29,11 @@ from collections.abc import Callable
 from functools import cache
 from pathlib import Path
 
+from .checks import check_certificate, check_graph_accepted, check_hom, check_table_row
 from .classify import classify_all
-from .coincidence import (
-    build_generic_matrix,
-    certify_nonvanishing,
-    enumerate_graphs,
-    evaluate_matrix,
-    reject_reason,
-)
+from .coincidence import certify_nonvanishing, enumerate_graphs, reject_reason
 from .constructions import STOCK, check_size, standard
-from .errors import GeometryError, LowerDimensionalError
+from .errors import GeometryError
 from .hom import IDENTITY_KINDS, HomPolytope, build_hom, hom_identity_check
 from .polyio import (
     MAX_SCALAR_LENGTH,
@@ -47,109 +43,12 @@ from .polyio import (
     write_labels,
     write_vrep,
 )
-from .linalg import mat_rank
-from .polytope import _facet_rows, contains_point
-from .regular import (
-    CountRow,
-    TableDiagnostics,
-    check_survey_size,
-    closed_form_counts,
-    table_row,
-)
+from .regular import CountRow, TableDiagnostics, check_survey_size, table_row
 
 # A rounded coordinate is written as sign, at most D numerator digits,
 # "/" and the D + 1 digits of 10^D: 2D + 3 characters, which read_polytope
 # must accept.
 MAX_DIGITS = (MAX_SCALAR_LENGTH - 3) // 2
-
-
-class InvariantViolation(RuntimeError):
-    """An assertion-mode re-check failed; carries the property's name."""
-
-    def __init__(self, property_name: str, detail: str):
-        super().__init__(f"violated invariant {property_name}: {detail}")
-        self.property_name = property_name
-        self.detail = detail
-
-    def __reduce__(self):
-        # rebuild from both arguments; the default passes only the message
-        return type(self), (self.property_name, self.detail)
-
-
-# -- assertion-mode re-checks -------------------------------------------
-
-
-def _check_hom(h: HomPolytope) -> None:
-    dp, dq = h.source.ambient_dim, h.target.ambient_dim
-    try:
-        dim = h.polytope.dim
-    except LowerDimensionalError as exc:
-        dim = exc.hull_dim
-    if dim != dp * dq + dq:
-        raise InvariantViolation(
-            "hom-dimension-law", f"dim {dim} != {dp}*{dq}+{dq}"
-        )
-    expected = h.source.n_vertices * h.target.n_facets
-    if h.polytope.n_facets != expected:
-        raise InvariantViolation(
-            "hom-facet-count",
-            f"{h.polytope.n_facets} facets, expected {expected}",
-        )
-    # the filter an unchecked description runs, on the hom's own masks
-    kept = _facet_rows(
-        h.polytope.inequalities, h.polytope.facet_masks, h.polytope.n_vertices
-    )
-    if len(kept) != h.polytope.n_facets:
-        raise InvariantViolation(
-            "hom-facet-irredundancy",
-            f"irredundancy pass kept {len(kept)} of "
-            f"{h.polytope.n_facets} inequalities",
-        )
-    # classification reads the target facets tight at f(v) off the hom
-    # facets tight at f; certify that reading against exact evaluation
-    for index in range(h.polytope.n_vertices):
-        f = h.map_at_vertex(index)
-        masks = h.tight_masks(index)
-        for v, mask in zip(h.source.vertices, masks, strict=True):
-            hit = contains_point(h.target, f.apply(v))
-            if hit.kind == "outside":
-                raise InvariantViolation(
-                    "vertex-map-containment",
-                    f"map {f.to_point()} sends {v} outside the target",
-                )
-            marked = {k for k in range(h.target.n_facets) if mask >> k & 1}
-            if hit.active != marked:
-                raise InvariantViolation(
-                    "vertex-map-tight-pairs",
-                    f"map {f.to_point()} is tight at {v} on target facets "
-                    f"{sorted(hit.active)}, its hom facets mark {sorted(marked)}",
-                )
-
-
-def _check_row(row: CountRow, diag: TableDiagnostics) -> None:
-    if row.rank0 + row.rank1 + row.rank2 != row.total:
-        raise InvariantViolation(
-            "table-total-sum", f"({row.m},{row.n}) ranks do not sum to total"
-        )
-    forms = closed_form_counts(row.m, row.n)
-    if row.rank0 != forms.rank0 or row.rank1 != forms.rank1:
-        raise InvariantViolation(
-            "table-low-rank-closed-forms",
-            f"({row.m},{row.n}) got rank0={row.rank0} rank1={row.rank1}, "
-            f"closed forms say {forms.rank0}, {forms.rank1}",
-        )
-    if not diag.divisibility.ok:
-        raise InvariantViolation(
-            "table-divisibility",
-            f"({row.m},{row.n}) total {row.total}: "
-            + "; ".join(diag.divisibility.reasons),
-        )
-    if diag.closed_form_mismatches:
-        raise InvariantViolation(
-            "table-closed-form-match",
-            f"({row.m},{row.n}) cells disagree with closed forms: "
-            f"{diag.closed_form_mismatches}",
-        )
 
 
 # -- command bodies ------------------------------------------------------
@@ -185,7 +84,7 @@ def _read_hom(args: argparse.Namespace) -> HomPolytope:
     p, q = (read_polytope(Path(f).read_text()) for f in (args.source, args.target))
     h = build_hom(p, q)
     if args.check:
-        _check_hom(h)
+        check_hom(h)
     return h
 
 
@@ -254,7 +153,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple[Emission, int]:
     lines = ["m\tn\trank0\trank1\trank2\ttotal\tprovenance"]
     for row, diag in results:
         if args.check:
-            _check_row(row, diag)
+            check_table_row(row, diag)
         elif not diag.divisibility.ok:
             print(
                 f"hompoly: warning: ({row.m},{row.n}) fails divisibility: "
@@ -273,20 +172,11 @@ def _cmd_graphs(args: argparse.Namespace) -> tuple[Emission, int]:
     for g in enumerate_graphs():
         # decided before certifying: a rejected graph has no matrix
         status = reject_reason(g)
-        if args.check and status != "accepted":
-            raise InvariantViolation(
-                "enumerated-graphs-accepted", f"edges {g.edges} came out {status}"
-            )
+        if args.check:
+            check_graph_accepted(g, status)
         cert = certify_nonvanishing(g)
-        # a rank on the echelon kernel, independent of mat_det's Bareiss
-        if args.check and (
-            cert.det_value == 0
-            or mat_rank(evaluate_matrix(build_generic_matrix(g), cert.point)) != 7
-        ):
-            raise InvariantViolation(
-                "certificate-nonzero",
-                f"{cert.encoding} is singular at its certificate point",
-            )
+        if args.check:
+            check_certificate(g, cert)
         point = " ".join(
             f"{name}={value}"
             for name, value in zip(cert.variables, cert.point)

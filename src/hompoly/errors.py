@@ -1,9 +1,11 @@
-"""Shared exception types for the geometric layers.
+"""Shared exception types.
 
-Everything derives from :class:`GeometryError` so callers that only
+Input failures derive from :class:`GeometryError` so callers that only
 care about "the input was not a bounded full-dimensional polytope" can
 catch one type, while tests and the CLI can branch on the specific
-failure and report the attached witness data.
+failure and report the attached witness data.  :class:`InvariantViolation`,
+raised by :mod:`hompoly.checks`, is a fault of the program, not of the
+input, and so a ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -62,3 +64,16 @@ class LowerDimensionalError(GeometryError):
 
 class OutsideHullError(GeometryError):
     """A point handed to a chart does not lie in the chart's affine hull."""
+
+
+class InvariantViolation(RuntimeError):
+    """An assertion-mode re-check failed; carries the property's name."""
+
+    def __init__(self, property_name: str, detail: str):
+        super().__init__(f"violated invariant {property_name}: {detail}")
+        self.property_name = property_name
+        self.detail = detail
+
+    def __reduce__(self):
+        # rebuild from both arguments; the default passes only the message
+        return type(self), (self.property_name, self.detail)

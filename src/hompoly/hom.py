@@ -9,8 +9,8 @@ attaches them as a trusted irredundant description; nothing is ever
 filtered, and row order doubles as the facet labeling.
 
 Hom coordinates on the space of maps are the entries of L in row-major
-order followed by the entries of t.  ``hom_row`` writes each pair's row
-in them, here, in the survey cone and in the coincidence matrices.
+order followed by the entries of t: ``hom_row`` writes each pair's row
+in them, for every caller, and ``split_point`` reads a point as (L, t).
 
 The constant map at an interior point of Q is strictly interior to the
 hom-polytope, which gives the dimension formula dim P * dim Q + dim Q
@@ -38,10 +38,6 @@ class AffineMap:
     translation: Vector
 
     @property
-    def source_dim(self) -> int:
-        return len(self.linear[0]) if self.linear else 0
-
-    @property
     def target_dim(self) -> int:
         return len(self.translation)
 
@@ -55,16 +51,7 @@ class AffineMap:
 
     @classmethod
     def from_point(cls, point: Vector, source_dim: int, target_dim: int) -> "AffineMap":
-        if len(point) != source_dim * target_dim + target_dim:
-            raise ValueError(
-                f"hom point of length {len(point)} does not match "
-                f"map shape {target_dim}x{source_dim}"
-            )
-        linear = tuple(
-            tuple(point[i * source_dim + j] for j in range(source_dim))
-            for i in range(target_dim)
-        )
-        return cls(linear, tuple(point[source_dim * target_dim:]))
+        return cls(*split_point(point, source_dim, target_dim))
 
     @classmethod
     def constant(cls, source_dim: int, value: Vector) -> "AffineMap":
@@ -127,6 +114,22 @@ def hom_row(v: Sequence, a: Sequence, mul: Callable) -> tuple:
     entries' ring: rationals, number field blocks or polynomials.
     """
     return (*(mul(e, x) for e in a for x in v), *a)
+
+
+def split_point(point: Sequence, source_dim: int, target_dim: int) -> tuple[tuple, tuple]:
+    """The (L, t) of a hom point, of any entry type: ``hom_row``'s layout read back.
+
+    L has ``target_dim`` rows of ``source_dim`` entries, possibly none.
+    """
+    if len(point) != source_dim * target_dim + target_dim:
+        raise ValueError(
+            f"hom point of length {len(point)} does not match "
+            f"map shape {target_dim}x{source_dim}"
+        )
+    linear = tuple(
+        tuple(point[i * source_dim:(i + 1) * source_dim]) for i in range(target_dim)
+    )
+    return linear, tuple(point[source_dim * target_dim:])
 
 
 def build_hom(p: Polytope, q: Polytope) -> HomPolytope:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import dd
-from .hom import hom_row
+from .hom import hom_row, split_point
 from .linalg import Scalar, Vector
 from .numfield import Field, survey_degree, survey_field
 
@@ -301,15 +301,18 @@ def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
     rays = dd.extreme_rays(rows, arithmetic)
 
     det2, d = field.det2, field.degree
+    # a ray is x0, then the map's six entries of D coordinates each;
+    # read once which of the six hold L, not per ray
+    (c11, c12), (c21, c22) = split_point(range(1, 7), 2, 2)[0]
     counts = {0: 0, 1: 0, 2: 0}
     for ray, _ in rays:
-        l11, l12, l21, l22 = (ray[j * d:(j + 1) * d] for j in range(1, 5))
-        if not any(ray[d:5 * d]):
-            rank = 0
-        elif any(det2(l11, l12, l21, l22)):
+        l11, l12, l21, l22 = (ray[c * d:(c + 1) * d] for c in (c11, c12, c21, c22))
+        if any(det2(l11, l12, l21, l22)):
             rank = 2
-        else:
+        elif any(l11 + l12 + l21 + l22):
             rank = 1
+        else:
+            rank = 0
         counts[rank] += 1
     total = len(rays)
 

@@ -688,7 +688,8 @@ def _pair(k: int, l: int):
     return lambda: (_integer_polygon(k), _integer_polygon(l))
 
 
-# the benchmark's classify pairs and the two fixtures above
+# the benchmark's classify pairs, the two fixtures above, and maps into a
+# point, whose linear part has no rows
 RECORD_PAIRS = {
     **{f"p{k} to p{l}": _pair(k, l) for k, l in (
         (6, 6), (3, 4), (4, 6), (6, 4), (3, 6), (6, 3), (4, 4)
@@ -697,6 +698,8 @@ RECORD_PAIRS = {
     "cross3 to simplex2": lambda: (cross_polytope(3), simplex(2)),
     "frustum to triangle": lambda: (frustum(), big_triangle()),
     "wedge to triangle": lambda: (wedge(), big_triangle()),
+    "cube2 to point": lambda: (cube(2), simplex(0)),
+    "simplex2 to point": lambda: (simplex(2), simplex(0)),
 }
 
 
@@ -725,13 +728,18 @@ def test_record_collapse_matches_is_face_collapse(classified):
         )
 
 
+def test_record_deflations_are_face_collapses(classified):
+    _, _, records = classified
+    assert all(r.surj_factor_is_face_collapse for r in records if r.is_deflation)
+
+
 def test_classify_all_tests_collapse_once_per_kernel(monkeypatch):
     p = _integer_polygon(6)
     h = build_hom(p, p)
     collapses, calls = classify.is_face_collapse, []
 
     def counting(f, source):
-        assert map_rank(f) < f.source_dim
+        assert map_rank(f) < source.ambient_dim
         calls.append(f)
         return collapses(f, source)
 
@@ -740,7 +748,7 @@ def test_classify_all_tests_collapse_once_per_kernel(monkeypatch):
     row_spaces = {
         tuple(rref(r.map.linear)[0])
         for r in records
-        if r.rank < r.map.source_dim
+        if r.rank < p.ambient_dim
     }
     assert len(calls) == len(row_spaces) == 4
 
@@ -784,6 +792,11 @@ RECORD_TALLIES = {
         "total": 27, "by_rank": {0: 3, 1: 24}, "simple": 0,
         "active_labels": 324, "surjective": 0, "deflation": 0, "collapse": 27,
         "locations": {"vertex": 162},
+    },
+    "cube2 to point": {
+        "total": 1, "by_rank": {0: 1}, "simple": 1, "active_labels": 0,
+        "surjective": 1, "deflation": 1, "collapse": 1,
+        "locations": {"vertex": 4},
     },
     "cube3 to cube2": {
         "total": 64, "by_rank": {0: 4, 1: 36, 2: 24}, "simple": 0,
@@ -830,6 +843,11 @@ RECORD_TALLIES = {
         "active_labels": 1440, "surjective": 12, "deflation": 0,
         "collapse": 96,
         "locations": {"boundary": 216, "interior": 252, "vertex": 612},
+    },
+    "simplex2 to point": {
+        "total": 1, "by_rank": {0: 1}, "simple": 1, "active_labels": 0,
+        "surjective": 1, "deflation": 1, "collapse": 1,
+        "locations": {"vertex": 3},
     },
     "wedge to triangle": {
         "total": 81, "by_rank": {0: 3, 1: 42, 2: 36}, "simple": 18,

@@ -15,15 +15,21 @@ import pytest
 
 import hompoly.polyio
 import hompoly.cli
-from hompoly.cli import (
-    MAX_DIGITS,
-    InvariantViolation,
-    _check_hom,
-    _check_row,
-    main,
-    worker_count,
+from hompoly.checks import (
+    check_certificate,
+    check_graph_accepted,
+    check_hom,
+    check_table_row,
 )
-from hompoly.coincidence import Certificate, CoincidenceGraph
+from hompoly.cli import MAX_DIGITS, main, worker_count
+from hompoly.coincidence import (
+    Certificate,
+    CoincidenceGraph,
+    certify_nonvanishing,
+    enumerate_graphs,
+    reject_reason,
+)
+from hompoly.errors import InvariantViolation
 from hompoly.constructions import cube, regular_ngon, simplex
 from hompoly.hom import HomPolytope, IdentityCheckReport, build_hom
 from hompoly.polytope import Inequality, Polytope
@@ -435,10 +441,10 @@ def test_invariant_violation_survives_pickling():
 
 def test_check_rejects_labels_that_misplace_tight_pairs():
     h = build_hom(regular_ngon(3), regular_ngon(3))
-    _check_hom(h)
+    check_hom(h)
     rotated = dataclasses.replace(h, labels=h.labels[1:] + h.labels[:1])
     with pytest.raises(InvariantViolation) as caught:
-        _check_hom(rotated)
+        check_hom(rotated)
     assert caught.value.property_name == "vertex-map-tight-pairs"
 
 
@@ -454,7 +460,7 @@ def test_check_rejects_a_decoder_that_drops_a_tight_pair(monkeypatch):
 
     monkeypatch.setattr(HomPolytope, "tight_masks", drop_one)
     with pytest.raises(InvariantViolation) as caught:
-        _check_hom(h)
+        check_hom(h)
     assert caught.value.property_name == "vertex-map-tight-pairs"
 
 
@@ -468,7 +474,7 @@ def test_check_names_the_dimension_law_for_a_flat_hom():
     )
     flat_hom = dataclasses.replace(h, polytope=flat, labels=h.labels + h.labels[:1])
     with pytest.raises(InvariantViolation) as caught:
-        _check_hom(flat_hom)
+        check_hom(flat_hom)
     assert caught.value.property_name == "hom-dimension-law"
     assert "dim 5 != 2*2+2" in str(caught.value)
 
@@ -477,7 +483,7 @@ def test_check_counts_the_facets_against_the_sides():
     # a triangle's nine hom facets, claimed for a square source
     h = build_hom(simplex(2), simplex(2))
     with pytest.raises(InvariantViolation) as caught:
-        _check_hom(dataclasses.replace(h, source=cube(2)))
+        check_hom(dataclasses.replace(h, source=cube(2)))
     assert caught.value.property_name == "hom-facet-count"
     assert "9 facets, expected 12" in str(caught.value)
 
@@ -498,7 +504,7 @@ def test_check_finds_redundant_hom_rows(extra):
     h = build_hom(simplex(2), target)
     assert h.polytope.n_facets == 12
     with pytest.raises(InvariantViolation) as caught:
-        _check_hom(h)
+        check_hom(h)
     assert caught.value.property_name == "hom-facet-irredundancy"
     assert "kept 9 of 12" in str(caught.value)
 
@@ -509,14 +515,14 @@ def test_check_rejects_a_map_that_leaves_the_target():
     h = build_hom(simplex(2), cube(2))
     half = Polytope.from_vertices([(x / 2, y / 2) for x, y in cube(2).vertices])
     with pytest.raises(InvariantViolation) as caught:
-        _check_hom(dataclasses.replace(h, target=half))
+        check_hom(dataclasses.replace(h, target=half))
     assert caught.value.property_name == "vertex-map-containment"
 
 
 @pytest.fixture(scope="module")
 def row_4_4():
     row, diag = table_row(4, 4)
-    _check_row(row, diag)
+    check_table_row(row, diag)
     assert (row.rank0, row.rank1, row.rank2, row.total) == (4, 24, 8, 36)
     return row, diag
 
@@ -544,7 +550,7 @@ def _miscounted(row, diag, **cells):
 )
 def test_table_check_names_each_miscount(row_4_4, cells, name):
     with pytest.raises(InvariantViolation) as caught:
-        _check_row(*_miscounted(*row_4_4, **cells))
+        check_table_row(*_miscounted(*row_4_4, **cells))
     assert caught.value.property_name == name
 
 
@@ -591,13 +597,23 @@ def test_graphs_output_and_determinism(capsys):
     assert hashlib.sha256(first.encode()).hexdigest() == GRAPHS_SHA256
 
 
-def test_graphs_check_reaches_the_acceptance_invariant(monkeypatch, capsys):
-    # a 4-cycle beside three free edges has no generic matrix, so the
-    # status must be checked before a certificate is attempted
-    four_cycle = CoincidenceGraph(
-        ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3), (4, 4))
+# a 4-cycle beside three free edges has no generic matrix, so the status
+# must be checked before a certificate is attempted
+FOUR_CYCLE = CoincidenceGraph(((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3), (4, 4)))
+
+
+def _all_ones(g):
+    """A forged certificate: at the all-ones point every row reads
+    (1, 1, 1, 1, 1, 1, -1), so the matrix has rank 1 whatever determinant
+    the certificate claims."""
+    variables = tuple(f"{x}{b}" for b in g.b_nodes for x in "st") + tuple(
+        f"{x}{a}" for a in g.a_nodes for x in "uv"
     )
-    monkeypatch.setattr(hompoly.cli, "enumerate_graphs", lambda: [four_cycle])
+    return Certificate("forged", variables, (1,) * len(variables), Fraction(1), 1)
+
+
+def test_graphs_check_reaches_the_acceptance_invariant(monkeypatch, capsys):
+    monkeypatch.setattr(hompoly.cli, "enumerate_graphs", lambda: [FOUR_CYCLE])
     code, out, err = run_cli(["graphs", "--check"], capsys)
     assert (code, out) == (1, "")
     assert "violated invariant enumerated-graphs-accepted" in err
@@ -607,19 +623,38 @@ def test_graphs_check_reaches_the_acceptance_invariant(monkeypatch, capsys):
 def test_graphs_check_confirms_the_certificate_without_its_determinant(
     monkeypatch, capsys
 ):
-    # at the all-ones point every row reads (1, 1, 1, 1, 1, 1, -1): the
-    # matrix has rank 1 whatever determinant the certificate claims
-    def all_ones(g):
-        variables = tuple(f"{x}{b}" for b in g.b_nodes for x in "st") + tuple(
-            f"{x}{a}" for a in g.a_nodes for x in "uv"
-        )
-        return Certificate("forged", variables, (1,) * len(variables), Fraction(1), 1)
-
-    monkeypatch.setattr(hompoly.cli, "certify_nonvanishing", all_ones)
+    monkeypatch.setattr(hompoly.cli, "certify_nonvanishing", _all_ones)
     code, out, err = run_cli(["graphs", "--check"], capsys)
     assert (code, out) == (1, "")
     assert "violated invariant certificate-nonzero" in err
     assert "forged" in err
+
+
+def test_graph_checks_pass_an_accepted_graph_and_its_certificate():
+    g = enumerate_graphs()[0]
+    check_graph_accepted(g, reject_reason(g))
+    check_certificate(g, certify_nonvanishing(g))
+
+
+def test_graph_status_check_names_a_rejected_graph():
+    with pytest.raises(InvariantViolation) as caught:
+        check_graph_accepted(FOUR_CYCLE, reject_reason(FOUR_CYCLE))
+    assert caught.value.property_name == "enumerated-graphs-accepted"
+    assert str(caught.value) == (
+        "violated invariant enumerated-graphs-accepted: "
+        f"edges {FOUR_CYCLE.edges} came out rejected(rule 3)"
+    )
+
+
+def test_certificate_check_names_a_forged_certificate():
+    g = enumerate_graphs()[0]
+    with pytest.raises(InvariantViolation) as caught:
+        check_certificate(g, _all_ones(g))
+    assert caught.value.property_name == "certificate-nonzero"
+    assert str(caught.value) == (
+        "violated invariant certificate-nonzero: "
+        "forged is singular at its certificate point"
+    )
 
 
 @pytest.mark.parametrize(

@@ -26,8 +26,10 @@ from hompoly.hom import (
     hom_identity_check,
     hom_row,
     is_vertex_map,
+    split_point,
 )
 from hompoly.linalg import mat, solve_affine_hull, vec, vec_dot
+from hompoly.numfield import survey_field
 from hompoly.polytope import Polytope, contains_point
 
 
@@ -53,6 +55,51 @@ def test_hom_row_dotted_with_a_map_is_the_row_at_its_image(data):
     v, a = data.draw(vectors(dp)), data.draw(vectors(dq))
     f = AffineMap(data.draw(st.tuples(*[vectors(dp)] * dq)), data.draw(vectors(dq)))
     assert vec_dot(hom_row(v, a, mul), f.to_point()) == vec_dot(a, f.apply(v))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_split_point_reads_the_layout_hom_row_writes(data):
+    dp, dq = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    point = data.draw(vectors(dp * dq + dq))
+    v, a = data.draw(vectors(dp)), data.draw(vectors(dq))
+    linear, t = split_point(point, dp, dq)
+    assert [len(row) for row in linear] == [dp] * dq
+    image = AffineMap(linear, t).apply(v)
+    assert vec_dot(hom_row(v, a, mul), point) == vec_dot(a, image)
+    f = AffineMap(data.draw(st.tuples(*[vectors(dp)] * dq)), data.draw(vectors(dq)))
+    assert split_point(f.to_point(), dp, dq) == (f.linear, f.translation)
+    assert AffineMap.from_point(f.to_point(), dp, dq) == f
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_split_point_reads_number_field_entries(data):
+    field = survey_field(5, 5)[0]
+    assert field.degree == 2
+    zero = (0,) * field.degree
+
+    def dot(xs, ys):
+        return reduce(field.add, map(field.mul, xs, ys), zero)
+
+    def entries(count):
+        return st.tuples(*[st.tuples(*[st.integers(-5, 5)] * field.degree)] * count)
+
+    dp, dq = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    point = data.draw(entries(dp * dq + dq))
+    v, a = data.draw(entries(dp)), data.draw(entries(dq))
+    linear, t = split_point(point, dp, dq)
+    assert [len(row) for row in linear] == [dp] * dq
+    image = [field.add(dot(row, v), e) for row, e in zip(linear, t, strict=True)]
+    assert dot(hom_row(v, a, field.mul), point) == dot(a, image)
+
+
+def test_a_point_of_the_wrong_length_is_refused():
+    message = "^hom point of length 5 does not match map shape 2x2$"
+    with pytest.raises(ValueError, match=message):
+        split_point(vec(1, 2, 3, 4, 5), 2, 2)
+    with pytest.raises(ValueError, match=message):
+        AffineMap.from_point(vec(1, 2, 3, 4, 5), 2, 2)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """The package's export list and its modules' imports."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -132,3 +133,42 @@ def test_the_private_name_check_sees_a_leftover():
         "b": "from .a import _Row\n",
     }
     assert _unread_private_names(sources) == {("a", "_STALE"): 2, ("a", "_helper"): 5}
+
+
+def _invariant_names(source):
+    """The property names of the ``InvariantViolation(...)`` calls in ``source``.
+
+    A name that is not a string literal is given as its source text, so
+    it cannot match a listed name.
+    """
+    return {
+        node.args[0].value
+        if isinstance(node.args[0], ast.Constant)
+        else ast.unparse(node.args[0])
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "InvariantViolation"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+def test_every_invariant_is_raised_in_checks_and_listed_in_the_readme():
+    raised = {
+        path.name: _invariant_names(path.read_text())
+        for path in sorted(Path(hompoly.__file__).parent.glob("*.py"))
+    }
+    assert [name for name, names in raised.items() if names] == ["checks.py"]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = readme[readme.index("* `hompoly.checks`"):]
+    listed = re.findall(r"`([a-z]+(?:-[a-z]+)+)`", bullet[:bullet.index("\n* ")])
+    assert len(listed) == len(set(listed)) == 11
+    assert raised["checks.py"] == set(listed)
+
+
+def test_the_invariant_check_sees_every_raise():
+    source = (
+        "raise InvariantViolation('a-b', 'x')\n"
+        "error = InvariantViolation(name, 'y')\n"
+        "raise errors.InvariantViolation('c-d', 'z')\n"
+    )
+    assert _invariant_names(source) == {"a-b", "name", "c-d"}
