@@ -19,7 +19,7 @@ from .coincidence import Certificate, CoincidenceGraph, build_generic_matrix, ev
 from .errors import InvariantViolation, LowerDimensionalError
 from .hom import HomPolytope
 from .linalg import mat_rank
-from .polytope import _facet_rows, contains_point
+from .polytope import _first_maximal, contains_point
 from .regular import CountRow, TableDiagnostics, closed_form_counts
 
 
@@ -41,9 +41,7 @@ def check_hom(h: HomPolytope) -> None:
             f"{h.polytope.n_facets} facets, expected {expected}",
         )
     # the filter an unchecked description runs, on the hom's own masks
-    kept = _facet_rows(
-        h.polytope.inequalities, h.polytope.facet_masks, h.polytope.n_vertices
-    )
+    kept = _first_maximal(h.polytope.facet_masks)
     if len(kept) != h.polytope.n_facets:
         raise InvariantViolation(
             "hom-facet-irredundancy",

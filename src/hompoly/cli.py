@@ -43,7 +43,7 @@ from .polyio import (
     write_labels,
     write_vrep,
 )
-from .regular import CountRow, TableDiagnostics, check_survey_size, table_row
+from .regular import check_survey_size, table_row
 
 # A rounded coordinate is written as sign, at most D numerator digits,
 # "/" and the D + 1 digits of 10^D: 2D + 3 characters, which read_polytope
@@ -123,10 +123,6 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
-def _table_worker(spec: tuple[int, int]) -> tuple[CountRow, TableDiagnostics]:
-    return table_row(*spec)
-
-
 def _cmd_table(args: argparse.Namespace) -> tuple[Emission, int]:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
@@ -147,9 +143,9 @@ def _cmd_table(args: argparse.Namespace) -> tuple[Emission, int]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_table_worker, specs))
+            results = list(pool.map(table_row, *zip(*specs)))
     else:
-        results = [_table_worker(spec) for spec in specs]
+        results = [table_row(m, n) for m, n in specs]
     lines = ["m\tn\trank0\trank1\trank2\ttotal\tprovenance"]
     for row, diag in results:
         if args.check:

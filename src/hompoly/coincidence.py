@@ -122,16 +122,30 @@ def _materialize(multiset: tuple[PathType, ...]) -> CoincidenceGraph:
 def path_multiset(g: CoincidenceGraph) -> tuple[PathType, ...]:
     """Decompose an accepted graph into its typed path components.
 
+    An accepted graph is a disjoint union of paths, so each component is
+    walked once, from one of its two ends (the nodes of degree one) to
+    the other.  An even path ends in one part at both ends, the start's.
     Raises ValueError when the graph is not a disjoint union of paths;
     use :func:`reject_reason` first.
     """
     if reject_reason(g) != "accepted":
         raise ValueError("graph is not a disjoint union of paths")
-    # an even path has one node more in the part holding both endpoints
-    types = [
-        (edges, None if edges % 2 else ("A" if a_count > b_count else "B"))
-        for a_count, b_count, edges in _components(g)
-    ]
+    neighbours: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for a, b in g.edges:
+        neighbours.setdefault(("A", a), []).append(("B", b))
+        neighbours.setdefault(("B", b), []).append(("A", a))
+    walked = set()
+    types = []
+    for start, around in neighbours.items():
+        if len(around) == 2 or start in walked:
+            continue
+        previous, node, edges = start, around[0], 1
+        while len(neighbours[node]) == 2:
+            first, second = neighbours[node]
+            previous, node = node, second if first == previous else first
+            edges += 1
+        walked.add(node)
+        types.append((edges, None if edges % 2 else start[0]))
     return tuple(sorted(types, key=_PATH_TYPES.index))
 
 
@@ -153,46 +167,6 @@ def enumerate_graphs() -> list[CoincidenceGraph]:
 
 
 # -- rejection rules ----------------------------------------------------
-
-
-def _components(g: CoincidenceGraph) -> list[tuple[int, int, int]]:
-    """A-node, B-node and edge counts of each connected component.
-
-    One union-find pass over the edges.  Sets are named by edge index and
-    each node points at the first edge that touched it.  Each edge starts
-    a set that absorbs the sets at its ends, so every root carries its
-    component's ``(a_count, b_count, edges)``; an edge whose ends already
-    share a root adds one edge and no node.
-    """
-    parent = list(range(len(g.edges)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    a_edge: dict[int, int] = {}
-    b_edge: dict[int, int] = {}
-    counts: dict[int, tuple[int, int, int]] = {}
-    for i, (a, b) in enumerate(g.edges):
-        roots = set()
-        a_count = b_count = edges = 1
-        if a in a_edge:
-            roots.add(find(a_edge[a]))
-            a_count = 0
-        else:
-            a_edge[a] = i
-        if b in b_edge:
-            roots.add(find(b_edge[b]))
-            b_count = 0
-        else:
-            b_edge[b] = i
-        for root in roots:
-            na, nb, ne = counts.pop(root)
-            a_count, b_count, edges = a_count + na, b_count + nb, edges + ne
-            parent[root] = i
-        counts[i] = (a_count, b_count, edges)
-    return list(counts.values())
 
 
 def reject_reason(g: CoincidenceGraph) -> str:

@@ -287,6 +287,8 @@ def hom_identity_check(
 
     ``cube_cross_swap``: for m = n, maps from the m-cube to the n-cross-
     polytope match maps from the (m-1)-cube to the (n+1)-cross-polytope.
+    For m != n the sides have dimensions n(m+1) and m(n+1), so no match
+    is possible, and the request is refused with both dimensions.
 
     The left side's f-vector is read off its graded face lattice.  Where
     the right side is a power of one factor, only that factor is built
@@ -329,6 +331,11 @@ def hom_identity_check(
             raise ValueError("cube_cross_swap needs source dim m and target dim n")
         _guard_side(m, n, f"hom(cube({m}), crosspolytope({n}))")
         _guard_side(m - 1, n + 1, f"hom(cube({m - 1}), crosspolytope({n + 1}))")
+        if m != n:
+            raise ValueError(
+                f"cube_cross_swap needs m = n: with m={m} and n={n} its sides "
+                f"live in hom dimensions {m * n + n} and {m * (n + 1)}"
+            )
         if m < 2:
             raise ValueError("cube_cross_swap needs source dimension at least 2")
         lhs_description = f"maps from the {m}-cube into the {n}-cross-polytope"

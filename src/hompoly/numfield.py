@@ -360,18 +360,19 @@ class Field:
         if lead is None:
             raise ValueError("zero ray produced (vp*gq - vq*gp = 0); input rows are inconsistent")
         lead -= lead % d
-        mu = self.matrix(self.unit(tuple(w[lead:lead + d])))
-        flat = [sum(map(mul, row, blk)) for blk in zip(*(w[i::d] for i in range(d))) for row in mu]
-        g = gcd(*flat)
-        return tuple(e // g for e in flat)
+        return self._scaled(self.unit(tuple(w[lead:lead + d])), w)
 
     def normalize(self, block: tuple[Element, ...], ray: tuple[int, ...]) -> tuple[int, ...]:
-        """``ray`` times the :meth:`unit` of its value v > 0 on ``block``, made
-        primitive: the one such positive multiple with a rational value there."""
-        u, d = self.unit(self.value(block, ray)), self.degree
-        flat = [c for j in range(0, len(ray), d) for c in self.mul(u, ray[j:j + d])]
-        g = gcd(*flat)
-        return tuple(e // g for e in flat)
+        """``ray`` scaled by the :meth:`unit` of its value v > 0 on ``block``:
+        the one primitive positive multiple with a rational value there."""
+        return self._scaled(self.unit(self.value(block, ray)), ray)
+
+    def _scaled(self, u: Element, flat: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+        """Each block of ``flat`` times M(u), then divided by the content."""
+        d, mu = self.degree, self.matrix(u)
+        out = [sum(map(mul, row, blk)) for blk in zip(*(flat[i::d] for i in range(d))) for row in mu]
+        g = gcd(*out)
+        return tuple(e // g for e in out)
 
 
 def survey_field(m: int, n: int) -> tuple[Field, Element, Element]:

@@ -19,7 +19,9 @@ Unchecked input (:meth:`Polytope.from_points`,
 normalized by the same completion step: points that are not extreme
 and duplicates are dropped and the vertices sorted; rows that do not
 define a facet, or repeat one, are dropped and the rest keep their
-order.  Both filters read the incidences the completion computes anyway.
+order.  Both filters are one rule, :func:`_first_maximal`, on the
+incidences the completion computes anyway: the first of each maximal
+mask, a row's vertex set or a point's facet set.
 
 Both passes call :func:`hompoly.dd.enumerate_vertices`.  The H->V
 pass hands it the rows in the lexicographic order of their homogenized
@@ -282,45 +284,28 @@ def _maximal_masks(masks: Iterable[int]) -> set[int]:
     return set(kept)
 
 
-def _facet_rows(
-    inequalities: tuple[Inequality, ...], masks: tuple[int, ...], n_vertices: int
-) -> list[int]:
-    """Indices of the facet-defining rows, the first of each canonical class.
+def _first_maximal(masks: tuple[int, ...]) -> list[int]:
+    """The first index of each inclusion-maximal mask, in index order.
 
-    ``masks[j]`` is the vertex set of row j.  Every facet of a
-    full-dimensional polytope is among the rows of any inequality
-    description of it, and the facets are its maximal proper faces, so a
-    row defines a facet exactly when its vertex set is nonempty, proper
-    and not strictly inside another row's.
+    This is the redundancy filter of both sides.  For rows, ``masks[j]``
+    is row j's vertex set: every facet of a full-dimensional polytope is
+    among the rows of any description of it, and the facets are its
+    maximal proper faces, so a row defines a facet exactly when its
+    vertex set is not strictly inside another row's.  For points,
+    ``masks[i]`` is point i's facet set: a vertex is the only point of
+    the face its facets cut out, and any other point lies in a face with
+    a vertex on more facets, so a point is extreme exactly when no other
+    point lies on a strict superset of its facets.  Among the maximal
+    masks, equal masks mean one facet, which has one supporting
+    hyperplane, or one vertex, so the mask is the key that drops repeats.
     """
-    maximal = _maximal_masks(masks) - {0, (1 << n_vertices) - 1}
-    seen: set[tuple[Vector, Fraction]] = set()
+    maximal = _maximal_masks(masks)
     keep = []
-    for j, iq in enumerate(inequalities):
-        if masks[j] in maximal:
-            key = canonical_inequality(iq.normal, iq.offset)
-            if key not in seen:
-                seen.add(key)
-                keep.append(j)
+    for i, mask in enumerate(masks):
+        if mask in maximal:
+            maximal.remove(mask)
+            keep.append(i)
     return keep
-
-
-def _extreme_points(
-    points: tuple[Vector, ...], point_masks: tuple[int, ...]
-) -> list[int]:
-    """First index of each distinct extreme point.
-
-    ``point_masks[i]`` is the facet set of point i.  A vertex is the only
-    point of the face its facets cut out, and any other point lies in a
-    face with a vertex on more facets, so a point is extreme exactly
-    when no other point lies on a strict superset of its facets: the
-    dual of :func:`_facet_rows`.
-    """
-    maximal = _maximal_masks(point_masks)
-    first: dict[Vector, int] = {}
-    for i, p in enumerate(points):
-        first.setdefault(p, i)
-    return [i for i in first.values() if point_masks[i] in maximal]
 
 
 class Polytope:
@@ -422,7 +407,9 @@ class Polytope:
                 # every row is kept, so these are the vertex masks already
                 self._vertex_masks = vertex_masks
             else:
-                keep = _facet_rows(self._inequalities, masks, len(found))
+                # a point has no facets; above dimension 0 an empty mask is
+                # never maximal, and a full one was refused as an equality
+                keep = _first_maximal(masks) if self.ambient_dim else []
                 self._inequalities = tuple(self._inequalities[j] for j in keep)
                 masks = tuple(masks[j] for j in keep)
         else:
@@ -432,9 +419,7 @@ class Polytope:
             masks = tuple(m for _, m in facets)
             if not self._checked:
                 point_masks = _transpose(masks, len(points))
-                kept = sorted(
-                    _extreme_points(points, point_masks), key=points.__getitem__
-                )
+                kept = sorted(_first_maximal(point_masks), key=points.__getitem__)
                 self._vertices = tuple(points[i] for i in kept)
                 masks = _transpose((point_masks[i] for i in kept), len(masks))
         self._facet_masks = masks

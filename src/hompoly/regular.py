@@ -327,10 +327,8 @@ def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
         if closed_value is not None and closed_value != found:
             mismatches.append((cell, closed_value, found))
 
-    tags = [
-        "closed_form" if closed_value is not None else "enumerated"
-        for closed_value in (closed.rank0, closed.rank1, closed.rank2, closed.total)
-    ]
+    # a cell the closed forms cannot fill is filled by the enumeration
+    tags = ("enumerated" if tag == "unknown" else tag for tag in closed.provenance)
     row = CountRow(
         m=m,
         n=n,
@@ -338,7 +336,7 @@ def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
         rank1=counts[1],
         rank2=counts[2],
         total=total,
-        provenance=(tags[0], tags[1], tags[2], tags[3]),
+        provenance=tuple(tags),
     )
     diagnostics = TableDiagnostics(
         m=m,

@@ -597,6 +597,19 @@ def test_graphs_output_and_determinism(capsys):
     assert hashlib.sha256(first.encode()).hexdigest() == GRAPHS_SHA256
 
 
+# every row, count and provenance tag of the 16 pairs up to hexagons
+TABLE_SHA256 = "e03bf907c7b9b7c155bdc4ba1381977abdce3bf650ac4a484f29013412ccaf81"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_table_output_is_frozen(jobs, capsys):
+    code, out, err = run_cli(
+        ["table", "--m-range", "3..6", "--n-range", "3..6", "--jobs", jobs], capsys
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256
+
+
 # a 4-cycle beside three free edges has no generic matrix, so the status
 # must be checked before a certificate is attempted
 FOUR_CYCLE = CoincidenceGraph(((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3), (4, 4)))
@@ -713,6 +726,16 @@ IDENTITY_STDOUT = {
 def test_identity_check_stdout_is_frozen(args, capsys):
     code, out, err = run_cli(["identity-check", *args.split()], capsys)
     assert (code, out, err) == (0, IDENTITY_STDOUT[args], "")
+
+
+def test_cube_cross_swap_refuses_unequal_dimensions(capsys):
+    # the sides live in hom dimensions n(m+1) = 3 and m(n+1) = 4
+    code, out, err = run_cli(["identity-check", "cube_cross_swap", "--m", "2", "--n", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "hompoly: ValueError: cube_cross_swap needs m = n: with m=2 and n=1 "
+        "its sides live in hom dimensions 3 and 4\n"
+    )
 
 
 def test_identity_check_refuses_a_non_decimal_target_size(capsys):

@@ -184,6 +184,47 @@ def test_path_multiset_rejects_six_cycles():
         path_multiset(g)
 
 
+def reference_paths(g):
+    """The typed components of a path forest, found by search.
+
+    A component is typed by its edge count and, when that count is even,
+    by the part with more nodes, which holds both ends.  Listed longer
+    first, then odd, A, B.
+    """
+    neighbours = {}
+    for a, b in g.edges:
+        neighbours.setdefault(("A", a), set()).add(("B", b))
+        neighbours.setdefault(("B", b), set()).add(("A", a))
+    unseen = set(neighbours)
+    types = []
+    while unseen:
+        stack = [unseen.pop()]
+        component = set(stack)
+        while stack:
+            for node in neighbours[stack.pop()] - component:
+                component.add(node)
+                stack.append(node)
+        unseen -= component
+        edges = sum(("A", a) in component for a, _ in g.edges)
+        a_count = sum(part == "A" for part, _ in component)
+        larger = "A" if 2 * a_count > len(component) else "B"
+        types.append((edges, None if edges % 2 else larger))
+    return tuple(sorted(types, key=lambda t: (-t[0], t[1] or "")))
+
+
+def test_path_multiset_matches_a_component_search_on_the_k45_census():
+    encodings = {canonical_encoding(g) for g in enumerate_graphs()}
+    accepted = 0
+    for edges in combinations([(a, b) for a in range(4) for b in range(5)], 7):
+        g = CoincidenceGraph(edges)
+        if reject_reason(g) != "accepted":
+            continue
+        accepted += 1
+        assert path_multiset(g) == reference_paths(g), edges
+        assert canonical_encoding(g) in encodings, edges
+    assert accepted == 7200
+
+
 def reference_has_cycle(g, half):
     """Whether the graph contains a cycle of length 2*half, exhaustively."""
     edge_set = set(g.edges)

@@ -377,6 +377,19 @@ def test_identity_guard_bounds_the_source_dimension(kind, size, zero_dim_target,
         hom_identity_check(kind, p=target, **size)
 
 
+@pytest.mark.parametrize("m, n, dims", [(2, 1, (3, 4)), (3, 1, (4, 6)), (1, 3, (6, 4))])
+def test_identity_cube_cross_swap_refuses_unequal_dimensions(m, n, dims, monkeypatch):
+    # the sides live in hom dimensions n(m+1) and m(n+1), equal only for m = n
+    def build(*args):
+        raise AssertionError("a side was built")
+
+    for name in ("build_hom", "cube", "cross_polytope"):
+        monkeypatch.setattr(hom, name, build)
+    message = f"m = n: with m={m} and n={n} its sides live in hom dimensions {dims[0]} and {dims[1]}$"
+    with pytest.raises(ValueError, match=message):
+        hom_identity_check("cube_cross_swap", m=m, n=n)
+
+
 def test_identity_unknown_kind():
     with pytest.raises(ValueError):
         hom_identity_check("moebius_flip", n=1, m=1)

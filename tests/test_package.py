@@ -16,7 +16,7 @@ def test_every_export_resolves_once():
 # Imports kept though the module never names them, each with its reason.
 UNUSED_IMPORTS_ALLOWED = {
     # perfbench's self-test reads hompoly.polytope.mat_rank; it goes once
-    # the benchmark reads another binding (ROADMAP item B)
+    # the benchmark reads another binding (ROADMAP item F)
     ("polytope", "mat_rank"),
 }
 

@@ -26,6 +26,7 @@ from hompoly.polytope import (
     contains_point,
     is_simple_vertex,
 )
+from test_acceptance import oracle_extreme_points
 
 
 def ineq(normal, offset) -> Inequality:
@@ -155,6 +156,13 @@ def test_empty_system_in_dimension_zero_is_the_point():
     assert Polytope.from_inequalities([], 0).vertices == ((),)
     with pytest.raises(ValueError, match="no inequality rows"):
         dd.enumerate_vertices([], [])
+
+
+def test_rows_in_dimension_zero_define_no_facet():
+    # a point has no facets: a row tight there, or loose, or repeated, goes
+    rows = [ineq((), 1), ineq((), 0), ineq((), 0)]
+    p = Polytope.from_inequalities(rows, 0)
+    assert (p.vertices, p.inequalities, p.f_vector) == (((),), (), (1,))
 
 
 def test_infeasible_system_raises():
@@ -449,6 +457,45 @@ def test_redundant_rows_filtered_like_the_affine_hull_rule(system):
 
 
 @st.composite
+def redundant_point_sets(draw):
+    """A full-dimensional point set padded with points that are not extreme.
+
+    Padding: repeats of drawn points, boundary points (positive
+    combinations of one to three vertices of one facet, an edge in the
+    plane) and interior points (positive combinations of every vertex);
+    all shuffled together.
+    """
+    d = draw(st.sampled_from((1, 2, 3)))
+    points = [vec(*p) for p in draw(st.lists(st.tuples(*[small] * d), min_size=d + 1, max_size=d + 4))]
+    assume(len(solve_affine_hull(tuple(points))[1]) == d)
+    hull = Polytope.from_points(points)
+
+    def combination(indices):
+        weights = [draw(positive) for _ in indices]
+        total = sum(weights)
+        return tuple(
+            sum((w * hull.vertices[v][i] for w, v in zip(weights, indices)), Fraction(0)) / total
+            for i in range(d)
+        )
+
+    extra = [draw(st.sampled_from(points)) for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        facet = hull.facet_vertex_indices(draw(st.integers(0, hull.n_facets - 1)))
+        extra.append(combination(draw(st.lists(st.sampled_from(facet), min_size=1, max_size=3))))
+    for _ in range(draw(st.integers(0, 2))):
+        extra.append(combination(range(hull.n_vertices)))
+    return tuple(draw(st.permutations(points + extra)))
+
+
+@given(redundant_point_sets())
+@settings(max_examples=150, deadline=None)
+def test_from_points_keeps_exactly_the_extreme_points(points):
+    # the oracle drops a point that the others reach, so it gets each point once
+    expected = sorted(oracle_extreme_points(sorted(set(points))))
+    assert Polytope.from_points(points).vertices == tuple(expected)
+
+
+@st.composite
 def systems_with_repeats_and_equalities(draw):
     """Redundant systems with exact repeats of rows, some also with a
     reversed row: a facet or a redundant row turned around, at its own
@@ -509,7 +556,7 @@ def test_row_order_of_the_engine_does_not_show(system):
     unchecked = Polytope.from_inequalities(rows, d)
     if isinstance(expected, tuple) and expected[0] is not LowerDimensionalError:
         vertices, masks = expected
-        keep = polytope_module._facet_rows(rows, masks, len(vertices))
+        keep = polytope_module._first_maximal(masks)
         expected = vertices, tuple(masks[j] for j in keep)
         assert unchecked.inequalities == tuple(rows[j] for j in keep)
     assert _completed(unchecked) == expected
