@@ -20,7 +20,7 @@ from .errors import InvariantViolation, LowerDimensionalError
 from .hom import HomPolytope
 from .linalg import mat_rank
 from .polytope import _first_maximal, contains_point
-from .regular import CountRow, TableDiagnostics, closed_form_counts
+from .regular import CountRow, closed_form_counts, divisibility_check
 
 
 def check_hom(h: HomPolytope) -> None:
@@ -69,30 +69,32 @@ def check_hom(h: HomPolytope) -> None:
                 )
 
 
-def check_table_row(row: CountRow, diag: TableDiagnostics) -> None:
-    """A survey row's sum, closed forms and divisibility."""
+def check_table_row(row: CountRow) -> None:
+    """A survey row's sum, closed forms and divisibility, from its cells alone."""
+    m, n = row.m, row.n
     if row.rank0 + row.rank1 + row.rank2 != row.total:
         raise InvariantViolation(
-            "table-total-sum", f"({row.m},{row.n}) ranks do not sum to total"
+            "table-total-sum", f"({m},{n}) ranks do not sum to total"
         )
-    forms = closed_form_counts(row.m, row.n)
+    forms = closed_form_counts(m, n)
     if row.rank0 != forms.rank0 or row.rank1 != forms.rank1:
         raise InvariantViolation(
             "table-low-rank-closed-forms",
-            f"({row.m},{row.n}) got rank0={row.rank0} rank1={row.rank1}, "
+            f"({m},{n}) got rank0={row.rank0} rank1={row.rank1}, "
             f"closed forms say {forms.rank0}, {forms.rank1}",
         )
-    if not diag.divisibility.ok:
+    divisibility = divisibility_check(row.total, m, n)
+    if not divisibility.ok:
         raise InvariantViolation(
             "table-divisibility",
-            f"({row.m},{row.n}) total {row.total}: "
-            + "; ".join(diag.divisibility.reasons),
+            f"({m},{n}) total {row.total}: " + "; ".join(divisibility.reasons),
         )
-    if diag.closed_form_mismatches:
+    # the sum, rank0 and rank1 hold here, so rank2 and the total differ together
+    if forms.rank2 is not None and row.rank2 != forms.rank2:
         raise InvariantViolation(
             "table-closed-form-match",
-            f"({row.m},{row.n}) cells disagree with closed forms: "
-            f"{diag.closed_form_mismatches}",
+            f"({m},{n}) cells disagree with closed forms: "
+            f"{('rank2', forms.rank2, row.rank2), ('total', forms.total, row.total)}",
         )
 
 

@@ -48,6 +48,7 @@ from .linalg import (
     vec_sub,
 )
 from .polytope import (
+    AffineChart,
     Face,
     Polytope,
     chart_project,
@@ -60,15 +61,16 @@ def map_rank(f: AffineMap) -> int:
     return mat_rank(f.linear)
 
 
-def image_polytope(f: AffineMap, p: Polytope) -> Polytope:
+def image_polytope(f: AffineMap, p: Polytope) -> tuple[Polytope, AffineChart]:
     """The image f(P) as a full-dimensional polytope in chart coordinates.
 
-    The returned polytope's ``chart`` field lifts chart coordinates back
-    to the target space.  A rank-zero map yields the zero-dimensional
-    polytope whose chart basepoint is the image point.
+    Returned beside the chart that lifts chart coordinates back to the
+    target space, as :func:`~hompoly.polytope.chart_project` returns
+    it.  A rank-zero map yields the zero-dimensional polytope whose
+    chart basepoint is the image point.
     """
     projected, chart = chart_project(tuple(f.apply(v) for v in p.vertices))
-    return Polytope.from_points(projected, chart=chart)
+    return Polytope.from_points(projected), chart
 
 
 def surj_inj_factorize(f: AffineMap, p: Polytope) -> tuple[AffineMap, AffineMap]:
@@ -96,17 +98,6 @@ def surj_inj_factorize(f: AffineMap, p: Polytope) -> tuple[AffineMap, AffineMap]
         if f_inj.apply(f_surj.apply(v)) != f.apply(v):
             raise RuntimeError("factorization failed to reproduce the map")
     return f_surj, f_inj
-
-
-def _evaluated_masks(f: AffineMap, p: Polytope, q: Polytope) -> list[int] | None:
-    """Per vertex v of p, the bitmask of q's facets tight at f(v), evaluated; None if outside q."""
-    masks = []
-    for v in p.vertices:
-        hit = contains_point(q, f.apply(v))
-        if hit.kind == "outside":
-            return None
-        masks.append(sum(1 << j for j in hit.active))
-    return masks
 
 
 def _vertex_lookup(q: Polytope) -> dict[int, int]:
@@ -142,16 +133,27 @@ def _deflates(
     return rank < p.dim and surjective and "boundary" not in locations
 
 
+def _locate_images(
+    f: AffineMap, p: Polytope, q: Polytope
+) -> tuple[tuple[str, ...], bool] | None:
+    """:func:`_locate` of q's facets tight at each f(v); None if one lies outside q."""
+    masks = []
+    for v in p.vertices:
+        hit = contains_point(q, f.apply(v))
+        if hit.kind == "outside":
+            return None
+        masks.append(sum(1 << j for j in hit.active))
+    return _locate(masks, _vertex_lookup(q))
+
+
 def surjective_onto(f: AffineMap, p: Polytope, q: Polytope) -> bool:
     """Whether f(P) equals Q: every f(v) lies in Q and hits every vertex of Q.
 
     A vertex of Q inside f(P), a subset of Q, is extreme in f(P), so it is
     the image of a vertex of P; no image hull is needed.
     """
-    masks = _evaluated_masks(f, p, q)
-    if masks is None:
-        return False
-    return _locate(masks, _vertex_lookup(q))[1]
+    located = _locate_images(f, p, q)
+    return located is not None and located[1]
 
 
 def image_vertex_locations(
@@ -163,10 +165,10 @@ def image_vertex_locations(
     vertex of q, ``interior`` or ``boundary`` otherwise.  Points outside
     q mean f is not in the hom-polytope and raise.
     """
-    masks = _evaluated_masks(f, p, q)
-    if masks is None:
+    located = _locate_images(f, p, q)
+    if located is None:
         raise GeometryError("map does not send the source into the target")
-    return _locate(masks, _vertex_lookup(q))[0]
+    return located[0]
 
 
 def is_deflation(
@@ -180,10 +182,9 @@ def is_deflation(
     admitting them would break the containment of deflations in
     face-collapses that the rest of the classification relies on.
     """
-    masks = _evaluated_masks(f, p, q)
-    if masks is None:
+    located = _locate_images(f, p, q)
+    if located is None:
         return False
-    located = _locate(masks, _vertex_lookup(q))
     return _deflates(map_rank(f), p, *located) and is_vertex_map(f, h)
 
 

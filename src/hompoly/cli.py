@@ -43,7 +43,7 @@ from .polyio import (
     write_labels,
     write_vrep,
 )
-from .regular import check_survey_size, table_row
+from .regular import check_survey_size, divisibility_check, table_row
 
 # A rounded coordinate is written as sign, at most D numerator digits,
 # "/" and the D + 1 digits of 10^D: 2D + 3 characters, which read_polytope
@@ -147,13 +147,14 @@ def _cmd_table(args: argparse.Namespace) -> tuple[Emission, int]:
     else:
         results = [table_row(m, n) for m, n in specs]
     lines = ["m\tn\trank0\trank1\trank2\ttotal\tprovenance"]
-    for row, diag in results:
+    for row, _ in results:
+        divisibility = divisibility_check(row.total, row.m, row.n)
         if args.check:
-            check_table_row(row, diag)
-        elif not diag.divisibility.ok:
+            check_table_row(row)
+        elif not divisibility.ok:
             print(
                 f"hompoly: warning: ({row.m},{row.n}) fails divisibility: "
-                + "; ".join(diag.divisibility.reasons),
+                + "; ".join(divisibility.reasons),
                 file=sys.stderr,
             )
         lines.append(
@@ -184,12 +185,13 @@ def _cmd_graphs(args: argparse.Namespace) -> tuple[Emission, int]:
 
 
 def _cmd_identity_check(args: argparse.Namespace) -> tuple[Emission, int]:
-    if args.kind == "simplex_power" and (args.n is None or not args.target):
-        raise ValueError("simplex_power needs --n and --target")
-    if args.kind != "simplex_power" and (args.n is None or args.m is None):
-        raise ValueError(f"{args.kind} needs --m and --n")
+    # a flag the kind never reads is refused, not silently dropped
     target = None
-    if args.target:
+    if args.kind == "simplex_power":
+        if args.n is None or not args.target:
+            raise ValueError("simplex_power needs --n and --target")
+        if args.m is not None:
+            raise ValueError("simplex_power takes no --m")
         name, _, size = args.target.partition(":")
         # isdecimal, not isdigit: "²" is a digit that int() rejects
         if not size.isdecimal():
@@ -197,6 +199,11 @@ def _cmd_identity_check(args: argparse.Namespace) -> tuple[Emission, int]:
                 f"--target must look like kind:size, got {args.target!r}"
             )
         target = standard(name, int(size))
+    else:
+        if args.n is None or args.m is None:
+            raise ValueError(f"{args.kind} needs --m and --n")
+        if args.target is not None:
+            raise ValueError(f"{args.kind} takes no --target")
     report = hom_identity_check(args.kind, n=args.n, m=args.m, p=target)
     lines = [
         f"kind: {report.kind}",

@@ -289,7 +289,11 @@ def poly_eval(a: Poly, values: tuple[Fraction, ...]) -> Fraction:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A rational point where one graph's determinant is provably nonzero."""
+    """A rational point where one graph's determinant is provably nonzero.
+
+    ``attempts`` counts the points tried, this one included, so a point
+    found on the first try has ``attempts == 1``.
+    """
 
     encoding: str
     variables: tuple[str, ...]
@@ -354,7 +358,7 @@ def certify_nonvanishing(g: CoincidenceGraph) -> Certificate:
                 variables=matrix.variables,
                 point=tuple(map(Fraction, primes)),
                 det_value=value,
-                attempts=attempt,
+                attempts=attempt + 1,
             )
     raise RuntimeError(
         "no nonzero evaluation found; the determinant appears to vanish"

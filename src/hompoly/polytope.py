@@ -36,8 +36,8 @@ Completion requires full-dimensional input.  Lower-dimensional point
 sets must go through :func:`chart_project` first; the error says so.
 For an inequality system the error names a row that is tight at every
 vertex instead.
-``Polytope.from_points`` keeps the returned chart, which lifts the
-polytope's coordinates back to the original space.  A chart's
+:func:`chart_project` returns the chart beside the projected points,
+and the chart lifts them back to the original space.  A chart's
 directions are the reduced row echelon basis of the hull's directions,
 so the chart is fixed by the hull and its basepoint, and a point's
 coordinates are its entries at the pivot columns minus the basepoint's.
@@ -149,10 +149,7 @@ class AffineChart:
 
 
 def _affine_rank(points: Iterable[Vector]) -> int:
-    pts = tuple(points)
-    if not pts:
-        return -1
-    _, basis = solve_affine_hull(pts)
+    _, basis = solve_affine_hull(tuple(points))
     return len(basis)
 
 
@@ -330,10 +327,8 @@ class Polytope:
         facet_masks: tuple[int, ...] | None = None,
         checked: bool = True,
         interior_point: Vector | None = None,
-        chart: AffineChart | None = None,
     ):
         self.ambient_dim = ambient_dim
-        self.chart = chart
         self._vertices = vertices
         self._inequalities = inequalities
         self._facet_masks = facet_masks
@@ -359,7 +354,7 @@ class Polytope:
         return cls(len(pts[0]), vertices=pts)
 
     @classmethod
-    def from_points(cls, points: Iterable[Vector], *, chart: AffineChart | None = None) -> "Polytope":
+    def from_points(cls, points: Iterable[Vector]) -> "Polytope":
         """Polytope from an arbitrary finite point set.
 
         Redundant points are dropped on first completion; the stored
@@ -368,7 +363,7 @@ class Polytope:
         pts = tuple(tuple(Fraction(e) for e in p) for p in points)
         if not pts:
             raise GeometryError("a polytope needs at least one point")
-        return cls(len(pts[0]), vertices=pts, checked=False, chart=chart)
+        return cls(len(pts[0]), vertices=pts, checked=False)
 
     @classmethod
     def from_inequalities(

@@ -7,9 +7,10 @@ the row is computed on affine models of the polygons over the real
 cyclotomic field K_m·K_n (:mod:`hompoly.numfield`), where every count
 and rank comes from exact zero and sign tests.  Closed-form count
 formulas cover the rank-0 and rank-1 populations for all sizes and the
-rank-2 population when either polygon is a triangle or a square; the
-enumerated counts are checked against those formulas and against the
-divisibility constraints that hold for regular polygons.
+rank-2 population when either polygon is a triangle or a square;
+:func:`hompoly.checks.check_table_row` checks a row against those
+formulas and against the divisibility constraints that hold for
+regular polygons.
 
 :func:`cluster_vertices` merges near-duplicate points by
 epsilon-proximity.  The survey no longer needs it, since it counts the
@@ -67,19 +68,14 @@ class DivisibilityReport:
 
 @dataclass(frozen=True)
 class TableDiagnostics:
-    """Everything observed while computing one table row.
+    """What ``perfbench`` reads of one table row's computation.
 
     Nothing is merged, so ``partition`` puts every vertex in a cluster of
-    its own and ``raw_vertex_count`` is the total; both stay while
-    ``perfbench`` reads them.
+    its own and ``raw_vertex_count`` is the total.
     """
 
-    m: int
-    n: int
     raw_vertex_count: int
     partition: ClusterPartition
-    divisibility: DivisibilityReport
-    closed_form_mismatches: tuple[tuple[str, int, int], ...]
 
 
 def closed_form_counts(m: int, n: int) -> CountRow:
@@ -228,10 +224,12 @@ def divisibility_check(total: int, m: int, n: int) -> DivisibilityReport:
 # Largest polygon and field degree a survey row accepts, so an oversized
 # table fails at once instead of running for minutes.  Every published
 # row (sides up to 8, degree up to 6) passes.  Measured in one process on
-# 2 cores: the slowest accepted rows are (9,10) at 44 s and (10,9) at
-# 30 s; (12,12) takes 53 s.  A field product costs D^2 multiplications,
-# so the degree D stays at the published maximum; the pairs this refuses
-# within the side limit are (7,9) and (9,7), of degree 9 (17 s for (7,9)).
+# a 2-core Intel Xeon under Python 3.11.7, October 2026, two runs each:
+# the slowest accepted rows are (9,10) at 5.6-6.6 s and (10,9) at 5.1-5.2 s;
+# the cone of (12,12) takes 3.8 s.  A field product costs D^2
+# multiplications, so the degree D stays at the published maximum; the
+# pairs this refuses within the side limit are (7,9) and (9,7), of degree
+# 9 (3.8 s for the rays of (7,9), from survey_cone and dd.extreme_rays).
 _SURVEY_SIDE_LIMIT = 10
 _SURVEY_DEGREE_LIMIT = 6
 
@@ -316,19 +314,9 @@ def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
         counts[rank] += 1
     total = len(rays)
 
-    closed = closed_form_counts(m, n)
-    mismatches = []
-    for cell, closed_value, found in (
-        ("rank0", closed.rank0, counts[0]),
-        ("rank1", closed.rank1, counts[1]),
-        ("rank2", closed.rank2, counts[2]),
-        ("total", closed.total, total),
-    ):
-        if closed_value is not None and closed_value != found:
-            mismatches.append((cell, closed_value, found))
-
     # a cell the closed forms cannot fill is filled by the enumeration
-    tags = ("enumerated" if tag == "unknown" else tag for tag in closed.provenance)
+    closed = closed_form_counts(m, n).provenance
+    tags = ("enumerated" if tag == "unknown" else tag for tag in closed)
     row = CountRow(
         m=m,
         n=n,
@@ -339,15 +327,11 @@ def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
         provenance=tuple(tags),
     )
     diagnostics = TableDiagnostics(
-        m=m,
-        n=n,
         raw_vertex_count=total,
         partition=ClusterPartition(
             epsilon=Fraction(0),
             clusters=tuple((i,) for i in range(total)),
             pairwise_ok=True,
         ),
-        divisibility=divisibility_check(total, m, n),
-        closed_form_mismatches=tuple(mismatches),
     )
     return row, diagnostics

@@ -95,10 +95,9 @@ def test_map_rank_of_projection_and_constant():
 def test_image_polytope_of_frustum_projection():
     p = frustum()
     f = drop_last_axis(3, 2)
-    image = image_polytope(f, p)
+    image, chart = image_polytope(f, p)
     assert image.dim == 2
-    assert image.chart is not None
-    lifted = {image.chart.lift(w) for w in image.vertices}
+    lifted = {chart.lift(w) for w in image.vertices}
     assert lifted == {
         (Fraction(0), Fraction(0)),
         (Fraction(2), Fraction(0)),
@@ -108,7 +107,7 @@ def test_image_polytope_of_frustum_projection():
 
 def test_image_polytope_of_rank1_map():
     f = AffineMap(((Fraction(1), Fraction(0)),), (Fraction(0),))
-    image = image_polytope(f, cube(2))
+    image, _ = image_polytope(f, cube(2))
     assert image.dim == 1
     assert map_rank(f) == 1
 
@@ -134,7 +133,7 @@ def test_surjective_factor_is_the_map_read_at_the_chart_pivots():
         tuple(map(Fraction, (2, 2, 1))),
     )
     f_surj, f_inj = surj_inj_factorize(f, p)
-    chart = image_polytope(f, p).chart
+    _, chart = image_polytope(f, p)
     assert chart.pivots == [0]
     assert f_surj.linear == tuple(f.linear[c] for c in chart.pivots)
     assert f_surj.translation == (f.translation[0] - chart.base[0],)
@@ -159,7 +158,7 @@ def test_rank1_factors_of_segment_to_triangle_maps_are_vertices():
     assert rank1
     for record in rank1:
         f_surj, f_inj = surj_inj_factorize(record.map, p)
-        image = image_polytope(record.map, p)
+        image, _ = image_polytope(record.map, p)
         h_surj = build_hom(p, image)
         h_inj = build_hom(image, q)
         assert is_vertex_map(f_surj, h_surj)
@@ -357,8 +356,8 @@ def reference_is_face_collapse(f, p):
     kernel = nullspace_basis(f.linear)
     if not kernel:
         return False
-    image = image_polytope(f, p)
-    image_vertices = tuple(image.chart.lift(w) for w in image.vertices)
+    image, chart = image_polytope(f, p)
+    image_vertices = tuple(chart.lift(w) for w in image.vertices)
     family, members, directions = [], set(), []
     for w in image_vertices:
         fiber = frozenset(i for i, v in enumerate(p.vertices) if f.apply(v) == w)
@@ -450,13 +449,13 @@ def reference_surjective_onto(f, p, q):
     """
     if map_rank(f) != q.dim:
         return False
-    image = image_polytope(f, p)
+    image, chart = image_polytope(f, p)
     for w in image.vertices:
-        if contains_point(q, image.chart.lift(w)).kind == "outside":
+        if contains_point(q, chart.lift(w)).kind == "outside":
             return False
     for u in q.vertices:
         try:
-            coords = image.chart.project(u)
+            coords = chart.project(u)
         except OutsideHullError:
             return False
         if contains_point(image, coords).kind == "outside":
@@ -546,8 +545,8 @@ def _vertex_fiber_faces(f, p):
 
 
 def _image_vertices(f, p):
-    image = image_polytope(f, p)
-    return {image.chart.lift(u) for u in image.vertices}
+    image, chart = image_polytope(f, p)
+    return {chart.lift(u) for u in image.vertices}
 
 
 def _assert_full_fibers_lie_over_image_vertices(f, p):

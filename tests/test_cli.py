@@ -33,7 +33,7 @@ from hompoly.errors import InvariantViolation
 from hompoly.constructions import cube, regular_ngon, simplex
 from hompoly.hom import HomPolytope, IdentityCheckReport, build_hom
 from hompoly.polytope import Inequality, Polytope
-from hompoly.regular import divisibility_check, table_row
+from hompoly.regular import table_row
 from hompoly.polyio import (
     MAX_DECIMAL_EXPONENT,
     MAX_SCALAR_LENGTH,
@@ -521,22 +521,10 @@ def test_check_rejects_a_map_that_leaves_the_target():
 
 @pytest.fixture(scope="module")
 def row_4_4():
-    row, diag = table_row(4, 4)
-    check_table_row(row, diag)
+    row, _ = table_row(4, 4)
+    check_table_row(row)
     assert (row.rank0, row.rank1, row.rank2, row.total) == (4, 24, 8, 36)
-    return row, diag
-
-
-def _miscounted(row, diag, **cells):
-    """The row with ``cells`` replaced and its diagnostics rederived."""
-    bad = dataclasses.replace(row, **cells)
-    return bad, dataclasses.replace(
-        diag,
-        divisibility=divisibility_check(bad.total, bad.m, bad.n),
-        closed_form_mismatches=tuple(
-            (cell, getattr(row, cell), value) for cell, value in cells.items()
-        ),
-    )
+    return row
 
 
 @pytest.mark.parametrize(
@@ -550,8 +538,39 @@ def _miscounted(row, diag, **cells):
 )
 def test_table_check_names_each_miscount(row_4_4, cells, name):
     with pytest.raises(InvariantViolation) as caught:
-        check_table_row(*_miscounted(*row_4_4, **cells))
+        check_table_row(dataclasses.replace(row_4_4, **cells))
     assert caught.value.property_name == name
+
+
+@pytest.fixture(scope="module")
+def miscount_5_5():
+    """(5,5) with rank 2 and total one too high, beside its genuine diagnostics.
+
+    (5,5) has no rank-2 closed form, so only divisibility catches this
+    miscount: it keeps the sum, and 166 is not a multiple of 5.
+    """
+    row, diag = table_row(5, 5)
+    return dataclasses.replace(row, rank2=61, total=166), diag
+
+
+def test_table_check_recomputes_divisibility_from_the_row(miscount_5_5):
+    bad, _ = miscount_5_5
+    with pytest.raises(InvariantViolation) as caught:
+        check_table_row(bad)
+    assert caught.value.property_name == "table-divisibility"
+    assert "(5,5) total 166: count 166 is not divisible by" in str(caught.value)
+
+
+def test_table_judges_a_miscount_beside_genuine_diagnostics(miscount_5_5, monkeypatch, capsys):
+    monkeypatch.setattr(hompoly.cli, "table_row", lambda m, n: miscount_5_5)
+    argv = ["table", "--m-range", "5..5", "--n-range", "5..5"]
+    code, out, err = run_cli(argv + ["--check"], capsys)
+    assert (code, out) == (1, "")
+    assert "violated invariant table-divisibility" in err
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "5\t5\t5\t100\t61\t166\tclosed_form,closed_form,enumerated,enumerated"
+    assert err.startswith("hompoly: warning: (5,5) fails divisibility: count 166")
 
 
 def test_table_rows_and_determinism(capsys):
@@ -749,6 +768,31 @@ def test_identity_check_refuses_a_non_decimal_target_size(capsys):
     assert err.startswith(
         "hompoly: ValueError: --target must look like kind:size, got 'regular_ngon:²'"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a 30000-gon rounds to a polygon that is not strictly convex, and
+        # "bogus" is no construction: neither target may be built
+        (
+            ["cube_bipyramid", "--m", "1", "--n", "1", "--target", "regular_ngon:30000"],
+            "cube_bipyramid takes no --target",
+        ),
+        (
+            ["cube_cross_swap", "--m", "2", "--n", "2", "--target", "bogus:3"],
+            "cube_cross_swap takes no --target",
+        ),
+        (
+            ["simplex_power", "--n", "1", "--m", "7", "--target", "simplex:1"],
+            "simplex_power takes no --m",
+        ),
+    ],
+    ids=["bipyramid-target", "swap-target", "simplex-m"],
+)
+def test_identity_check_refuses_a_flag_its_kind_never_reads(argv, message, capsys):
+    code, out, err = run_cli(["identity-check", *argv], capsys)
+    assert (code, out, err) == (1, "", f"hompoly: ValueError: {message}\n")
 
 
 def test_cli_errors_are_structured(tmp_path, capsys):
