@@ -224,7 +224,9 @@ def _parse_range(text: str) -> tuple[int, int]:
             return int(lo), int(hi)
         return int(lo), int(lo)
     except ValueError:
-        raise ValueError(f"ranges look like 3..6 or a single number, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"ranges look like 3..6 or a single number, got {text!r}"
+        )
 
 
 @cache

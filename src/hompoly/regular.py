@@ -267,7 +267,8 @@ def survey_cone(
     since the hom-polytope is bounded).  The rows and scalars are what
     :func:`dd.extreme_rays` takes: when the field is Q the models are
     integral and the engine runs on integers, otherwise on the field's
-    blocks.
+    blocks.  The rows keep ``build_hom``'s order; :func:`table_row` hands
+    the integer rows to the engine sorted.
     """
     field, alpha, beta = survey_field(m, n)
     source = field.chebyshev(alpha, m)
@@ -293,9 +294,19 @@ def table_row(m: int, n: int) -> tuple[CountRow, TableDiagnostics]:
 
     The vertex maps are the extreme rays of :func:`survey_cone`.  A map
     has rank 0 when L = 0, rank 2 when det L != 0, and rank 1 otherwise.
+
+    When the field is Q, the engine takes the integer rows sorted, which
+    is the lexicographic order of (b, -a) that ``Polytope``'s H->V pass
+    uses: on (6,6) the rays take 472 combine steps against 824 in
+    :func:`survey_cone`'s order.  The ray set is the cone's, so the counts
+    do not change; the masks number the sorted rows, and nothing here
+    reads them.  Blocks over a larger field keep their order: sorted, or
+    ordered by real value, they did no better overall.
     """
     check_survey_size(m, n)
     field, rows, arithmetic = survey_cone(m, n)
+    if arithmetic is dd.INTEGERS:
+        rows = sorted(rows)
     rays = dd.extreme_rays(rows, arithmetic)
 
     det2, d = field.det2, field.degree

@@ -204,6 +204,20 @@ def test_validate_rejects_bad_flags(capsys):
         assert (code, out, err) == (1, "", f"hompoly: ValueError: {message}\n"), argv
 
 
+@pytest.mark.parametrize("flag", ["--m-range", "--n-range"])
+@pytest.mark.parametrize("text", ["3..", "..6", "x"])
+def test_malformed_range_is_refused_with_its_message(flag, text, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["table", flag, text])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument {flag}: ranges look like 3..6 or a single number,"
+        f" got {text!r}\n"
+    )
+
+
 def test_hom_checks_its_destination_before_reading_inputs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(["hom", "missing.v", "missing.v"], capsys)

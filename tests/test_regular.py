@@ -269,6 +269,71 @@ def test_oversized_pairs_are_refused_before_enumeration():
         table_row(7, 9)
 
 
+# -- the order the survey's rows reach the engine in ------------------------
+
+# the pairs whose field is Q, so that the engine runs on integer rows
+RATIONAL_PAIRS = [(m, n) for m in (3, 4, 6) for n in (3, 4, 6)]
+
+
+class CountingIntegers(dd.IntegerArithmetic):
+    """Integer scalars that count the engine's combine steps."""
+
+    def __init__(self):
+        self.combines = 0
+
+    def combine(self, *args):
+        self.combines += 1
+        return dd.IntegerArithmetic.combine(*args)
+
+
+def combine_steps(rows):
+    counter = CountingIntegers()
+    dd.extreme_rays(rows, counter)
+    return counter.combines
+
+
+def handed_rows(m, n):
+    """The rows ``table_row(m, n)`` hands to ``dd.extreme_rays``."""
+    calls = []
+    real = dd.extreme_rays
+
+    def recorder(rows, arithmetic):
+        calls.append(rows)
+        return real(rows, arithmetic)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dd, "extreme_rays", recorder)
+        table_row(m, n)
+    (rows,) = calls
+    return rows
+
+
+def test_table_row_sorts_the_integer_rows_only():
+    assert handed_rows(6, 6) == sorted(survey_cone(6, 6)[1])
+    # degree 2: the blocks keep survey_cone's order
+    assert handed_rows(3, 5) == survey_cone(3, 5)[1]
+
+
+def test_sorted_rational_rows_take_fewer_combine_steps():
+    """The work of the integer cones, pinned as combine steps: the rows
+    ``table_row`` hands over against ``survey_cone``'s order."""
+    steps = {
+        pair: (combine_steps(handed_rows(*pair)), combine_steps(survey_cone(*pair)[1]))
+        for pair in RATIONAL_PAIRS
+    }
+    assert steps[6, 6] == (472, 824)
+    assert tuple(map(sum, zip(*steps.values()))) == (1527, 2068)
+
+
+@pytest.mark.parametrize("pair", RATIONAL_PAIRS, ids="{0[0]}-{0[1]}".format)
+def test_sorted_rational_rows_give_the_same_rays(pair):
+    rows = survey_cone(*pair)[1]
+    handed = handed_rows(*pair)
+    assert handed != rows
+    found = {ray for ray, _ in dd.extreme_rays(handed, dd.INTEGERS)}
+    assert found == {ray for ray, _ in dd.extreme_rays(rows, dd.INTEGERS)}
+
+
 # -- the exact survey's incidences, graded ----------------------------------
 
 
