@@ -267,20 +267,6 @@ def _transpose(masks: Iterable[int], width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _maximal_masks(masks: Iterable[int]) -> set[int]:
-    """The distinct masks that are not strictly inside another one."""
-    kept: list[int] = []
-    # largest first: a strict superset has more bits, so it is kept already,
-    # and a repeated mask lies inside its first copy, so it is dropped
-    for m in sorted(masks, key=int.bit_count, reverse=True):
-        for big in kept:
-            if m & big == m:
-                break
-        else:
-            kept.append(m)
-    return set(kept)
-
-
 def _first_maximal(masks: tuple[int, ...]) -> list[int]:
     """The first index of each inclusion-maximal mask, in index order.
 
@@ -296,7 +282,16 @@ def _first_maximal(masks: tuple[int, ...]) -> list[int]:
     masks, equal masks mean one facet, which has one supporting
     hyperplane, or one vertex, so the mask is the key that drops repeats.
     """
-    maximal = _maximal_masks(masks)
+    kept: list[int] = []
+    # largest first: a strict superset has more bits, so it is kept already,
+    # and a repeated mask lies inside its first copy, so it is dropped
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        for big in kept:
+            if m & big == m:
+                break
+        else:
+            kept.append(m)
+    maximal = set(kept)
     keep = []
     for i, mask in enumerate(masks):
         if mask in maximal:
@@ -607,19 +602,56 @@ def _face_lattice(
     F, starting from the full vertex set at level ``dim`` with the
     polytope's facets, down to the vertices at level 0.  The empty face
     comes first as ``(-1, 0)``, then the levels from the top; within a
-    level the order is unspecified.  No arithmetic is done on
-    coordinates, so the grading holds over any ordered field.
+    level the order is unspecified, and so is the order of
+    ``facet_masks``, which decides only which face above cuts a face.
+    No arithmetic is done on coordinates, so the grading holds over any
+    ordered field.
+
+    Two rules keep the intersections few for a face G of dimension k:
+
+    - The floor.  An intersection with fewer than k vertices is
+      dropped, since a facet of G is a (k-1)-polytope and so has at
+      least k vertices.  G itself, the only intersection with as many
+      vertices as G, is dropped too.
+    - Larger masks only.  The intersections go by vertex count and the
+      largest are kept whole; a smaller one is tested only against the
+      kept masks with more vertices.  Distinct masks of one size never
+      contain each other, and a mask strictly inside another lies
+      inside a maximal one with more vertices, which is kept first.
     """
     lattice = [(-1, 0)]
     level = {(1 << n_vertices) - 1: facet_masks}
     for k in range(dim, 0, -1):
         lattice.extend((k, face) for face in level)
-        below: dict[int, tuple[int, ...]] = {}
+        below: dict[int, list[int]] = {}
         for face, above in level.items():
-            candidates = {face & fm for fm in above}
-            candidates.discard(face)
-            candidates.discard(0)
-            facets = tuple(_maximal_masks(candidates))
+            # the intersections by vertex count, from the floor k up to
+            # the face's own count, which only the face itself reaches
+            top = face.bit_count()
+            buckets: dict[int, set[int]] = {}
+            for fm in above:
+                h = face & fm
+                n = h.bit_count()
+                if k <= n < top:
+                    # not setdefault, which would build a set per call
+                    if n in buckets:
+                        buckets[n].add(h)
+                    else:
+                        buckets[n] = {h}
+            if len(buckets) == 1:
+                # the common case: one size, so nothing to test
+                facets = list(buckets.popitem()[1])
+            else:
+                sizes = sorted(buckets, reverse=True)
+                facets = list(buckets[sizes[0]])
+                for n in sizes[1:]:
+                    larger = facets[:]
+                    for h in buckets[n]:
+                        for big in larger:
+                            if h & big == h:
+                                break
+                        else:
+                            facets.append(h)
             for h in facets:
                 below.setdefault(h, facets)
         level = below

@@ -1,5 +1,6 @@
 """Unit tests for the polytope kernel: conversions, incidence, faces."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -776,6 +777,36 @@ def test_only_the_polytope_itself_reads_every_facet_row(name):
 
     polytope_module._face_lattice(Rows(p.facet_masks), p.n_vertices, p.dim)
     assert len(reads) == 1
+
+
+@functools.cache
+def _graded_by_the_oracle(name):
+    """The non-simple polytope and its oracle faces as sorted (dim, mask) pairs."""
+    p = NON_SIMPLE[name]()
+    pairs = [(dim, sum(1 << v for v in verts)) for dim, verts, _ in _reference_faces(p)]
+    return p, sorted(pairs)
+
+
+def _shuffled_grading(p, order):
+    masks = list(p.facet_masks)
+    order.shuffle(masks)
+    return sorted(polytope_module._face_lattice(tuple(masks), p.n_vertices, p.dim))
+
+
+@pytest.mark.parametrize("name", sorted(NON_SIMPLE))
+@given(order=st.randoms(use_true_random=False))
+@settings(max_examples=10, deadline=None)
+def test_facet_order_does_not_change_the_lattice(name, order):
+    # the order only decides which face above cuts a face
+    p, expected = _graded_by_the_oracle(name)
+    assert _shuffled_grading(p, order) == expected
+
+
+@given(full_dimensional_point_sets(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_facet_order_does_not_change_the_lattice_of_a_point_set(pts, order):
+    p = Polytope.from_points(pts)
+    assert _shuffled_grading(p, order) == sorted(p._graded())
 
 
 def test_point_in_ambient_dimension_zero_has_two_faces():
