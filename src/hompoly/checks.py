@@ -6,7 +6,8 @@ raises :class:`~hompoly.errors.InvariantViolation` naming the first
 property that fails.  Checks run in a fixed order, so a planted fault
 always reports the same name.
 
-* ``hom`` and ``classify``: :func:`check_hom`.
+* ``hom``: :func:`check_hom`.
+* ``classify``: :func:`check_hom`, then :func:`check_classify_summary`.
 * ``table``: :func:`check_table_row`, once per row.
 * ``graphs``: :func:`check_graph_accepted` on each enumerated graph's
   status, then :func:`check_certificate` on its certificate.  The
@@ -15,6 +16,7 @@ always reports the same name.
 
 from __future__ import annotations
 
+from .classify import ClassifySummary, rank1_polygon_count
 from .coincidence import Certificate, CoincidenceGraph, build_generic_matrix, evaluate_matrix
 from .errors import InvariantViolation, LowerDimensionalError
 from .hom import HomPolytope
@@ -67,6 +69,18 @@ def check_hom(h: HomPolytope) -> None:
                     f"map {f.to_point()} is tight at {v} on target facets "
                     f"{sorted(hit.active)}, its hom facets mark {sorted(marked)}",
                 )
+
+
+def check_classify_summary(h: HomPolytope, summary: ClassifySummary) -> None:
+    """A polygon source's rank-1 count against its closed form in the source's edges."""
+    if h.source.dim != 2:
+        return
+    expected = rank1_polygon_count(h.source, h.target)
+    if summary.rank_count(1) != expected:
+        raise InvariantViolation(
+            "classify-rank1-closed-form",
+            f"{summary.rank_count(1)} rank-1 vertices, the closed form says {expected}",
+        )
 
 
 def check_table_row(row: CountRow) -> None:

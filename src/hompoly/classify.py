@@ -31,10 +31,15 @@ sets are the cosets of K meeting the vertex set, and f(P) is affinely
 isomorphic to P/K, the projection of P along K: the image of P under
 the reduced row echelon rows of L, which have kernel K and full rank.
 ``classify_all`` therefore runs the test once per kernel.
+
+The counts the command line prints need none of this: each vertex's
+rank and whether it is simple.  :func:`classify_summary` computes those
+two alone, and ``classify_all`` tallies its records by the same rule.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import GeometryError
@@ -282,17 +287,45 @@ class ClassifySummary:
         )
 
 
+def _tally(ranks_and_simple: Iterable[tuple[int, bool]]) -> ClassifySummary:
+    """The summary of (rank, simple) pairs, one per vertex map."""
+    rank_counts: dict[int, int] = {}
+    total = simple_count = 0
+    for rank, simple in ranks_and_simple:
+        rank_counts[rank] = rank_counts.get(rank, 0) + 1
+        total += 1
+        simple_count += simple
+    return ClassifySummary(
+        total=total,
+        by_rank=tuple(sorted(rank_counts.items())),
+        simple_count=simple_count,
+    )
+
+
+def classify_summary(h: HomPolytope) -> ClassifySummary:
+    """The counts of :func:`classify_all` without its per-vertex records.
+
+    A vertex's rank is :func:`map_rank` of its map and it is simple when
+    exactly ``dim`` hom facets are tight there; nothing else is computed.
+    """
+    vp = h.polytope
+    return _tally(
+        (map_rank(h.map_at_vertex(i)), vp.vertex_masks[i].bit_count() == vp.dim)
+        for i in range(vp.n_vertices)
+    )
+
+
 def classify_all(
     h: HomPolytope,
 ) -> tuple[list[MapClassification], ClassifySummary]:
     """Classify every vertex of the hom-polytope.
 
-    Returns per-vertex records in the polytope's vertex order plus a
-    summary with counts by rank and the number of simple vertices.  Each
-    record's map is a vertex of ``h.polytope`` by construction, so no
-    vertex test is repeated here.  Hom facet (v, k) is tight at it
-    exactly when target facet k is tight at f(v), so image locations,
-    surjectivity and deflation are read off ``h.tight_masks``.
+    Returns per-vertex records in the polytope's vertex order plus the
+    summary :func:`classify_summary` returns.  Each record's map is a
+    vertex of ``h.polytope`` by construction, so no vertex test is
+    repeated here.  Hom facet (v, k) is tight at it exactly when target
+    facet k is tight at f(v), so image locations, surjectivity and
+    deflation are read off ``h.tight_masks``.
 
     The face-collapse verdict depends only on the kernel K of the linear
     part: fiber sets are cosets of K and the image vertices are the
@@ -305,8 +338,6 @@ def classify_all(
     """
     p, q = h.source, h.target
     records: list[MapClassification] = []
-    rank_counts: dict[int, int] = {}
-    simple_count = 0
     collapse_by_kernel: dict[tuple[tuple[int, ...], ...], bool] = {}
     masks = h.polytope.vertex_masks
     vertex_of = _vertex_lookup(q)
@@ -334,15 +365,7 @@ def classify_all(
                 surj_factor_is_face_collapse=collapse,
             )
         )
-        rank_counts[rank] = rank_counts.get(rank, 0) + 1
-        if simple:
-            simple_count += 1
-    summary = ClassifySummary(
-        total=len(records),
-        by_rank=tuple(sorted(rank_counts.items())),
-        simple_count=simple_count,
-    )
-    return records, summary
+    return records, _tally((r.rank, r.simple) for r in records)
 
 
 def rank1_polygon_count(p: Polytope, q: Polytope) -> int:

@@ -29,8 +29,14 @@ from collections.abc import Callable
 from functools import cache
 from pathlib import Path
 
-from .checks import check_certificate, check_graph_accepted, check_hom, check_table_row
-from .classify import classify_all
+from .checks import (
+    check_certificate,
+    check_classify_summary,
+    check_graph_accepted,
+    check_hom,
+    check_table_row,
+)
+from .classify import classify_summary
 from .coincidence import certify_nonvanishing, enumerate_graphs, reject_reason
 from .constructions import STOCK, check_size, standard
 from .errors import GeometryError
@@ -105,7 +111,10 @@ def _cmd_hom(args: argparse.Namespace) -> tuple[Emission, int]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[Emission, int]:
-    _records, summary = classify_all(_read_hom(args))
+    h = _read_hom(args)
+    summary = classify_summary(h)
+    if args.check:
+        check_classify_summary(h, summary)
     lines = ["rank\tcount"]
     for rank, count in summary.by_rank:
         lines.append(f"{rank}\t{count}")

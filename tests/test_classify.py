@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hompoly import classify
 from hompoly.classify import (
     classify_all,
+    classify_summary,
     image_polytope,
     image_vertex_locations,
     is_deflation,
@@ -706,11 +707,11 @@ RECORD_PAIRS = {
 def classified(request):
     p, q = RECORD_PAIRS[request.param]()
     h = build_hom(p, q)
-    return request.param, h, classify_all(h)[0]
+    return request.param, h, *classify_all(h)
 
 
 def test_record_fields_match_the_public_functions(classified):
-    _, h, records = classified
+    _, h, records, _ = classified
     p, q = h.source, h.target
     for record in records:
         f = record.map
@@ -720,15 +721,20 @@ def test_record_fields_match_the_public_functions(classified):
 
 
 def test_record_collapse_matches_is_face_collapse(classified):
-    _, h, records = classified
+    _, h, records, _ = classified
     for record in records:
         assert record.surj_factor_is_face_collapse == is_face_collapse(
             record.map, h.source
         )
 
 
+def test_summary_equals_the_tally_of_the_records(classified):
+    _, h, _, summary = classified
+    assert classify_summary(h) == summary
+
+
 def test_record_deflations_are_face_collapses(classified):
-    _, _, records = classified
+    _, _, records, _ = classified
     assert all(r.surj_factor_is_face_collapse for r in records if r.is_deflation)
 
 
@@ -857,7 +863,7 @@ RECORD_TALLIES = {
 
 
 def test_record_tallies_are_pinned(classified):
-    pair, h, records = classified
+    pair, h, records, _ = classified
     assert _tally(h, records) == RECORD_TALLIES[pair]
 
 

@@ -13,14 +13,17 @@ from pathlib import Path
 
 import pytest
 
+import hompoly.classify
 import hompoly.polyio
 import hompoly.cli
 from hompoly.checks import (
     check_certificate,
+    check_classify_summary,
     check_graph_accepted,
     check_hom,
     check_table_row,
 )
+from hompoly.classify import classify_summary
 from hompoly.cli import MAX_DIGITS, main, worker_count
 from hompoly.coincidence import (
     Certificate,
@@ -32,7 +35,7 @@ from hompoly.coincidence import (
 from hompoly.errors import InvariantViolation
 from hompoly.constructions import cube, regular_ngon, simplex
 from hompoly.hom import HomPolytope, IdentityCheckReport, build_hom
-from hompoly.polytope import Inequality, Polytope
+from hompoly.polytope import Inequality, Polytope, contains_point
 from hompoly.regular import table_row
 from hompoly.polyio import (
     MAX_DECIMAL_EXPONENT,
@@ -416,10 +419,15 @@ def test_classify_check_certifies_tight_pairs(tmp_path, capsys):
     assert checked == plain == "rank\tcount\n0\t4\n1\t36\n2\t24\ntotal\t64\nsimple\t0\n"
 
 
-# V-files and the exact `classify` stdout for them, recorded from a version
-# that ran the hom's H->V pass in input row order and sorted with Fraction
-# keys; the row order and integer keys must not move a byte
+# V-files of the benchmark's nine `classify` pairs and their exact stdout;
+# p3 and p4 are the integer models of the triangle and the square.  The
+# (p6, p6), (cube3, cube2) and (cross3, simplex2) outputs were recorded from
+# a version that ran the hom's H->V pass in input row order and sorted with
+# Fraction keys, the other six from one that built every per-vertex record
+# to print the counts; neither change may move a byte
 CLASSIFY_V_FILES = {
+    "p3": "V 2 3\n2 0\n-1 1\n-1 -1\n",
+    "p4": "V 2 4\n2 0\n0 1\n-2 0\n0 -1\n",
     "p6": "V 2 6\n2 0\n1 1\n-1 1\n-2 0\n-1 -1\n1 -1\n",
     "cube3": "V 3 8\n-1 -1 -1\n-1 -1 1\n-1 1 -1\n-1 1 1\n1 -1 -1\n1 -1 1\n1 1 -1\n1 1 1\n",
     "cube2": "V 2 4\n-1 -1\n-1 1\n1 -1\n1 1\n",
@@ -428,20 +436,75 @@ CLASSIFY_V_FILES = {
 }
 CLASSIFY_STDOUT = {
     ("p6", "p6"): "rank\tcount\n0\t6\n1\t90\n2\t84\ntotal\t180\nsimple\t72\n",
+    ("p3", "p4"): "rank\tcount\n0\t4\n1\t36\n2\t24\ntotal\t64\nsimple\t64\n",
+    ("p4", "p6"): "rank\tcount\n0\t6\n1\t60\n2\t72\ntotal\t138\nsimple\t48\n",
+    ("p6", "p4"): "rank\tcount\n0\t4\n1\t36\n2\t24\ntotal\t64\nsimple\t0\n",
+    ("p3", "p6"): "rank\tcount\n0\t6\n1\t90\n2\t120\ntotal\t216\nsimple\t216\n",
+    ("p6", "p3"): "rank\tcount\n0\t3\n1\t18\n2\t12\ntotal\t33\nsimple\t12\n",
+    ("p4", "p4"): "rank\tcount\n0\t4\n1\t24\n2\t8\ntotal\t36\nsimple\t0\n",
     ("cube3", "cube2"): "rank\tcount\n0\t4\n1\t36\n2\t24\ntotal\t64\nsimple\t0\n",
     ("cross3", "simplex2"): "rank\tcount\n0\t3\n1\t24\ntotal\t27\nsimple\t0\n",
 }
 
 
-@pytest.mark.parametrize("pair", CLASSIFY_STDOUT, ids="->".join)
-def test_classify_stdout_is_frozen(pair, tmp_path, capsys):
+def _classify_argv(pair, tmp_path):
     paths = []
     for stem in pair:
         path = tmp_path / f"{stem}.v"
         path.write_text(CLASSIFY_V_FILES[stem])
         paths.append(str(path))
-    code, out, err = run_cli(["classify", *paths], capsys)
-    assert (code, out, err) == (0, CLASSIFY_STDOUT[pair], "")
+    return ["classify", *paths]
+
+
+@pytest.mark.parametrize("pair", CLASSIFY_STDOUT, ids="->".join)
+def test_classify_stdout_is_frozen(pair, tmp_path, capsys):
+    argv = _classify_argv(pair, tmp_path)
+    assert run_cli(argv, capsys) == (0, CLASSIFY_STDOUT[pair], "")
+    assert run_cli(argv + ["--check"], capsys) == (0, CLASSIFY_STDOUT[pair], "")
+
+
+def test_classify_computes_only_the_counts_it_prints(tmp_path, capsys, monkeypatch):
+    # the per-vertex records, the face-collapse hulls and the evaluation of
+    # maps at source vertices go into nothing the command prints; only
+    # --check evaluates the maps
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify computed what it does not print")
+
+    for fn in (hompoly.classify.classify_all, hompoly.classify.is_face_collapse, contains_point):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hompoly") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, refuse)
+    for pair in (("p6", "p6"), ("cube3", "cube2")):
+        argv = _classify_argv(pair, tmp_path)
+        assert run_cli(argv, capsys) == (0, CLASSIFY_STDOUT[pair], "")
+
+
+def test_classify_check_meets_the_rank1_closed_form_in_a_3d_target():
+    # the frozen pairs have planar targets; the closed form does not ask for one
+    h = build_hom(cube(2), simplex(3))
+    check_classify_summary(h, classify_summary(h))
+
+
+def test_classify_check_names_a_rank1_miscount(tmp_path, capsys, monkeypatch):
+    # one rank-1 vertex booked as rank 2: the total and the sum still agree
+    def miscount(h):
+        summary = classify_summary(h)
+        counts = dict(summary.by_rank)
+        counts[1] -= 1
+        counts[2] += 1
+        return dataclasses.replace(summary, by_rank=tuple(sorted(counts.items())))
+
+    monkeypatch.setattr(hompoly.cli, "classify_summary", miscount)
+    argv = _classify_argv(("p6", "p6"), tmp_path)
+    code, out, err = run_cli(argv + ["--check"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "hompoly: InvariantViolation: violated invariant classify-rank1-closed-form:"
+        " 89 rank-1 vertices, the closed form says 90\n"
+    )
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == "rank\tcount\n0\t6\n1\t89\n2\t85\ntotal\t180\nsimple\t72\n"
 
 
 def test_invariant_violation_survives_pickling():

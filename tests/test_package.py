@@ -160,8 +160,8 @@ def test_every_invariant_is_raised_in_checks_and_listed_in_the_readme():
     assert [name for name, names in raised.items() if names] == ["checks.py"]
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     bullet = readme[readme.index("* `hompoly.checks`"):]
-    listed = re.findall(r"`([a-z]+(?:-[a-z]+)+)`", bullet[:bullet.index("\n* ")])
-    assert len(listed) == len(set(listed)) == 11
+    listed = re.findall(r"`([a-z][a-z0-9]*(?:-[a-z0-9]+)+)`", bullet[:bullet.index("\n* ")])
+    assert len(listed) == len(set(listed)) == 12
     assert raised["checks.py"] == set(listed)
 
 
