@@ -7,8 +7,9 @@ node of degree three or more on either side, no 4-cycle, no 6-cycle)
 precisely when the graph is a vertex-disjoint union of paths; there are
 exactly 31 such graphs up to isomorphism keeping the parts apart.
 
-The degree rules count one part at a time and stop at the first node
-of degree three, which is where most candidate patterns end.  The cycle
+The degree rules sort each part's seven labels, one per edge, and look
+for a window ``s[i] == s[i + 2]`` (see :func:`reject_reason`); the A
+window is where most candidate patterns end.  The cycle
 rules need no component search.  Once every degree is at most two, each
 component is a path or an even cycle of length four or more, and two
 cycles would need eight edges, so seven edges hold at most one cycle.
@@ -44,7 +45,7 @@ Poly = dict[Monomial, int]
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoincidenceGraph:
     """Seven bipartite edges; nodes exist exactly where edges touch them."""
 
@@ -97,25 +98,20 @@ def _typed_multisets(total: int, first: int = 0) -> list[tuple[PathType, ...]]:
 
 def _materialize(multiset: tuple[PathType, ...]) -> CoincidenceGraph:
     edges: list[Edge] = []
-    next_a = 0
-    next_b = 0
+    next_a = next_b = 0
     for length, flavor in multiset:
-        start_in_a = flavor != "B"
-        walk: list[tuple[str, int]] = []
-        side = start_in_a
-        for _ in range(length + 1):
-            if side:
-                walk.append(("A", next_a))
-                next_a += 1
+        # walk from a fresh node of the start's part; each step takes a
+        # fresh node of the other part, so the parts alternate
+        a, b, step_a = next_a, next_b, flavor != "B"
+        edges.append((a, b))
+        for _ in range(length - 1):
+            if step_a:
+                a += 1
             else:
-                walk.append(("B", next_b))
-                next_b += 1
-            side = not side
-        for (part1, n1), (part2, n2) in zip(walk, walk[1:]):
-            if part1 == "A":
-                edges.append((n1, n2))
-            else:
-                edges.append((n2, n1))
+                b += 1
+            step_a = not step_a
+            edges.append((a, b))
+        next_a, next_b = a + 1, b + 1
     return CoincidenceGraph(tuple(edges))
 
 
@@ -151,10 +147,7 @@ def path_multiset(g: CoincidenceGraph) -> tuple[PathType, ...]:
 
 def canonical_encoding(g: CoincidenceGraph) -> str:
     """Stable text form of an accepted graph: its path multiset."""
-    parts = []
-    for length, flavor in path_multiset(g):
-        parts.append(f"{length}{flavor}" if flavor else str(length))
-    return "+".join(parts)
+    return "+".join(f"{length}{flavor or ''}" for length, flavor in path_multiset(g))
 
 
 def enumerate_graphs() -> list[CoincidenceGraph]:
@@ -176,25 +169,22 @@ def reject_reason(g: CoincidenceGraph) -> str:
     degree three or more (2), a 4-cycle (3), a 6-cycle (4).  Graphs
     passing all four are exactly the disjoint unions of paths.
 
-    The degree rules count one part at a time and stop at the first node
-    of degree three.  With every degree at most two, each component is a
-    path or an even cycle, and seven edges hold at most one cycle, since
-    two would need eight.  The A-nodes of degree two (at most three) each
-    have a pair of B-neighbours.  Rule 3 fires when two of them share a
-    pair, rule 4 when three distinct pairs cover exactly three B-nodes.
+    The degree rules sort the seven A-labels, then the seven B-labels, of
+    the edges.  Copies of a label are contiguous in the sorted labels ``s``,
+    so a label occurs three or more times exactly when ``s[i] == s[i + 2]``
+    for some i in 0..4: a run of three copies covers such a window, and
+    ``s[i] == s[i + 2]`` forces the ``s[i + 1]`` between them to be equal.
+    Rule 3 fires when two A-nodes of degree two share their pair of
+    B-neighbours, rule 4 when three distinct pairs cover exactly three
+    B-nodes; the module docstring shows why that is exact.
     """
-    a_degree: dict[int, int] = {}
-    for a, _ in g.edges:
-        degree = a_degree.get(a, 0) + 1
-        if degree == 3:
-            return "rejected(rule 1)"
-        a_degree[a] = degree
-    b_degree: dict[int, int] = {}
-    for _, b in g.edges:
-        degree = b_degree.get(b, 0) + 1
-        if degree == 3:
-            return "rejected(rule 2)"
-        b_degree[b] = degree
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6) = g.edges
+    s = sorted((a0, a1, a2, a3, a4, a5, a6))
+    if s[0] == s[2] or s[1] == s[3] or s[2] == s[4] or s[3] == s[5] or s[4] == s[6]:
+        return "rejected(rule 1)"
+    s = sorted((b0, b1, b2, b3, b4, b5, b6))
+    if s[0] == s[2] or s[1] == s[3] or s[2] == s[4] or s[3] == s[5] or s[4] == s[6]:
+        return "rejected(rule 2)"
     # each pair is sorted, so two A-nodes on the same B-nodes give equal pairs
     first: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []

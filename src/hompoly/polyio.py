@@ -168,9 +168,18 @@ def read_polytope(text: str) -> Polytope:
     return Polytope.from_inequalities(inequalities, ambient)
 
 
+def _header(kind: str, p: Polytope, count: int) -> str:
+    if p.ambient_dim == 0:
+        raise ValueError(
+            "cannot write ambient dimension 0: the format has no line for a"
+            " point of R^0, and the reader requires a positive ambient dimension"
+        )
+    return f"{kind} {p.ambient_dim} {count}"
+
+
 def write_vrep(p: Polytope) -> str:
     """Render the vertex description, one vertex per line."""
-    rows = [f"V {p.ambient_dim} {p.n_vertices}"]
+    rows = [_header("V", p, p.n_vertices)]
     for v in p.vertices:
         rows.append(" ".join(str(c) for c in v))
     return "\n".join(rows) + "\n"
@@ -178,7 +187,7 @@ def write_vrep(p: Polytope) -> str:
 
 def write_hrep(p: Polytope) -> str:
     """Render the facet description, one inequality per line."""
-    rows = [f"H {p.ambient_dim} {p.n_facets}"]
+    rows = [_header("H", p, p.n_facets)]
     for ineq in p.inequalities:
         rows.append(
             " ".join(str(c) for c in ineq.normal) + f" {ineq.offset}"

@@ -73,6 +73,16 @@ def test_hrep_roundtrip():
     assert sorted(back.vertices) == sorted(c.vertices)
 
 
+@pytest.mark.parametrize("write", [write_vrep, write_hrep])
+def test_writers_refuse_ambient_dimension_zero(write):
+    # the format has no line for a point of R^0, and the reader refuses 0
+    with pytest.raises(ValueError, match="ambient dimension 0"):
+        write(simplex(0))
+    with pytest.raises(ParseError, match="positive ambient dimension"):
+        read_polytope("V 0 1\n\n")
+    assert read_polytope(write(simplex(1))).n_vertices == 2
+
+
 def test_read_drops_non_extreme_points():
     text = "V 2 5\n0 0\n2 0\n0 2\n2 2\n1 1\n"
     assert read_polytope(text).n_vertices == 4

@@ -1,5 +1,7 @@
 """Coincidence graphs: enumeration, rejection rules, determinants."""
 
+import dataclasses
+import pickle
 from fractions import Fraction
 from itertools import combinations, permutations
 from operator import mul
@@ -116,6 +118,20 @@ def test_graph_validation():
         CoincidenceGraph(tuple((0, 0) for _ in range(7)))
 
 
+def test_graph_is_slotted_and_frozen():
+    g = graph((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 4))
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.edges = SEVEN_DISJOINT.edges
+    same = graph(*g.edges)
+    assert same == g and hash(same) == hash(g)
+    assert g != SEVEN_DISJOINT
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and back.edges == g.edges
+    with pytest.raises(ValueError):
+        dataclasses.replace(g, edges=g.edges[:6])
+
+
 # -- rejection rules ----------------------------------------------------
 
 
@@ -161,6 +177,53 @@ def test_b_rule_finishing_first_still_yields_rule_1():
     # the sixth: the A part is still checked first
     g = graph((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (4, 4))
     assert reject_reason(g) == "rejected(rule 1)"
+
+
+# four labels besides the one that a degree-3 node takes; sorted, that
+# node's three copies land on window i when i of these labels are smaller
+OTHER_LABELS = (-(10**9), -3, 3, 10**9)
+TRIPLE_LABELS = (-(10**9) - 1, -5, 0, 5, 10**9 + 1)
+FRESH_LABELS = (-(10**9) - 2, -7, -1, 2, 8, 10**9 - 1, 10**9 + 2)
+
+
+def degree_three_graph(window, side):
+    """A degree-3 node on sorted window ``window`` of part ``side`` (0 is A).
+
+    The other part gets seven distinct labels, so its degrees are all one;
+    the edges are interleaved so the three copies are not adjacent.
+    """
+    labels = (TRIPLE_LABELS[window],) * 3 + OTHER_LABELS
+    assert sorted(labels)[window] == sorted(labels)[window + 2]
+    order = (0, 3, 1, 4, 5, 2, 6)
+    pairs = [(labels[k], FRESH_LABELS[k]) for k in order]
+    return graph(*(pair if side == 0 else pair[::-1] for pair in pairs))
+
+
+@pytest.mark.parametrize("window", range(5))
+@pytest.mark.parametrize("side", [0, 1])
+def test_degree_three_node_on_every_sorted_window_is_rejected(side, window):
+    g = degree_three_graph(window, side)
+    assert reject_reason(g) == f"rejected(rule {side + 1})"
+    assert reject_reason(g) == reference_reject_reason(g)
+
+
+@pytest.mark.parametrize("single", range(4))
+def test_equal_sorted_neighbours_of_degree_two_pass_the_degree_rules(single):
+    # a seven-edge path: A-degrees 2, 2, 2, 1 and B-degrees 2, 2, 2, 1;
+    # the degree-1 A-node sorts to position 0, 2, 4 or 6, so equal labels
+    # sit side by side in the sorted labels but no s[i] == s[i + 2] holds
+    a_labels = list(OTHER_LABELS)
+    a_labels.insert(0, a_labels.pop(single))
+    b = (10**9, -(10**9), 7, -7)
+    g = graph(
+        (a_labels[0], b[0]), (a_labels[1], b[0]), (a_labels[1], b[1]),
+        (a_labels[2], b[1]), (a_labels[2], b[2]), (a_labels[3], b[2]),
+        (a_labels[3], b[3]),
+    )
+    a_sorted = sorted(a for a, _ in g.edges)
+    assert a_sorted.index(OTHER_LABELS[single]) == 2 * single
+    assert reject_reason(g) == "accepted"
+    assert canonical_encoding(g) == "7"
 
 
 def test_disjoint_edges_accepted():
