@@ -34,7 +34,8 @@ the reduced row echelon rows of L, which have kernel K and full rank.
 
 The counts the command line prints need none of this: each vertex's
 rank and whether it is simple.  :func:`classify_summary` computes those
-two alone, and ``classify_all`` tallies its records by the same rule.
+two alone, from the hom's integer vertex rays, and ``classify_all``
+tallies its records by the same rule.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import GeometryError
-from .hom import AffineMap, HomPolytope, is_vertex_map
+from .hom import AffineMap, HomPolytope, is_vertex_map, split_point
 from .linalg import (
     Vector,
     integer_direction,
@@ -305,13 +306,16 @@ def _tally(ranks_and_simple: Iterable[tuple[int, bool]]) -> ClassifySummary:
 def classify_summary(h: HomPolytope) -> ClassifySummary:
     """The counts of :func:`classify_all` without its per-vertex records.
 
-    A vertex's rank is :func:`map_rank` of its map and it is simple when
-    exactly ``dim`` hom facets are tight there; nothing else is computed.
+    A vertex's rank is read off its integer ray (x0, x0 f): the L block
+    of x0 f is x0 L, which has the rank of L, so no map is built.  It is
+    simple when exactly ``dim`` hom facets are tight there; nothing else
+    is computed.
     """
     vp = h.polytope
+    s, t = h.source.ambient_dim, h.target.ambient_dim
     return _tally(
-        (map_rank(h.map_at_vertex(i)), vp.vertex_masks[i].bit_count() == vp.dim)
-        for i in range(vp.n_vertices)
+        (mat_rank(split_point(ray[1:], s, t)[0]), mask.bit_count() == vp.dim)
+        for ray, mask in zip(vp.vertex_rays, vp.vertex_masks)
     )
 
 

@@ -290,9 +290,12 @@ def _homogenize(normals: list[Vector], offsets: list[Fraction]) -> list[IntRow]:
 
 def enumerate_vertices(
     normals: list[Vector], offsets: list[Fraction]
-) -> list[tuple[Vector, int]]:
+) -> list[tuple[IntRow, int]]:
     """Vertices of ``{x : normals[i] . x <= offsets[i]}`` with activity masks.
 
+    Each vertex v comes as the primitive integer ray (x0, x0 v) of the
+    homogenization cone, x0 > 0, which is how the engine finds it: its
+    coordinates are ``Fraction(e, ray[0])`` for the entries e after x0.
     Raises :class:`UnboundedError` if a feasible recession direction
     exists and :class:`InfeasibleError` if the system has no solution.
     A lower-dimensional but nonempty solution set comes back as its
@@ -316,9 +319,7 @@ def enumerate_vertices(
         # every row is 0 on the line, so a nonempty solution set holds lines along it
         rays, directions = err.rays, [err.line]
 
-    vertices = [
-        (tuple(Fraction(e, g[0]) for e in g[1:]), mask) for g, mask in rays if g[0]
-    ]
+    vertices = [(g, mask) for g, mask in rays if g[0]]
     if not vertices:
         raise InfeasibleError("inequality system is infeasible")
     if directions:

@@ -23,14 +23,18 @@ order.  Both filters are one rule, :func:`_first_maximal`, on the
 incidences the completion computes anyway: the first of each maximal
 mask, a row's vertex set or a point's facet set.
 
-Both passes call :func:`hompoly.dd.enumerate_vertices`.  The H->V
+Both passes call :func:`hompoly.dd.enumerate_vertices`, which gives
+each vertex as the primitive integer ray (x0, x0 v) it finds.  The H->V
 pass hands it the rows in the lexicographic order of their homogenized
 rows (b, -a): insertion order governs how large the double description
 grows, and on the hom systems this order needs far fewer steps than
 input order.  The masks it returns are mapped back to input numbering,
 since rows may be labels (a hom's rows are its (vertex, facet) pairs)
-and every incidence consumer reads bit j as input row j.  The V->H pass
-keeps input order.
+and every incidence consumer reads bit j as input row j.  The polytope
+keeps the sorted rays as :attr:`Polytope.vertex_rays` and builds the
+``Fraction`` vertices from them only when they are read; counts, masks
+and the face lattice never need them.  The V->H pass keeps input order
+and reads each facet straight off its polar ray.
 
 Completion requires full-dimensional input.  Lower-dimensional point
 sets must go through :func:`chart_project` first; the error says so.
@@ -60,10 +64,9 @@ from .errors import (
 )
 from .linalg import (
     Vector,
+    _integer_row,
     canonical_inequality,
-    # unused here: perfbench's tracer self-test looks the name up in this
-    # module and checks that tracing rebinds it
-    mat_rank,  # noqa: F401
+    mat_rank,
     rref,
     solve_affine_hull,
     vec_dot,
@@ -162,19 +165,35 @@ def barycenter(points: tuple[Vector, ...]) -> Vector:
     )
 
 
+def _ray_point(ray: tuple[int, ...]) -> Vector:
+    """The point v of the ray (x0, x0 v), x0 > 0."""
+    x0 = ray[0]
+    return tuple(Fraction(e, x0) for e in ray[1:])
+
+
+def _point_ray(point: Vector) -> tuple[int, ...]:
+    """The primitive integer ray (x0, x0 v) of the point v, x0 > 0.
+
+    x0 is the lcm of the denominators, which leaves no common factor.
+    """
+    entries, x0 = _integer_row(point)
+    return (x0, *entries)
+
+
 def _vertices_of_system(
     inequalities: tuple[Inequality, ...], ambient_dim: int
-) -> list[tuple[Vector, int]]:
-    """Sorted vertices with activity masks over the given inequality order.
+) -> list[tuple[tuple[int, ...], int]]:
+    """Sorted vertex rays with activity masks over the given inequality order.
 
-    The engine takes the rows in the lexicographic order of their
-    homogenized rows (b, -a), which keeps the double description's
+    Each vertex v is the engine's primitive integer ray (x0, x0 v),
+    x0 > 0.  The engine takes the rows in the lexicographic order of
+    their homogenized rows (b, -a), which keeps the double description's
     intermediate cones small on the hom systems, and each returned mask
     is mapped back so that bit j still means input row j; labelled rows
-    and facet masks are read in input numbering.  The vertices are then
-    sorted lexicographically by exact integer keys, their numerators
-    over the common denominator of all coordinates, which order them as
-    the rationals do.
+    and facet masks are read in input numbering.  The rays are then
+    sorted lexicographically by exact integer keys, the entries after x0
+    times L // x0 for the lcm L of all x0: each vertex's coordinates over
+    one common denominator, which order the vertices as the rationals do.
 
     Requires the feasible set to be a full-dimensional polytope; bounded
     lower-dimensional sets raise :class:`LowerDimensionalError`.  A
@@ -194,7 +213,7 @@ def _vertices_of_system(
         for j, iq in enumerate(inequalities):
             if iq.offset == 0:
                 mask |= 1 << j
-        return [((), mask)]
+        return [((1,), mask)]
     if not inequalities:
         # the empty system is all of R^d
         raise UnboundedError(tuple(Fraction(int(i == 0)) for i in range(ambient_dim)))
@@ -207,20 +226,25 @@ def _vertices_of_system(
         [inequalities[j].offset for j in order],
     )
     bit_of = [1 << j for j in order]
-    found = [
-        (point, sum(bit_of[i] for i in dd._bits(mask))) for point, mask in found
-    ]
-    denominators = {e.denominator for point, _ in found for e in point}
-    common = lcm(*denominators)
-    scale = {d: common // d for d in denominators}
-    # integer keys compare in C; each denominator's scale is divided out once
-    found.sort(key=lambda item: [e.numerator * scale[e.denominator] for e in item[0]])
+    found = [(ray, sum(bit_of[i] for i in dd._bits(mask))) for ray, mask in found]
+    x0s = {ray[0] for ray, _ in found}
+    common = lcm(*x0s)
+    # integer keys compare in C; each distinct x0's scale is divided out once
+    scale = {x0: common // x0 for x0 in x0s}
+
+    def key(item: tuple[tuple[int, ...], int]) -> list[int]:
+        ray = item[0]
+        s = scale[ray[0]]
+        return [e * s for e in ray[1:]]
+
+    found.sort(key=key)
     implicit = -1
     for _, mask in found:
         implicit &= mask
     if implicit:
+        # the rays (x0, x0 v) span one more dimension than the points v
         raise LowerDimensionalError(
-            _affine_rank(p for p, _ in found),
+            mat_rank([ray for ray, _ in found]) - 1,
             ambient_dim,
             dd._bits(implicit)[0],
         )
@@ -233,10 +257,13 @@ def _facets_of_hull(
     """Sorted facet inequalities of conv(points) with point-activity masks.
 
     Facet normals come out primitive integer via polarity around the
-    point average, which is interior because the hull is required to be
-    full-dimensional.  Mask bit i refers to input point i, so redundant
-    input points are handled and reported faithfully; a point equal to
-    the center gives the dual row ``0 . y <= 1``, which is never tight.
+    point average c, which is interior because the hull is required to
+    be full-dimensional.  A vertex y of the polar comes as the ray
+    (x0, x0 y), and its facet y . x <= 1 + y . c is read off the ray as
+    x0 y . x <= x0 + x0 y . c, with no division.  Mask bit i refers to
+    input point i, so redundant input points are handled and reported
+    faithfully; a point equal to the center gives the dual row
+    ``0 . y <= 1``, which is never tight.
     The polar system is unbounded exactly when the points do not span,
     so that is how a lower-dimensional hull shows.
     """
@@ -249,10 +276,11 @@ def _facets_of_hull(
         )
     except UnboundedError:
         raise LowerDimensionalError(_affine_rank(points), ambient_dim) from None
-    results = [
-        (Inequality(*canonical_inequality(y, 1 + vec_dot(y, center))), mask)
-        for y, mask in dual_vertices
-    ]
+    results = []
+    for ray, mask in dual_vertices:
+        normal = ray[1:]
+        offset = ray[0] + vec_dot(normal, center)
+        results.append((Inequality(*canonical_inequality(normal, offset)), mask))
     results.sort(key=lambda item: (item[0].normal, item[0].offset))
     return results
 
@@ -307,7 +335,9 @@ class Polytope:
     checked (already irredundant, kept verbatim) or unchecked (to be
     normalized).  A single completion step fills in the other side and
     the facet masks, normalizing unchecked input on the way, and every
-    accessor that needs something not yet known runs it.  Instances are
+    accessor that needs something not yet known runs it.  Completing
+    the vertex side keeps the engine's integer rays; the ``Fraction``
+    vertices are built from them when first read.  Instances are
     immutable in intent: completion only fills in and caches.  Use the
     ``from_*`` constructors; the bare initializer is for internal
     assembly where all invariants are already established.
@@ -325,6 +355,7 @@ class Polytope:
     ):
         self.ambient_dim = ambient_dim
         self._vertices = vertices
+        self._rays: tuple[tuple[int, ...], ...] | None = None
         self._inequalities = inequalities
         self._facet_masks = facet_masks
         self._checked = checked
@@ -390,7 +421,7 @@ class Polytope:
         if self._vertices is None:
             assert self._inequalities is not None
             found = _vertices_of_system(self._inequalities, self.ambient_dim)
-            self._vertices = tuple(p for p, _ in found)
+            self._rays = tuple(r for r, _ in found)
             vertex_masks = tuple(m for _, m in found)
             masks = _transpose(vertex_masks, len(self._inequalities))
             if self._checked:
@@ -417,12 +448,33 @@ class Polytope:
 
     # -- core accessors -----------------------------------------------
 
+    def _vertex_side(self) -> None:
+        """Complete unless the vertices are known, as points or as rays."""
+        if not self._checked or self._vertices is None and self._rays is None:
+            self._complete()
+
     @property
     def vertices(self) -> tuple[Vector, ...]:
         if self._vertices is None or not self._checked:
-            self._complete()
-        assert self._vertices is not None
+            self._vertex_side()
+            if self._vertices is None:
+                assert self._rays is not None
+                self._vertices = tuple(map(_ray_point, self._rays))
         return self._vertices
+
+    @property
+    def vertex_rays(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex v as the primitive integer ray (x0, x0 v), x0 > 0.
+
+        In vertex order.  For a polytope given by inequalities they are
+        the engine's own rays; for one given by its vertices they are
+        derived from them.
+        """
+        if self._rays is None:
+            self._vertex_side()
+            if self._rays is None:
+                self._rays = tuple(map(_point_ray, self._vertices))
+        return self._rays
 
     @property
     def inequalities(self) -> tuple[Inequality, ...]:
@@ -443,7 +495,7 @@ class Polytope:
     def vertex_masks(self) -> tuple[int, ...]:
         """Per-vertex facet incidence bitmasks (bit j = facet j at vertex)."""
         if self._vertex_masks is None:
-            self._vertex_masks = _transpose(self.facet_masks, len(self.vertices))
+            self._vertex_masks = _transpose(self.facet_masks, self.n_vertices)
         return self._vertex_masks
 
     @property
@@ -482,7 +534,8 @@ class Polytope:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        self._vertex_side()
+        return len(self._rays if self._vertices is None else self._vertices)
 
     @property
     def n_facets(self) -> int:
@@ -494,7 +547,7 @@ class Polytope:
         """The face lattice as ``(dim, vertex mask)`` pairs, computed once."""
         if self._lattice is None:
             self._lattice = _face_lattice(
-                self.facet_masks, len(self.vertices), self.dim
+                self.facet_masks, self.n_vertices, self.dim
             )
         return self._lattice
 
@@ -540,8 +593,8 @@ class Polytope:
     def __repr__(self) -> str:
         parts = [f"ambient_dim={self.ambient_dim}"]
         # unchecked input may still hold redundant points or rows
-        if self._checked and self._vertices is not None:
-            parts.append(f"n_vertices={len(self._vertices)}")
+        if self._checked and (self._vertices is not None or self._rays is not None):
+            parts.append(f"n_vertices={self.n_vertices}")
         if self._checked and self._inequalities is not None:
             parts.append(f"n_inequalities={len(self._inequalities)}")
         return "Polytope(" + ", ".join(parts) + ")"

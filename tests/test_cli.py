@@ -15,6 +15,7 @@ import pytest
 
 import hompoly.classify
 import hompoly.polyio
+import hompoly.polytope
 import hompoly.cli
 from hompoly.checks import (
     check_certificate,
@@ -830,6 +831,20 @@ IDENTITY_STDOUT = {
 
 @pytest.mark.parametrize("args", IDENTITY_STDOUT)
 def test_identity_check_stdout_is_frozen(args, capsys):
+    code, out, err = run_cli(["identity-check", *args.split()], capsys)
+    assert (code, out, err) == (0, IDENTITY_STDOUT[args], "")
+
+
+def test_classify_and_grading_build_no_fraction_vertex_of_the_hom(tmp_path, capsys, monkeypatch):
+    # the ranks, the simple count and the face lattice read the hom's
+    # integer vertex rays and masks; no vertex is built from a ray
+    def refuse(ray):
+        raise AssertionError("a Fraction vertex was built from a ray")
+
+    monkeypatch.setattr(hompoly.polytope, "_ray_point", refuse)
+    for pair in CLASSIFY_STDOUT:
+        assert run_cli(_classify_argv(pair, tmp_path), capsys) == (0, CLASSIFY_STDOUT[pair], "")
+    args = "cube_bipyramid --m 2 --n 2"
     code, out, err = run_cli(["identity-check", *args.split()], capsys)
     assert (code, out, err) == (0, IDENTITY_STDOUT[args], "")
 

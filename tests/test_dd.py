@@ -16,6 +16,7 @@ set-up and all-pairs insertion step, and pinned by golden digests.
 import hashlib
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,10 +35,10 @@ from hompoly.linalg import (
     vec_dot,
     vec_sub,
 )
-from hompoly.polytope import Polytope
+from hompoly.polytope import Inequality, Polytope
 from hompoly.regular import check_survey_size, survey_cone
 from test_acceptance import oracle_extreme_points
-from test_polytope import PENTAGON, PENTAGON_EXTRA_POINTS
+from test_polytope import PENTAGON, PENTAGON_EXTRA_POINTS, vertex_points
 
 small = st.integers(min_value=-3, max_value=3)
 positive = st.fractions(min_value=Fraction(1, 4), max_value=4)
@@ -78,7 +79,7 @@ def hulls(draw, dims=(1, 2, 3, 4)):
 
 
 def enumerate_rows(rows):
-    return dd.enumerate_vertices([n for n, _ in rows], [b for _, b in rows])
+    return vertex_points(dd.enumerate_vertices([n for n, _ in rows], [b for _, b in rows]))
 
 
 def assert_vertices(rows, found, expected):
@@ -276,7 +277,7 @@ def test_hexagon_hom_vertices_masks_and_order_are_unchanged():
     found = dd.enumerate_vertices(
         [iq.normal for iq in inequalities], [iq.offset for iq in inequalities]
     )
-    assert _digest(found) == HEXAGON_HOM_DIGEST
+    assert _digest(vertex_points(found)) == HEXAGON_HOM_DIGEST
 
 
 # -- the all-pairs insertion step, as a reference ----------------------------
@@ -431,7 +432,7 @@ def test_degenerate_cube_hom_vertices_masks_and_order_are_unchanged():
     found = dd.enumerate_vertices(
         [iq.normal for iq in inequalities], [iq.offset for iq in inequalities]
     )
-    assert _digest(found) == CUBE_HOM_DIGEST
+    assert _digest(vertex_points(found)) == CUBE_HOM_DIGEST
 
 
 def test_pentagon_hull_vertices_masks_and_order_are_unchanged(monkeypatch):
@@ -447,7 +448,7 @@ def test_pentagon_hull_vertices_masks_and_order_are_unchanged(monkeypatch):
     monkeypatch.setattr(dd, "enumerate_vertices", recorded)
     Polytope.from_points(PENTAGON_EXTRA_POINTS + PENTAGON).inequalities
     assert len(seen) == 1
-    assert _digest(seen[0]) == PENTAGON_HULL_DIGEST
+    assert _digest(vertex_points(seen[0])) == PENTAGON_HULL_DIGEST
 
 
 def test_segment_cone_joins_rays_with_no_common_tight_row():
@@ -456,3 +457,24 @@ def test_segment_cone_joins_rays_with_no_common_tight_row():
     are adjacent though no row is tight on both."""
     found = dd.extreme_rays([(1, 0), (1, 1), (1, -1)], dd.INTEGERS)
     assert found == [((1, -1), 0b010), ((1, 1), 0b100)]
+
+
+@given(hulls(dims=(2, 3, 4)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_vertex_rays_are_the_sorted_vertices(hull, data):
+    """Each point divided by a drawn denominator, so that the rays' x0
+    differ; the polytope described by its points and by its rows."""
+    points, _ = hull
+    d = len(points[0])
+    points = [tuple(e / data.draw(st.integers(1, 4)) for e in p) for p in points]
+    assume(len(solve_affine_hull(tuple(points))[1]) == d)
+    rows = [Inequality(n, b) for n, b in supporting_rows(points)]
+    described = [Polytope.from_points(points), Polytope.from_inequalities(rows, d)]
+    for p in described:
+        rays = p.vertex_rays
+        assert p.vertices == tuple(sorted(p.vertices))
+        for ray, v in zip(rays, p.vertices, strict=True):
+            assert ray[0] > 0 and gcd(*ray) == 1
+            assert tuple(Fraction(e, ray[0]) for e in ray[1:]) == v
+    assert described[0].vertex_rays == described[1].vertex_rays
+    assert Polytope.from_vertices(described[1].vertices).vertex_rays == described[1].vertex_rays

@@ -13,14 +13,6 @@ def test_every_export_resolves_once():
     assert [name for name in hompoly.__all__ if not hasattr(hompoly, name)] == []
 
 
-# Imports kept though the module never names them, each with its reason.
-UNUSED_IMPORTS_ALLOWED = {
-    # perfbench's self-test reads hompoly.polytope.mat_rank; it goes once
-    # the benchmark reads another binding (ROADMAP item F)
-    ("polytope", "mat_rank"),
-}
-
-
 def _unused_imports(source):
     """Names a module imports and never reads.
 
@@ -53,14 +45,12 @@ def _unused_imports(source):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    unused = {
-        (path.stem, name): f"{path.name}:{line} {name}"
+    unused = [
+        f"{path.name}:{line} {name}"
         for path in sorted(Path(hompoly.__file__).parent.glob("*.py"))
         for name, line in _unused_imports(path.read_text()).items()
-    }
-    assert [where for key, where in unused.items() if key not in UNUSED_IMPORTS_ALLOWED] == []
-    # an allowance outlives its reason once the import is used or gone
-    assert UNUSED_IMPORTS_ALLOWED <= unused.keys()
+    ]
+    assert unused == []
 
 
 def test_the_unused_import_check_sees_a_leftover():

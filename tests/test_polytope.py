@@ -358,7 +358,19 @@ def test_dim_via_interior_witness_skips_enumeration():
         square_hrep(), 2, assume_irredundant=True, interior_point=vec(0, 0)
     )
     assert p.dim == 2
-    assert p._vertices is None
+    # completion would leave the rays, and reading the vertices the points
+    assert p._vertices is None and p._rays is None
+
+
+def test_repr_is_the_same_before_and_after_the_vertices_are_read():
+    h = build_hom(cube(2), cube(1)).polytope
+    assert repr(h) == "Polytope(ambient_dim=3, n_inequalities=8)"
+    _ = h.f_vector
+    completed = repr(h)
+    assert completed == "Polytope(ambient_dim=3, n_vertices=6, n_inequalities=8)"
+    assert h._vertices is None
+    _ = h.vertices
+    assert repr(h) == completed
 
 
 coordinate = st.integers(min_value=-4, max_value=4)
@@ -513,13 +525,20 @@ def systems_with_repeats_and_equalities(draw):
     return tuple(draw(st.permutations(rows))), d
 
 
+def vertex_points(found):
+    """``dd.enumerate_vertices``' rays (x0, x0 v) as (``Fraction`` point v,
+    mask) pairs, in the engine's order: the form its golden digests and
+    references were recorded in."""
+    return [(tuple(Fraction(e, ray[0]) for e in ray[1:]), mask) for ray, mask in found]
+
+
 def _input_order_reference(rows, d):
     """What completion gives when the engine takes the rows in input order
     and the vertices are sorted by their ``Fraction`` coordinates: the
     vertices and the facet masks, or the error and the row it names."""
     try:
-        found = dd.enumerate_vertices(
-            [iq.normal for iq in rows], [iq.offset for iq in rows]
+        found = vertex_points(
+            dd.enumerate_vertices([iq.normal for iq in rows], [iq.offset for iq in rows])
         )
     except GeometryError as err:
         return type(err)
